@@ -14,20 +14,19 @@ from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery, Timer,
                    query_cost)
 
 
-class ConstraintsNotDecomposable(EngineError):
-    """Family constraints cannot be folded into per-hole option sets;
-    use the CEGIS engine instead."""
-
-
 def initial_subfamily(fam: Family) -> Subfamily:
-    """Fold per-hole decomposable constraints into the starting subfamily."""
+    """Fold single-hole constraints into the starting subfamily.
+
+    Constraints over several holes stay out of the box: its quotient
+    over-approximates the members that satisfy them, and the members
+    themselves are filtered by every constraint.
+    """
     remaining = [list(h.options) for h in fam.holes]
     names = [h.name for h in fam.holes]
     for c in fam.constraints:
         holes = c.holes()
         if len(holes) != 1:
-            raise ConstraintsNotDecomposable(
-                "constraint %s spans holes %s" % (c.to_sexpr(), sorted(holes)))
+            continue
         name = next(iter(holes))
         idx = names.index(name)
         allowed = [o for o in remaining[idx] if c.eval({name: o})]
@@ -79,6 +78,9 @@ def _min_possible_cost(fam, sub, q):
 
 
 def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
+    if q.optimise_cost:
+        raise EngineError("cegar does not support cost-optimal search; "
+                          "use the enum engine")
     stats = Stats()
     timer = Timer().__enter__()
     try:
@@ -295,6 +297,13 @@ def _optimise(fam, q, stats):
                                  if q.budget is not None else None)
             excluded = excluded | {r.key(fam)}
             parts = _split_off(sub, r, fam)
+            rec["split"] = parts is not None
+            if parts:
+                worklist.extend((p, excluded, bound) for p in parts)
+        elif verdict.consistent:
+            # the scheduler's realisation is no member: split around it
+            parts = _split_off(sub, verdict.realisation, fam)
+            rec["verdict"] = "consistent-stale"
             rec["split"] = parts is not None
             if parts:
                 worklist.extend((p, excluded, bound) for p in parts)

@@ -253,6 +253,9 @@ def next_candidate(space: AssignmentSpace):
 
 
 def cegis_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
+    if q.optimise_cost:
+        raise EngineError("cegis does not support cost-optimal search; "
+                          "use the enum engine")
     stats = Stats()
     timer = Timer().__enter__()
     try:

@@ -7,6 +7,7 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -15,9 +16,10 @@ import scipy.sparse.linalg as spla
 
 PROB_SUM_TOL = 1e-9
 COMPARISON_TOL = 1e-6  # default tolerance for threshold comparisons
-VI_CONVERGENCE = 1e-10
+VI_CONVERGENCE = 1e-10  # certified gap at which interval iteration stops
 VI_MAX_SWEEPS = 10 ** 6
-DIRECT_SOLVE_LIMIT = 10_000
+DENSE_SOLVE_LIMIT = 600  # unknowns up to which a dense solve beats spsolve
+IMPROVEMENT_TOL = 1e-12  # policy iteration switches only on a larger gain
 
 OPS = ("<", "<=", ">=", ">")
 
@@ -233,12 +235,74 @@ def prob01_states(mc: MarkovChain, goal: frozenset):
     return prob0, prob1
 
 
+def _csr_rows(dists):
+    """Flat CSR arrays (indptr, indices, data), one row per distribution."""
+    indptr = np.fromiter(accumulate((len(d.entries) for d in dists),
+                                    initial=0), np.intp, len(dists) + 1)
+    targets, probs = zip(*[e for d in dists for e in d.entries])
+    return indptr, np.array(targets, dtype=np.intp), np.array(probs)
+
+
+def _system(indptr, indices, data, rows, states, known):
+    """The fixed point x = P x + b over `states`, each taking its row of
+    `rows`: P's entries among `states` as (row, col, val) triplets, each
+    state's exit mass (probability of leaving it, self-loop excluded) and b,
+    the one-step value from outside `states` given by `known`."""
+    n = len(states)
+    local = np.full(len(known), -1, dtype=np.intp)
+    local[states] = np.arange(n)
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    src = np.repeat(np.arange(n), counts)
+    entry = np.arange(len(src)) + np.repeat(starts - np.cumsum(counts) + counts,
+                                            counts)
+    tgt, p = indices[entry], data[entry]
+    col = local[tgt]
+    exits = np.bincount(src, weights=np.where(col == src, 0.0, p), minlength=n)
+    b = np.bincount(src, weights=p * known[tgt], minlength=n)
+    inner = col >= 0
+    return src[inner], col[inner], p[inner], exits, b
+
+
+def _linear_solve(rows, cols, vals, exits, b):
+    """Solve (I - P) x = b exactly.  The diagonal of I - P is each state's
+    exit mass, not 1 - P(s,s): with a self-loop of 1 - 2e-12 the subtraction
+    would lose five digits of a 2e-12 exit."""
+    n = len(b)
+    off = rows != cols
+    if n <= DENSE_SOLVE_LIMIT:
+        A = np.zeros((n, n))
+        A[rows[off], cols[off]] = -vals[off]
+        A[np.arange(n), np.arange(n)] = exits
+        return np.linalg.solve(A, b)
+    diag = np.arange(n)
+    A = sp.csr_matrix((np.concatenate([-vals[off], exits]),
+                       (np.concatenate([rows[off], diag]),
+                        np.concatenate([cols[off], diag]))), shape=(n, n))
+    return spla.spsolve(A, b)
+
+
+def _interval_iteration(rows, cols, vals, b):
+    """Iterate x = P x + b from 0 and from 1 until the certified gap between
+    the two bounds is below VI_CONVERGENCE."""
+    n = len(b)
+    P = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    lo, hi = np.zeros(n), np.ones(n)
+    for _ in range(VI_MAX_SWEEPS):
+        lo, hi = P.dot(lo) + b, P.dot(hi) + b
+        if np.max(hi - lo) < VI_CONVERGENCE:
+            return (lo + hi) / 2.0
+    raise ModelError("interval iteration left a gap of %g after %d sweeps"
+                     % (np.max(hi - lo), VI_MAX_SWEEPS))
+
+
 def reach_probability(mc: MarkovChain, goal, method: str = "auto") -> np.ndarray:
     """Probability of eventually reaching `goal`, for every state.
 
     Qualitative 0/1 states are fixed graph-theoretically; the rest solve the
-    linear fixed point x_s = sum_t P(s,t) x_t, either by a direct sparse solve
-    or by value iteration (method "auto" switches on state count).
+    linear fixed point x_s = sum_t P(s,t) x_t.  Methods "auto" and "linear"
+    solve it directly; "vi" runs interval iteration and raises ModelError if
+    its bounds do not meet within VI_MAX_SWEEPS.
     """
     goal = frozenset(goal)
     for g in goal:
@@ -246,40 +310,18 @@ def reach_probability(mc: MarkovChain, goal, method: str = "auto") -> np.ndarray
             raise ModelError("goal state %d outside S" % g)
     prob0, prob1 = prob01_states(mc, goal)
     x = np.zeros(mc.n_states)
-    for s in prob1:
-        x[s] = 1.0
-    unknown = sorted(set(range(mc.n_states)) - prob0 - prob1)
-    if not unknown:
+    x[list(prob1)] = 1.0
+    unknown = np.array(sorted(set(range(mc.n_states)) - prob0 - prob1),
+                       dtype=np.intp)
+    if not len(unknown):
         return x
-    index = {s: i for i, s in enumerate(unknown)}
-    n = len(unknown)
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
-    for s in unknown:
-        i = index[s]
-        for t, p in mc.transitions[s].entries:
-            if t in index:
-                rows.append(i)
-                cols.append(index[t])
-                vals.append(p)
-            elif t in prob1:
-                b[i] += p
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    if method == "auto":
-        method = "linear" if n <= DIRECT_SOLVE_LIMIT else "vi"
-    if method == "linear":
-        if n <= 600:
-            sol = np.linalg.solve(np.eye(n) - P.toarray(), b)
-        else:
-            sol = spla.spsolve(sp.identity(n, format="csr") - P, b)
+    indptr, indices, data = _csr_rows([mc.transitions[s] for s in unknown])
+    rows, cols, vals, exits, b = _system(indptr, indices, data,
+                                         np.arange(len(unknown)), unknown, x)
+    if method in ("auto", "linear"):
+        sol = _linear_solve(rows, cols, vals, exits, b)
     elif method == "vi":
-        sol = np.zeros(n)
-        for _ in range(VI_MAX_SWEEPS):
-            nxt = P.dot(sol) + b
-            if np.max(np.abs(nxt - sol)) < VI_CONVERGENCE:
-                sol = nxt
-                break
-            sol = nxt
+        sol = _interval_iteration(rows, cols, vals, b)
     else:
         raise ModelError("unknown method %r" % method)
     x[unknown] = np.clip(sol, 0.0, 1.0)
@@ -315,76 +357,204 @@ def sub_mc(mc: MarkovChain, critical) -> MarkovChain:
 # MDP analysis
 
 
-def _mdp_predecessors(mdp: Mdp):
-    preds = [set() for _ in range(mdp.n_states)]
-    for s, acts in enumerate(mdp.actions):
-        for _, dist in acts:
-            for t, _ in dist.entries:
-                preds[t].add(s)
-    return [sorted(p) for p in preds]
+class _ChoiceMatrix:
+    """An MDP as a row-grouped choice matrix: one CSR row per action, the
+    rows of state s at first[s]:first[s + 1], `state[r]` owning row r."""
+
+    def __init__(self, mdp: Mdp):
+        dists = [d for acts in mdp.actions for _, d in acts]
+        self.labels = [a for acts in mdp.actions for a, _ in acts]
+        self.indptr, self.indices, self.data = _csr_rows(dists)
+        counts = [len(acts) for acts in mdp.actions]
+        self.first = np.fromiter(accumulate(counts, initial=0), np.intp,
+                                 mdp.n_states + 1)
+        self.state = np.repeat(np.arange(mdp.n_states), counts)
+
+    def some_succ(self, mask):
+        """Per row: some successor lies in `mask`."""
+        return np.logical_or.reduceat(mask[self.indices], self.indptr[:-1])
+
+    def all_succ(self, mask):
+        """Per row: every successor lies in `mask`."""
+        return np.logical_and.reduceat(mask[self.indices], self.indptr[:-1])
+
+    def some_row(self, rows):
+        """Per state: some of its rows is set in `rows`."""
+        return np.logical_or.reduceat(rows, self.first[:-1])
+
+    def first_row(self, rows):
+        """Per state: the first of its rows set in `rows` (len(rows) if none)."""
+        return np.minimum.reduceat(
+            np.where(rows, np.arange(len(rows)), len(rows)), self.first[:-1])
+
+    def expect(self, x):
+        """Per row: the expected value of `x` after one step."""
+        return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
 
 
-def _prob0_max(mdp: Mdp, goal):
-    """States whose maximal reachability probability is exactly 0."""
-    can_reach = _backward_reach(mdp.n_states, _mdp_predecessors(mdp), goal)
-    return set(range(mdp.n_states)) - can_reach
-
-
-def _prob1_max(mdp: Mdp, goal):
-    """States whose maximal reachability probability is exactly 1 (Prob1E)."""
-    goal = set(goal)
-    Y = set(range(mdp.n_states))
+def _attract(cm: _ChoiceMatrix, seeds, rows_ok, policy=None):
+    """States from which some path of `rows_ok` rows reaches `seeds`.  With
+    `policy`, each added state gets the first row that attracted it."""
+    reached = seeds.copy()
     while True:
-        X = set(goal)
-        changed = True
-        while changed:
-            changed = False
-            for s in range(mdp.n_states):
-                if s in X:
-                    continue
-                for _, dist in mdp.actions[s]:
-                    succ = dist.support()
-                    if all(t in Y for t in succ) and any(t in X for t in succ):
-                        X.add(s)
-                        changed = True
-                        break
-        if X == Y:
-            return Y
-        Y = X
+        hit = rows_ok & cm.some_succ(reached)
+        new = cm.some_row(hit) & ~reached
+        if not new.any():
+            return reached
+        if policy is not None:
+            policy[new] = cm.first_row(hit)[new]
+        reached |= new
 
 
-def _prob0_min(mdp: Mdp, goal):
-    """States where some scheduler reaches the goal with probability 0."""
-    goal = set(goal)
-    X = set(range(mdp.n_states)) - goal
-    changed = True
-    while changed:
-        changed = False
-        for s in sorted(X):
-            if not any(all(t in X for t in dist.support())
-                       for _, dist in mdp.actions[s]):
-                X.discard(s)
-                changed = True
-    return X
+def _prob1e(cm: _ChoiceMatrix, goal, stay):
+    """States where some scheduler reaches `goal` almost surely; `stay`
+    holds the states that can reach it at all."""
+    while True:
+        nxt = _attract(cm, goal, cm.all_succ(stay))
+        if np.array_equal(nxt, stay):
+            return stay
+        stay = nxt
 
 
-def _prob1_min(mdp: Mdp, goal):
-    """States whose minimal reachability probability is exactly 1."""
-    goal = set(goal)
-    avoid0 = _prob0_min(mdp, goal)
-    # min < 1 iff some scheduler reaches avoid0 with positive probability
-    # without passing through the goal first
-    preds = _mdp_predecessors(mdp)
-    lt_one = _backward_reach(mdp.n_states, preds, avoid0, blocked=goal)
-    return set(range(mdp.n_states)) - lt_one
+def _prob0e(cm: _ChoiceMatrix, goal):
+    """States where some scheduler avoids `goal` surely."""
+    avoid = ~goal
+    while True:
+        nxt = avoid & cm.some_row(cm.all_succ(avoid))
+        if np.array_equal(nxt, avoid):
+            return avoid
+        avoid = nxt
+
+
+def _evaluate(cm: _ChoiceMatrix, rows, states, known):
+    """Values of the policy `rows` (one row per state of `states`), which
+    must leave `states` almost surely; `known` fixes the other states."""
+    sys_rows, cols, vals, exits, b = _system(cm.indptr, cm.indices, cm.data,
+                                             rows, states, known)
+    return np.clip(_linear_solve(sys_rows, cols, vals, exits, b), 0.0, 1.0)
+
+
+def _policy_iteration(cm: _ChoiceMatrix, known, unknown, mode):
+    """Optimal values on the `unknown` states, `known` fixing the others,
+    and a policy (one row per state) attaining them there.
+
+    Every policy evaluated is proper on `unknown`, so each evaluation is one
+    exact linear solve.  For max the first policy moves every state closer
+    to a value-1 state and a row is switched only on a strict gain; for min
+    every policy is proper once the states that can avoid the goal surely
+    are known.  Gains are measured on the unrolled self-loop, so that a row
+    that almost surely loops cannot hide one below IMPROVEMENT_TOL.
+    """
+    states = np.flatnonzero(unknown)
+    row_of = np.repeat(np.arange(len(cm.labels)), np.diff(cm.indptr))
+    leave = np.where(cm.indices == cm.state[row_of], 0.0, cm.data)
+    exits = np.add.reduceat(leave, cm.indptr[:-1])
+    movable = exits > 0.0
+    exits[~movable] = 1.0
+    maximise = mode == "max"
+    policy = cm.first[:-1].copy()
+    if maximise:
+        _attract(cm, known == 1.0, unknown[cm.state], policy)
+    x = known.copy()
+    seen = {policy[states].tobytes()}
+    while True:
+        x[states] = _evaluate(cm, policy[states], states, known)
+        # the value each row gives its state with the self-loop unrolled
+        gain = np.add.reduceat(leave * x[cm.indices], cm.indptr[:-1])
+        unrolled = np.where(movable, gain / exits, x[cm.state])
+        if maximise:
+            best = np.maximum.reduceat(unrolled, cm.first[:-1])
+            switch = unknown & (best > x + IMPROVEMENT_TOL)
+        else:
+            best = np.minimum.reduceat(unrolled, cm.first[:-1])
+            switch = unknown & (best < x - IMPROVEMENT_TOL)
+        if not switch.any():
+            return x, policy
+        nxt = policy.copy()
+        nxt[switch] = cm.first_row(unrolled == best[cm.state])[switch]
+        key = nxt[states].tobytes()
+        if key in seen:  # rounding made a gain reappear: nothing left to win
+            return x, policy
+        seen.add(key)
+        policy = nxt
+
+
+def _min_witness(cm: _ChoiceMatrix, q, prob0, tol):
+    """Per state, the first row within `tol` of the best row seen before
+    it; a state that can avoid the goal surely keeps to rows that do."""
+    first = cm.first.tolist()
+    stays = (cm.all_succ(prob0) | ~prob0[cm.state]).tolist()
+    witness = []
+    for s in range(len(first) - 1):
+        best = None
+        for r in range(first[s], first[s + 1]):
+            if stays[r] and (best is None or q[r] < q[best] - tol):
+                best = r
+        witness.append(best)
+    return witness
+
+
+def _max_witness(cm: _ChoiceMatrix, x, goal, prob1, tol):
+    """Per state, a row within `tol` of the state's value that moves towards
+    a settled state: a positive-value state needs this progress-aware
+    tie-break, as a value-preserving self-loop satisfies the fixed point
+    but never reaches the goal.  A state that reaches the goal almost
+    surely keeps to rows that do."""
+    first = cm.first.tolist()
+    ok = (cm.expect(x) >= x[cm.state] - tol)
+    ok &= cm.all_succ(prob1) | ~prob1[cm.state]
+    ok = ok.tolist()
+    succ = cm.indices.tolist()
+    ptr = cm.indptr.tolist()
+    xs = x.tolist()
+    n = len(xs)
+    settled = [s in goal or xs[s] <= tol for s in range(n)]
+    witness = [first[s] for s in range(n)]
+    pending = [s for s in range(n) if not settled[s]]
+    while pending:
+        waiting = []
+        for s in pending:
+            for r in range(first[s], first[s + 1]):
+                if ok[r] and any(settled[t] and t != s
+                                 for t in succ[ptr[r]:ptr[r + 1]]):
+                    witness[s] = r
+                    settled[s] = True
+                    break
+            else:
+                waiting.append(s)
+        if len(waiting) == len(pending):
+            break  # the rest is unreachable under any optimal play
+        pending = waiting
+    return witness
+
+
+def _attains(cm: _ChoiceMatrix, witness, policy, x, unknown, tol):
+    """Whether the scheduler `witness` attains `x` within `tol` on the
+    unknown states, given that it does on the others."""
+    states = np.flatnonzero(unknown)
+    rows = witness[states]
+    if np.array_equal(rows, policy[states]):
+        return True
+    chosen = np.zeros(len(cm.labels), dtype=bool)
+    chosen[rows] = True
+    if not _attract(cm, ~unknown, chosen)[states].all():
+        return False  # some unknown state never leaves the unknown states
+    values = _evaluate(cm, rows, states, np.where(unknown, 0.0, x))
+    return bool(np.max(np.abs(values - x[states])) <= tol)
 
 
 def mdp_extremal(mdp: Mdp, goal, mode: str, tol: float = 1e-9):
     """Optimal reachability probability at the initial state plus a witness.
 
-    Qualitative prob-0/prob-1 sets are computed graph-theoretically, value
-    iteration solves the rest, and the witness scheduler is extracted with a
-    progress-aware tie-break so that its induced chain attains the value.
+    The MDP is compiled into a row-grouped choice matrix.  Qualitative
+    prob-0/prob-1 sets are graph fixpoints on it; policy iteration computes
+    the remaining values exactly, one linear solve per policy.  The witness
+    scheduler takes, for min, the first action within `tol` of the best
+    seen so far and, for max, an action within `tol` of the value with a
+    progress-aware tie-break.  If its induced chain does not attain the
+    values within `tol` -- with probabilities far below `tol` a near-optimal
+    action can be far from optimal -- the optimal policy that policy
+    iteration found is the witness instead.
     """
     goal = frozenset(goal)
     for g in goal:
@@ -392,61 +562,30 @@ def mdp_extremal(mdp: Mdp, goal, mode: str, tol: float = 1e-9):
             raise ModelError("goal state %d outside S" % g)
     if mode not in ("min", "max"):
         raise ModelError("mode must be 'min' or 'max'")
+    cm = _ChoiceMatrix(mdp)
+    is_goal = np.zeros(mdp.n_states, dtype=bool)
+    is_goal[list(goal)] = True
     if mode == "max":
-        prob0, prob1 = _prob0_max(mdp, goal), _prob1_max(mdp, goal)
+        reach = _attract(cm, is_goal, True)
+        prob0 = ~reach
+        prob1 = _prob1e(cm, is_goal, reach)
     else:
-        prob0, prob1 = _prob0_min(mdp, goal), _prob1_min(mdp, goal)
-
-    x = np.zeros(mdp.n_states)
-    for s in prob1:
-        x[s] = 1.0
-    unknown = sorted(set(range(mdp.n_states)) - prob0 - prob1)
-    if unknown:
-        opt = max if mode == "max" else min
-        for _ in range(VI_MAX_SWEEPS):
-            delta = 0.0
-            for s in unknown:
-                best = opt(sum(p * x[t] for t, p in dist.entries)
-                           for _, dist in mdp.actions[s])
-                delta = max(delta, abs(best - x[s]))
-                x[s] = best
-            if delta < VI_CONVERGENCE:
-                break
-
-    choice = {}
+        prob0 = _prob0e(cm, is_goal)
+        prob1 = ~_attract(cm, prob0, ~is_goal[cm.state])
+    x = prob1.astype(float)
+    unknown = ~(prob0 | prob1)
+    if unknown.any():
+        x, policy = _policy_iteration(cm, x, unknown, mode)
     if mode == "min":
-        for s in range(mdp.n_states):
-            best_label, best_val = None, None
-            for label, dist in mdp.actions[s]:
-                v = sum(p * x[t] for t, p in dist.entries)
-                if best_val is None or v < best_val - tol:
-                    best_label, best_val = label, v
-            choice[s] = best_label
+        witness = _min_witness(cm, cm.expect(x).tolist(), prob0, tol)
     else:
-        # positive-value states need a progress-aware tie-break: a value-
-        # preserving self-loop satisfies the fixed point but never reaches G
-        settled = set(goal) | {s for s in range(mdp.n_states) if x[s] <= tol}
-        for s in settled:
-            choice.setdefault(s, mdp.actions[s][0][0])
-        pending = [s for s in range(mdp.n_states) if s not in settled]
-        while pending:
-            progressed = False
-            for s in list(pending):
-                cand = [(label, dist) for label, dist in mdp.actions[s]
-                        if sum(p * x[t] for t, p in dist.entries) >= x[s] - tol]
-                for label, dist in cand:
-                    if any(t in settled and t != s for t in dist.support()):
-                        choice[s] = label
-                        settled.add(s)
-                        pending.remove(s)
-                        progressed = True
-                        break
-            if not progressed:
-                for s in pending:  # unreachable under any optimal play
-                    choice[s] = mdp.actions[s][0][0]
-                break
-    sched = MemorylessScheduler(choice)
-    return float(x[mdp.init]), sched
+        witness = _max_witness(cm, x, goal, prob1, tol)
+    witness = np.array(witness, dtype=np.intp)
+    if unknown.any() and not _attains(cm, witness, policy, x, unknown, tol):
+        witness[unknown] = policy[unknown]
+    labels = cm.labels
+    choice = {s: labels[r] for s, r in enumerate(witness.tolist())}
+    return float(x[mdp.init]), MemorylessScheduler(choice)
 
 
 def induced_chain(mdp: Mdp, sched: MemorylessScheduler) -> MarkovChain:

@@ -1,12 +1,18 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from chainsynth import sketch
 from chainsynth.family import Family, Fixed, Hole, HoleRef
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SKETCHES = os.path.join(ROOT, "sketches")
+
+# property tests replay the same examples on every run
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None, print_blob=True)
+settings.load_profile("deterministic")
 
 
 def toy_path():
@@ -17,6 +23,24 @@ def toy_path():
 def toy_family():
     with open(toy_path()) as fh:
         return sketch.elaborate(sketch.parse(fh.read()))
+
+
+@pytest.fixture(scope="session")
+def sensors_family():
+    with open(os.path.join(SKETCHES, "sensors.sk")) as fh:
+        return sketch.elaborate(sketch.parse(fh.read()))
+
+
+def tiny_exit_family():
+    """Three states, two members: state 0 leaves with probability 1e-12 to
+    the goal 1 and 1e-12 to the sink 2 and otherwise loops, so the goal is
+    reached with probability 0.5.  The hole only relabels the sink's loop."""
+    eps = 1e-12
+    return Family(
+        3, 0, (Hole("h", ("a", "b")),),
+        (((eps, Fixed(1)), (eps, Fixed(2)), (1.0 - 2 * eps, Fixed(0))),
+         ((1.0, Fixed(1)),),
+         ((1.0, HoleRef.single("h", {"a": 2, "b": 2})),)))
 
 
 @pytest.fixture(scope="session")

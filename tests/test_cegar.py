@@ -4,15 +4,16 @@ import pytest
 
 from chainsynth.constraints import Atom, Implies, Not
 from chainsynth.engines.base import EngineError, SynthesisQuery
-from chainsynth.engines.cegar import (ConstraintsNotDecomposable, cegar_solve,
-                                      initial_subfamily, split)
+from chainsynth import sketch
+from chainsynth.engines.cegar import cegar_solve, initial_subfamily, split
+from chainsynth.engines.cegis import cegis_solve
 from chainsynth.engines.enumeration import enum_solve
 from chainsynth.family import (ConsistencyVerdict, Family, Fixed, Hole,
-                               HoleRef, Realisation, Subfamily)
-from chainsynth.model import Specification
+                               HoleRef, Realisation, Subfamily, realise)
+from chainsynth.model import Specification, check
 from chainsynth.randfam import random_family, random_goal
 
-from conftest import R1, R2, R3, R4
+from conftest import R1, R2, R3, R4, tiny_exit_family
 
 GOAL4 = frozenset([4])
 
@@ -28,11 +29,42 @@ def test_initial_subfamily_folds_constraints(example_family):
     assert sub.remaining == (("2", "3"), ("4",))
 
 
-def test_initial_subfamily_rejects_multi_hole_constraints(example_family):
+def test_initial_subfamily_keeps_multi_hole_constraints_out(example_family):
     fam = constrained(example_family,
                       [Implies(Atom("k2", "2"), Not(Atom("k3", "2")))])
-    with pytest.raises(ConstraintsNotDecomposable):
-        initial_subfamily(fam)
+    assert initial_subfamily(fam) == Subfamily.full(fam)
+
+
+def test_engines_agree_on_sensors_sketch(sensors_family):
+    # sensors.sk constrains two holes at once ("a1 | b1")
+    fam = sensors_family
+    queries = []
+    for expr in ("s=2", "s=3"):
+        goal = sketch.goal_states(fam, expr)
+        for op, lam in ((">=", 0.5), ("<=", 0.5), (">", 0.9), ("<", 0.95)):
+            spec = Specification(goal, op, lam)
+            queries += [SynthesisQuery("feasible", spec=spec),
+                        SynthesisQuery("partition", spec=spec)]
+        queries += [SynthesisQuery("max", goal=goal),
+                    SynthesisQuery("min", goal=goal),
+                    SynthesisQuery("min", goal=goal, budget=3,
+                                   cost_model="optionsum")]
+    for q in queries:
+        expect = enum_solve(fam, q)
+        for solve in (cegar_solve, cegis_solve):
+            out = solve(fam, q)
+            assert out.kind == expect.kind, (solve.__name__, q)
+            if q.kind == "partition":
+                assert sorted(r.key(fam) for r in out.T) == \
+                    sorted(r.key(fam) for r in expect.T)
+                assert sorted(r.key(fam) for r in out.F) == \
+                    sorted(r.key(fam) for r in expect.F)
+            elif out.kind == "witness":
+                assert fam.satisfies_constraints(out.witness.assignment)
+                if q.kind == "feasible":
+                    assert check(realise(fam, out.witness), q.spec)[0]
+                else:
+                    assert out.value == pytest.approx(expect.value, abs=1e-6)
 
 
 def test_initial_subfamily_rejects_empty_domain(example_family):
@@ -144,3 +176,22 @@ def test_min_agrees_with_oracle():
             q = SynthesisQuery(kind, goal=goal)
             assert cegar_solve(fam, q).value == \
                 pytest.approx(enum_solve(fam, q).value, abs=1e-6)
+
+
+def test_tiny_exits_partition_is_exact():
+    # both members reach the goal with probability 0.5, through exits of
+    # 1e-12: a check that stops once a sweep changes little reads about
+    # 1e-12 and puts them into F
+    fam = tiny_exit_family()
+    q = SynthesisQuery("partition",
+                       spec=Specification(frozenset([1]), ">=", 0.4))
+    for solve in (enum_solve, cegar_solve, cegis_solve):
+        out = solve(fam, q)
+        assert (len(out.T), len(out.F)) == (2, 0), solve.__name__
+
+
+def test_rejects_cost_optimal_search(example_family):
+    q = SynthesisQuery("feasible", spec=Specification(GOAL4, ">=", 0.1),
+                       optimise_cost=True)
+    with pytest.raises(EngineError):
+        cegar_solve(example_family, q)

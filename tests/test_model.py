@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chainsynth import model
 from chainsynth.family import Realisation, quotient_mdp, realise
 from chainsynth.model import (COMPARISON_TOL, Distribution, MarkovChain, Mdp,
                               MemorylessScheduler, ModelError, Specification,
@@ -10,7 +13,7 @@ from chainsynth.model import (COMPARISON_TOL, Distribution, MarkovChain, Mdp,
                               prob01_states, reach_probability, sub_mc)
 from chainsynth.randfam import random_chain, random_critical, random_goal
 
-from conftest import R1, R2, R3, R4
+from conftest import R1, R2, R3, R4, tiny_exit_family
 
 
 def chain_of(fam, assignment):
@@ -217,3 +220,119 @@ def test_mdp_as_chain():
     with pytest.raises(ModelError):
         Mdp(1, 0, ((("a", Distribution.dirac(0)),
                     ("b", Distribution.dirac(0))),)).as_chain()
+
+
+# --- extreme probabilities ----------------------------------------------------
+
+def test_tiny_exits_never_yield_a_wrong_value(monkeypatch):
+    # the goal is reached with probability 0.5 through exits of 1e-12 each
+    mc = realise(tiny_exit_family(), Realisation({"h": "a"}))
+    for method in ("auto", "linear"):
+        value = reach_probability(mc, [1], method=method)[0]
+        assert value == pytest.approx(0.5, abs=1e-9)
+    # interval iteration cannot close the gap in a few sweeps and must say so
+    monkeypatch.setattr(model, "VI_MAX_SWEEPS", 1000)
+    with pytest.raises(ModelError):
+        reach_probability(mc, [1], method="vi")
+
+
+def test_mdp_extremal_exact_with_tiny_exits():
+    mdp, _ = quotient_mdp(tiny_exit_family())
+    for mode in ("min", "max"):
+        value, sched = mdp_extremal(mdp, frozenset([1]), mode)
+        assert value == pytest.approx(0.5, abs=1e-9)
+        attained = reach_probability(induced_chain(mdp, sched), [1])[mdp.init]
+        assert attained == pytest.approx(0.5, abs=1e-9)
+
+
+LOOP = Distribution(((0, 1.0 - 1e-12), (2, 1e-12)))
+LEAVE = Distribution(((1, 0.999999), (2, 1e-6)))
+STAY1, STAY2 = Distribution.dirac(1), Distribution.dirac(2)
+# state 0 may loop with an exit of 1e-12: the loop's one-step value is
+# within 1e-9 of the optimum, its value is not
+NEAR_TIES = {
+    "max": (((("loop", LOOP), ("leave", LEAVE)), (("stay", STAY1),),
+              (("stay", STAY2),)), [1], 0.999999),
+    "max-sure": (((("loop", LOOP), ("leave", STAY1)), (("stay", STAY1),),
+                   (("stay", STAY2),)), [1], 1.0),
+    "min": (((("loop", LOOP), ("leave", LEAVE)),
+              (("stay", STAY1), ("go", Distribution(((1, 0.999), (2, 0.001))))),
+              (("stay", STAY2),)), [2], 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_TIES))
+def test_witness_attains_value_despite_near_ties(case):
+    actions, goal, expect = NEAR_TIES[case]
+    mdp, mode = Mdp(3, 0, actions), case[:3]
+    value, sched = mdp_extremal(mdp, goal, mode)
+    assert value == pytest.approx(expect, abs=1e-12)
+    assert sched[0] == "leave"
+    attained = reach_probability(induced_chain(mdp, sched), goal)[0]
+    assert attained == pytest.approx(value, abs=1e-12)
+
+
+PROBS = (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.2, 0.3)
+
+
+@st.composite
+def small_mdps(draw):
+    """MDPs with <= 6 states and <= 3 actions per state whose distributions
+    put probabilities down to 1e-12 on all successors but the first."""
+    n = draw(st.integers(2, 6))
+    actions = []
+    for _ in range(n):
+        acts = []
+        for label in range(draw(st.integers(1, 3))):
+            targets = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                    max_size=3, unique=True))
+            small = [draw(st.sampled_from(PROBS)) for _ in targets[1:]]
+            probs = [1.0 - sum(small)] + small
+            acts.append((label, Distribution(tuple(zip(targets, probs)))))
+        actions.append(tuple(acts))
+    goal = frozenset(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=2)))
+    return Mdp(n, 0, tuple(actions)), goal
+
+
+def brute_force(mdp, goal, mode):
+    """Optimum over every memoryless deterministic scheduler."""
+    values = []
+    for pick in itertools.product(*(range(len(a)) for a in mdp.actions)):
+        chain = MarkovChain(mdp.n_states, mdp.init, tuple(
+            acts[i][1] for acts, i in zip(mdp.actions, pick)))
+        values.append(reach_probability(chain, goal)[mdp.init])
+    return max(values) if mode == "max" else min(values)
+
+
+@settings(max_examples=300)
+@given(small_mdps(), st.sampled_from(("min", "max")))
+def test_mdp_extremal_matches_brute_force(case, mode):
+    mdp, goal = case
+    value, sched = mdp_extremal(mdp, goal, mode)
+    assert value == pytest.approx(brute_force(mdp, goal, mode), abs=1e-6)
+    attained = reach_probability(induced_chain(mdp, sched), goal)[mdp.init]
+    assert attained == pytest.approx(value, abs=1e-6)
+
+
+def test_sparse_solve_on_a_long_walk():
+    # 700 unknowns take the sparse branch; a fair walk between the
+    # absorbing ends 0 and n - 1 reaches n - 1 with probability i / (n - 1)
+    n = 702
+    walk = tuple(Distribution.dirac(i) if i in (0, n - 1) else
+                 Distribution(((i - 1, 0.5), (i + 1, 0.5))) for i in range(n))
+    expect = np.arange(n) / (n - 1)
+    mc = MarkovChain(n, 1, walk)
+    assert np.max(np.abs(reach_probability(mc, [n - 1]) - expect)) < 1e-9
+    # a walk that leaks to the sink 0 from every state, with a second action
+    # that loops: max never loops and attains the walk's value
+    leaky = tuple(Distribution.dirac(i) if i in (0, n - 1) else
+                  Distribution.from_pairs(((i - 1, 0.49), (i + 1, 0.49),
+                                           (0, 0.02))) for i in range(n))
+    walk_value = reach_probability(MarkovChain(n, n // 2, leaky), [n - 1])
+    mdp = Mdp(n, n // 2, tuple(
+        ((0, d),) if i in (0, n - 1) else ((0, Distribution.dirac(i)), (1, d))
+        for i, d in enumerate(leaky)))
+    value, sched = mdp_extremal(mdp, frozenset([n - 1]), "max")
+    assert value == pytest.approx(walk_value[n // 2], abs=1e-9)
+    assert all(sched[i] == 1 for i in range(1, n - 1))

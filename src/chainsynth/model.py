@@ -19,7 +19,6 @@ COMPARISON_TOL = 1e-6  # default tolerance for threshold comparisons
 VI_CONVERGENCE = 1e-10  # certified gap at which interval iteration stops
 VI_MAX_SWEEPS = 10 ** 6
 DENSE_SOLVE_LIMIT = 600  # unknowns up to which a dense solve beats spsolve
-IMPROVEMENT_TOL = 1e-12  # policy iteration switches only on a larger gain
 
 OPS = ("<", "<=", ">=", ">")
 
@@ -434,16 +433,35 @@ def _evaluate(cm: _ChoiceMatrix, rows, states, known):
     return np.clip(_linear_solve(sys_rows, cols, vals, exits, b), 0.0, 1.0)
 
 
+def _keep_proper(cm: _ChoiceMatrix, nxt, policy, unknown, gain):
+    """Undo switches of `nxt` away from the proper policy `policy`, the
+    smallest `gain` first, until every unknown state leaves the unknown
+    states almost surely.  A strict gain never closes a cycle inside them;
+    a gain at rounding level on a tie can."""
+    states = np.flatnonzero(unknown)
+    while True:
+        chosen = np.zeros(len(cm.labels), dtype=bool)
+        chosen[nxt[states]] = True
+        stuck = unknown & ~_attract(cm, ~unknown, chosen)
+        if not stuck.any():
+            return
+        undo = np.flatnonzero(stuck & (nxt != policy))
+        s = undo[np.argmin(gain[undo])]
+        nxt[s] = policy[s]
+
+
 def _policy_iteration(cm: _ChoiceMatrix, known, unknown, mode):
     """Optimal values on the `unknown` states, `known` fixing the others,
     and a policy (one row per state) attaining them there.
 
     Every policy evaluated is proper on `unknown`, so each evaluation is one
     exact linear solve.  For max the first policy moves every state closer
-    to a value-1 state and a row is switched only on a strict gain; for min
-    every policy is proper once the states that can avoid the goal surely
-    are known.  Gains are measured on the unrolled self-loop, so that a row
-    that almost surely loops cannot hide one below IMPROVEMENT_TOL.
+    to a value-1 state; for min every policy is proper once the states that
+    can avoid the goal surely are known.  A row is switched on any gain
+    over the state's current row, however small: around a cycle whose exits
+    are 1e-12 a one-step gain of 4e-13 can be worth 0.2 in value.  For max,
+    switches that would keep a state inside `unknown` for ever are undone,
+    and no policy is evaluated twice, so the loop ends.
     """
     states = np.flatnonzero(unknown)
     row_of = np.repeat(np.arange(len(cm.labels)), np.diff(cm.indptr))
@@ -460,18 +478,21 @@ def _policy_iteration(cm: _ChoiceMatrix, known, unknown, mode):
     while True:
         x[states] = _evaluate(cm, policy[states], states, known)
         # the value each row gives its state with the self-loop unrolled
-        gain = np.add.reduceat(leave * x[cm.indices], cm.indptr[:-1])
-        unrolled = np.where(movable, gain / exits, x[cm.state])
+        onward = np.add.reduceat(leave * x[cm.indices], cm.indptr[:-1])
+        unrolled = np.where(movable, onward / exits, x[cm.state])
         if maximise:
             best = np.maximum.reduceat(unrolled, cm.first[:-1])
-            switch = unknown & (best > x + IMPROVEMENT_TOL)
+            gain = best - unrolled[policy]
         else:
             best = np.minimum.reduceat(unrolled, cm.first[:-1])
-            switch = unknown & (best < x - IMPROVEMENT_TOL)
+            gain = unrolled[policy] - best
+        switch = unknown & (gain > 0.0)
         if not switch.any():
             return x, policy
         nxt = policy.copy()
         nxt[switch] = cm.first_row(unrolled == best[cm.state])[switch]
+        if maximise:
+            _keep_proper(cm, nxt, policy, unknown, gain)
         key = nxt[states].tobytes()
         if key in seen:  # rounding made a gain reappear: nothing left to win
             return x, policy

@@ -43,6 +43,23 @@ def tiny_exit_family():
          ((1.0, HoleRef.single("h", {"a": 2, "b": 2})),)))
 
 
+def cycle_exit_family(stop_goal):
+    """Four states, two members.  Under "stop" state 0 moves to the goal 2
+    with probability `stop_goal` and otherwise to the sink 3.  Under
+    "cycle" it moves to state 1, which returns to 0 except for exits of
+    2**-40 (about 1e-12) each to the goal and the sink, so the goal is
+    reached with probability 0.5.  1 - 2 * 2**-40 is exact in floating
+    point, so state 1's row sums to one and 0.5 is the exact value."""
+    eps = 2.0 ** -40
+    return Family(
+        4, 0, (Hole("h", ("stop", "cycle")),),
+        (((1.0 - stop_goal, HoleRef.single("h", {"stop": 3, "cycle": 1})),
+          (stop_goal, HoleRef.single("h", {"stop": 2, "cycle": 1}))),
+         ((1.0 - 2 * eps, Fixed(0)), (eps, Fixed(2)), (eps, Fixed(3))),
+         ((1.0, Fixed(2)),),
+         ((1.0, Fixed(3)),)))
+
+
 @pytest.fixture(scope="session")
 def example_family():
     """The running-example family built directly, bypassing the sketch

@@ -13,7 +13,7 @@ from chainsynth.family import (ConsistencyVerdict, Family, Fixed, Hole,
 from chainsynth.model import Specification, check
 from chainsynth.randfam import random_family, random_goal
 
-from conftest import R1, R2, R3, R4, tiny_exit_family
+from conftest import R1, R2, R3, R4, cycle_exit_family, tiny_exit_family
 
 GOAL4 = frozenset([4])
 
@@ -188,6 +188,23 @@ def test_tiny_exits_partition_is_exact():
     for solve in (enum_solve, cegar_solve, cegis_solve):
         out = solve(fam, q)
         assert (len(out.T), len(out.F)) == (2, 0), solve.__name__
+
+
+@pytest.mark.parametrize("stop_goal, threshold, sat",
+                         [(0.3, 0.4, "cycle"), (0.7, 0.6, "stop")])
+def test_cycle_exits_partition_is_exact(stop_goal, threshold, sat):
+    # "cycle" reaches the goal with probability 0.5 through a two-state
+    # cycle whose exits are about 1e-12, "stop" with `stop_goal`: the one-step
+    # values of entering the cycle and stopping differ by about 4e-13, and a
+    # check that ignores such gains bounds the quotient by `stop_goal` alone
+    # and puts both members on one side
+    fam = cycle_exit_family(stop_goal)
+    q = SynthesisQuery("partition",
+                       spec=Specification(frozenset([2]), ">=", threshold))
+    for solve in (enum_solve, cegar_solve, cegis_solve):
+        out = solve(fam, q)
+        assert [r["h"] for r in out.T] == [sat], solve.__name__
+        assert len(out.F) == 1, solve.__name__
 
 
 def test_rejects_cost_optimal_search(example_family):

@@ -248,28 +248,61 @@ def test_mdp_extremal_exact_with_tiny_exits():
 LOOP = Distribution(((0, 1.0 - 1e-12), (2, 1e-12)))
 LEAVE = Distribution(((1, 0.999999), (2, 1e-6)))
 STAY1, STAY2 = Distribution.dirac(1), Distribution.dirac(2)
+STAY3 = Distribution.dirac(3)
+# state 1 returns to state 0 except for exits of 2**-40 (about 1e-12) each
+# to the goal 2 and the sink 3; 1 - 2 * 2**-40 is exact in floating point
+CYCLE = Distribution(((0, 1.0 - 2 * 2.0 ** -40), (2, 2.0 ** -40),
+                      (3, 2.0 ** -40)))
+
+
+def stop_or_cycle(stop_goal):
+    stop = Distribution(((2, stop_goal), (3, 1.0 - stop_goal)))
+    return ((("stop", stop), ("cycle", STAY1)), (("back", CYCLE),),
+            (("stay", STAY2),), (("stay", STAY3),))
+
+
 # state 0 may loop with an exit of 1e-12: the loop's one-step value is
-# within 1e-9 of the optimum, its value is not
+# within 1e-9 of the optimum, its value is not.  In the "-cycle" cases
+# state 0 may enter a two-state cycle worth 0.5; its one-step value differs
+# from stopping's by only about 4e-13
 NEAR_TIES = {
     "max": (((("loop", LOOP), ("leave", LEAVE)), (("stay", STAY1),),
-              (("stay", STAY2),)), [1], 0.999999),
+              (("stay", STAY2),)), [1], 0.999999, "leave"),
     "max-sure": (((("loop", LOOP), ("leave", STAY1)), (("stay", STAY1),),
-                   (("stay", STAY2),)), [1], 1.0),
+                   (("stay", STAY2),)), [1], 1.0, "leave"),
     "min": (((("loop", LOOP), ("leave", LEAVE)),
               (("stay", STAY1), ("go", Distribution(((1, 0.999), (2, 0.001))))),
-              (("stay", STAY2),)), [2], 1e-6),
+              (("stay", STAY2),)), [2], 1e-6, "leave"),
+    "max-cycle": (stop_or_cycle(0.3), [2], 0.5, "cycle"),
+    "min-cycle": (stop_or_cycle(0.7), [2], 0.5, "cycle"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NEAR_TIES))
 def test_witness_attains_value_despite_near_ties(case):
-    actions, goal, expect = NEAR_TIES[case]
-    mdp, mode = Mdp(3, 0, actions), case[:3]
+    actions, goal, expect, label = NEAR_TIES[case]
+    mdp, mode = Mdp(len(actions), 0, actions), case[:3]
     value, sched = mdp_extremal(mdp, goal, mode)
     assert value == pytest.approx(expect, abs=1e-12)
-    assert sched[0] == "leave"
+    assert sched[0] == label
     attained = reach_probability(induced_chain(mdp, sched), goal)[0]
     assert attained == pytest.approx(value, abs=1e-12)
+
+
+def test_rounding_gain_never_closes_a_cycle():
+    # "wait" only cycles between states 0 and 3 and ties exactly with the
+    # value of "go"; rounded, it looks like a gain.  Taking it would leave
+    # no way out of {0, 3} and a singular system to solve
+    mdp = Mdp(5, 0, (
+        (("wait", Distribution(((0, 0.7), (3, 0.3)))),
+         ("go", Distribution(((1, 0.625), (2, 0.25), (4, 0.125))))),
+        (("stay", STAY1),), (("stay", STAY2),),
+        (("back", Distribution.dirac(0)),),
+        (("stay", Distribution.dirac(4)),
+         ("back", Distribution(((0, 0.625), (2, 0.125), (1, 0.25)))))))
+    value, sched = mdp_extremal(mdp, [1], "max")
+    assert value == pytest.approx(42 / 59, abs=1e-12)
+    assert (sched[0], sched[4]) == ("go", "back")
 
 
 PROBS = (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.2, 0.3)

@@ -10,8 +10,8 @@ from .model import (COMPARISON_TOL, Distribution, MarkovChain, Mdp,
                     compare, induced_chain, mdp_extremal, prob01_states,
                     reach_probability, sub_mc)
 from .family import (Family, Fixed, Hole, HoleRef, Realisation, Subfamily,
-                     all_in_one_mdp, cost, enumerate_realisations,
-                     quotient_mdp, realise, scheduler_consistency)
+                     cost, enumerate_realisations, quotient_mdp, realise,
+                     scheduler_consistency)
 from .engines.base import SynthesisOutcome, SynthesisQuery
 from .engines.enumeration import enum_solve
 from .engines.cegar import cegar_solve
@@ -26,7 +26,7 @@ __all__ = [
     "MemorylessScheduler", "ModelError", "Specification", "check", "compare",
     "induced_chain", "mdp_extremal", "prob01_states", "reach_probability",
     "sub_mc", "Family", "Fixed", "Hole", "HoleRef", "Realisation",
-    "Subfamily", "all_in_one_mdp", "cost", "enumerate_realisations",
+    "Subfamily", "cost", "enumerate_realisations",
     "quotient_mdp", "realise", "scheduler_consistency", "SynthesisOutcome",
     "SynthesisQuery", "enum_solve", "cegar_solve", "cegis_solve", "ENGINES",
 ]

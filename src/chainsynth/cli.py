@@ -6,16 +6,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
 
 from . import ENGINES, jsonio, sketch
 from .engines.base import EngineError, SynthesisQuery
-from .engines.cegis import cegis_solve
 from .family import FamilyError, Realisation, realise
 from .model import ModelError, Specification, check
-from .randfam import bench_family, pruning_family, random_family, random_goal
 from .sketch import SketchError
 
 SPEC_RE = re.compile(
@@ -36,8 +33,12 @@ def load_family(path: str, fmt: str = None):
         return jsonio.loads(text)
     if fmt != "sketch":
         raise CliError("unknown input format %r" % fmt)
-    bound = int(os.environ.get("CHAINSYNTH_MAX_STATES",
-                               sketch.DEFAULT_MAX_STATES))
+    bound = os.environ.get("CHAINSYNTH_MAX_STATES", sketch.DEFAULT_MAX_STATES)
+    try:
+        bound = int(bound)
+    except ValueError:
+        raise CliError("CHAINSYNTH_MAX_STATES must be an integer, got %r"
+                       % bound)
     return sketch.elaborate(sketch.parse(text), max_states=bound)
 
 
@@ -74,7 +75,7 @@ def _outcome_json(args, q, out):
     query = {"kind": q.kind, "engine": args.engine}
     if q.spec is not None:
         query["spec"] = args.spec
-    if getattr(args, "goal", None):
+    if q.goal is not None:
         query["goal"] = args.goal
     for k in ("epsilon", "budget"):
         v = getattr(q, k)
@@ -115,21 +116,16 @@ def cmd_check(args) -> int:
 
 def cmd_synth(args) -> int:
     fam = load_family(args.input, args.format)
-    if args.kind in ("feasible", "partition"):
-        if not args.spec:
-            raise CliError("%s needs --spec" % args.kind)
-        spec = parse_spec(args.spec, fam)
-        q = SynthesisQuery(args.kind, spec=spec, budget=args.budget,
-                           cost_model=args.cost, tolerance=args.tolerance)
-    else:
-        if not args.goal:
-            raise CliError("%s needs --goal" % args.kind)
+    spec = parse_spec(args.spec, fam) if args.spec else None
+    goal = None
+    if args.goal:
         goal = sketch.goal_states(fam, args.goal)
         if not goal:
             raise CliError("goal expression %r matches no state" % args.goal)
-        q = SynthesisQuery(args.kind, goal=goal, epsilon=args.epsilon,
-                           budget=args.budget, cost_model=args.cost,
-                           tolerance=args.tolerance)
+    # the query refuses a missing flag and those its kind does not honour
+    q = SynthesisQuery(args.kind, spec=spec, goal=goal, epsilon=args.epsilon,
+                       budget=args.budget, cost_model=args.cost,
+                       tolerance=args.tolerance)
     out = ENGINES[args.engine](fam, q)
     if args.json:
         print(json.dumps(_outcome_json(args, q, out), sort_keys=True))
@@ -157,74 +153,18 @@ def _print_outcome(out):
           % (s.candidates, s.checks, s.iterations, s.wall_ms))
 
 
-def cmd_bench(args) -> int:
-    rng = random.Random(args.seed)
-    report = {"instances": args.instances, "seed": args.seed, "failures": 0,
-              "engines": {name: {"candidates": 0, "checks": 0}
-                          for name in ENGINES}}
-    ops = ("<=", "<", ">=", ">")
-    for i in range(args.instances):
-        fam = random_family(rng, max_states=args.max_states,
-                            max_realisations=args.max_realisations)
-        spec = Specification(random_goal(rng, fam.n_states),
-                             rng.choice(ops), round(rng.random(), 3))
-        q = SynthesisQuery("partition", spec=spec)
-        outs = {}
-        for name, solve in ENGINES.items():
-            out = solve(fam, q)
-            outs[name] = out
-            report["engines"][name]["candidates"] += out.stats.candidates
-            report["engines"][name]["checks"] += out.stats.checks
-        base = {r.key(fam) for r in outs["enum"].T}
-        for name, out in outs.items():
-            if {r.key(fam) for r in out.T} != base:
-                report["failures"] += 1
-                sys.stderr.write("disagreement on instance %d (%s)\n%s\nspec %s%s %s\n"
-                                 % (i, name, jsonio.dumps(fam), "P", spec.op,
-                                    spec.threshold))
-                break
-        qmax = SynthesisQuery("max", goal=spec.goal)
-        vals = {name: solve(fam, qmax).value for name, solve in ENGINES.items()}
-        if max(vals.values()) - min(vals.values()) > 1e-6:
-            report["failures"] += 1
-            sys.stderr.write("max disagreement on instance %d: %r\n%s\n"
-                             % (i, vals, jsonio.dumps(fam)))
-    # pruning-friendly instances: conflict generalization must beat enumeration
-    for label, (fam, spec) in (("pruning", pruning_family()),
-                               ("bench", bench_family())):
-        out = cegis_solve(fam, SynthesisQuery("feasible", spec=spec))
-        report[label] = {"family_size": fam.size(), "checks": out.stats.checks,
-                         "witness": out.witness.as_dict() if out.witness else None}
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print("instances    %d (seed %d)" % (args.instances, args.seed))
-        print("failures     %d" % report["failures"])
-        for name, agg in sorted(report["engines"].items()):
-            print("%-12s candidates=%d checks=%d"
-                  % (name, agg["candidates"], agg["checks"]))
-        for label in ("pruning", "bench"):
-            print("%-12s family=%d cegis_checks=%d"
-                  % (label, report[label]["family_size"],
-                     report[label]["checks"]))
-    return 1 if report["failures"] else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="chainsynth",
         description="synthesis over finite families of Markov chains")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="sketch or JSON family")
-            p.add_argument("--format", choices=("sketch", "json"),
-                           help="default: inferred from the file extension")
+    def common(p):
+        p.add_argument("--input", required=True, help="sketch or JSON family")
+        p.add_argument("--format", choices=("sketch", "json"),
+                       help="default: inferred from the file extension")
         p.add_argument("--tolerance", type=float, default=1e-6,
                        help="comparison tolerance for thresholds")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; engines currently run sequentially")
         p.add_argument("--json", action="store_true", help="machine output")
 
     p = sub.add_parser("check", help="model-check one pinned realisation")
@@ -244,14 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", choices=("structural", "optionsum"),
                    help="cost model override")
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("bench", help="engine-agreement and pruning harness")
-    common(p, needs_input=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--max-states", type=int, default=12)
-    p.add_argument("--max-realisations", type=int, default=256)
-    p.set_defaults(func=cmd_bench)
     return top
 
 

@@ -24,18 +24,25 @@ class SynthesisQuery:
     epsilon: Optional[float] = None  # eps-optimal slack for max/min
     budget: Optional[int] = None
     cost_model: Optional[str] = None  # None: family default
-    optimise_cost: bool = False  # cost-optimal variant
     tolerance: float = COMPARISON_TOL
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise EngineError("unknown query kind %r" % self.kind)
-        if self.kind in ("feasible", "partition") and self.spec is None:
+        threshold = self.kind in ("feasible", "partition")
+        if threshold and self.spec is None:
             raise EngineError("%s query needs a specification" % self.kind)
-        if self.kind in ("max", "min") and self.goal is None:
+        if not threshold and self.goal is None:
             raise EngineError("%s query needs a goal set" % self.kind)
-        if self.epsilon is not None and not (0.0 < self.epsilon <= 1.0):
-            raise EngineError("epsilon must lie in (0, 1]")
+        # flags a query kind does not honour are refused, not dropped
+        if threshold and (self.goal is not None or self.epsilon is not None):
+            raise EngineError("%s query takes no goal set or epsilon; its "
+                              "specification names the goal" % self.kind)
+        if not threshold and self.spec is not None:
+            raise EngineError("%s query takes a goal set, not a "
+                              "specification" % self.kind)
+        if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
+            raise EngineError("epsilon must lie in (0, 1)")
 
 
 @dataclass
@@ -45,6 +52,13 @@ class Stats:
     iterations: int = 0
     wall_ms: float = 0.0
     trace: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self._start = time.perf_counter()
+
+    def stop(self):
+        """Set `wall_ms` to the time since these statistics were created."""
+        self.wall_ms = (time.perf_counter() - self._start) * 1000.0
 
     def as_dict(self):
         return {"candidates": self.candidates, "checks": self.checks,
@@ -66,21 +80,17 @@ class SynthesisOutcome:
         return self.kind != "unsat"
 
 
-class Timer:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = (time.perf_counter() - self.start) * 1000.0
-
-    def stamp(self, stats: Stats):
-        stats.wall_ms = (time.perf_counter() - self.start) * 1000.0
-
-
 def query_cost(fam: Family, q: SynthesisQuery, r: Realisation) -> int:
     return realisation_cost(fam, r, q.cost_model)
 
 
 def within_budget(fam: Family, q: SynthesisQuery, r: Realisation) -> bool:
     return q.budget is None or query_cost(fam, q, r) <= q.budget
+
+
+def witness_outcome(fam: Family, q: SynthesisQuery, r: Realisation,
+                    value: float, stats: Stats) -> SynthesisOutcome:
+    """The outcome naming `r`; its cost is reported when a budget applies."""
+    c = query_cost(fam, q, r) if q.budget is not None else None
+    return SynthesisOutcome("witness", witness=r, value=value, cost=c,
+                            stats=stats)

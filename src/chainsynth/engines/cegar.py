@@ -4,14 +4,12 @@ the hole an inconsistent optimising scheduler disagrees on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..family import (ConsistencyVerdict, Family, Realisation, Subfamily,
                       enumerate_realisations, quotient_mdp, realise,
                       scheduler_consistency)
-from ..model import check, compare, induced_chain, mdp_extremal
-from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery, Timer,
-                   query_cost)
+from ..model import compare, induced_chain, mdp_extremal, reach_probability
+from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
+                   witness_outcome, within_budget)
 
 
 def initial_subfamily(fam: Family) -> Subfamily:
@@ -53,14 +51,13 @@ def split(sub: Subfamily, verdict: ConsistencyVerdict, fam: Family):
 
 
 def _split_off(sub: Subfamily, r: Realisation, fam: Family):
-    """Partition `sub` around a classified realisation: pin the lowest hole
-    with >= 2 remaining options to r's choice vs the rest."""
-    for idx, (h, opts) in enumerate(zip(fam.holes, sub.remaining)):
-        if len(opts) >= 2:
-            pick = r[h.name]
-            rest = tuple(o for o in opts if o != pick)
-            return sub.replace(idx, (pick,)), sub.replace(idx, rest)
-    return None
+    """Partition `sub`, which holds two members or more, around the
+    realisation r: pin the lowest hole with >= 2 remaining options to r's
+    choice vs the rest."""
+    idx = next(i for i, opts in enumerate(sub.remaining) if len(opts) >= 2)
+    pick = r[fam.holes[idx].name]
+    rest = tuple(o for o in sub.remaining[idx] if o != pick)
+    return sub.replace(idx, (pick,)), sub.replace(idx, rest)
 
 
 def _members(fam, sub, excluded):
@@ -77,124 +74,6 @@ def _min_possible_cost(fam, sub, q):
     return total
 
 
-def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
-    if q.optimise_cost:
-        raise EngineError("cegar does not support cost-optimal search; "
-                          "use the enum engine")
-    stats = Stats()
-    timer = Timer().__enter__()
-    try:
-        if q.kind in ("feasible", "partition"):
-            return _threshold(fam, q, stats)
-        return _optimise(fam, q, stats)
-    finally:
-        timer.stamp(stats)
-
-
-def _classify_single(fam, q, r, stats):
-    mc = realise(fam, r)
-    spec = q.spec
-    sat, value = check(mc, spec, q.tolerance)
-    stats.candidates += 1
-    stats.checks += 1
-    if sat and q.budget is not None:
-        sat = query_cost(fam, q, r) <= q.budget
-    return sat, value
-
-
-def _threshold(fam, q, stats):
-    spec = q.spec
-    lower_bound_spec = spec.op in (">=", ">")  # T needs the quotient min
-    T, F = [], []
-    worklist = [(initial_subfamily(fam), frozenset())]
-    while worklist:
-        sub, excluded = worklist.pop(0)
-        members = _members(fam, sub, excluded)
-        if not members:
-            continue
-        stats.iterations += 1
-        if len(members) == 1:
-            sat, _ = _classify_single(fam, q, members[0], stats)
-            (T if sat else F).append(members[0])
-            stats.trace.append({"size": 1, "verdict": "direct", "sat": sat})
-            if sat and q.kind == "feasible":
-                return _feasible_outcome(fam, q, members[0], stats)
-            continue
-        mdp, meta = quotient_mdp(fam, sub)
-        vmin, smin = mdp_extremal(mdp, spec.goal, "min")
-        vmax, smax = mdp_extremal(mdp, spec.goal, "max")
-        stats.checks += 1
-        record = {"size": len(members), "min": vmin, "max": vmax}
-        # conclusive bounds classify the whole subfamily
-        all_sat = compare(vmin, spec.op, spec.threshold, q.tolerance) \
-            if lower_bound_spec else compare(vmax, spec.op, spec.threshold,
-                                             q.tolerance)
-        all_viol = not compare(vmax, spec.op, spec.threshold, q.tolerance) \
-            if lower_bound_spec else not compare(vmin, spec.op, spec.threshold,
-                                                 q.tolerance)
-        if all_sat and q.budget is None:
-            T.extend(members)
-            record["verdict"] = "all-sat"
-            stats.trace.append(record)
-            if q.kind == "feasible":
-                return _feasible_outcome(fam, q, members[0], stats)
-            continue
-        if all_viol:
-            F.extend(members)
-            record["verdict"] = "all-violate"
-            stats.trace.append(record)
-            continue
-        if all_sat:  # budgeted: membership still needs per-realisation costs
-            for r in members:
-                ok = q.budget is None or query_cost(fam, q, r) <= q.budget
-                (T if ok else F).append(r)
-                if ok and q.kind == "feasible":
-                    record["verdict"] = "all-sat"
-                    stats.trace.append(record)
-                    return _feasible_outcome(fam, q, r, stats)
-            record["verdict"] = "all-sat"
-            stats.trace.append(record)
-            continue
-        # inconclusive: analyse the scheduler on the side blocking the verdict
-        sched = smin if lower_bound_spec else smax
-        chain = induced_chain(mdp, sched)
-        verdict = scheduler_consistency(meta, sched, chain.reachable())
-        if verdict.consistent and verdict.realisation.key(fam) not in excluded \
-                and sub.contains(fam, verdict.realisation) \
-                and fam.satisfies_constraints(verdict.realisation.assignment):
-            r = verdict.realisation
-            sat, _ = _classify_single(fam, q, r, stats)
-            (T if sat else F).append(r)
-            record["verdict"] = "consistent"
-            record["realisation"] = r.as_dict()
-            if sat and q.kind == "feasible":
-                stats.trace.append(record)
-                return _feasible_outcome(fam, q, r, stats)
-            excluded = excluded | {r.key(fam)}
-            parts = _split_off(sub, r, fam)
-            record["split"] = True
-            if parts:
-                worklist.extend((p, excluded) for p in parts)
-        elif verdict.consistent:
-            parts = _split_off(sub, verdict.realisation, fam)
-            record["verdict"] = "consistent-stale"
-            record["split"] = parts is not None
-            if parts:
-                worklist.extend((p, excluded) for p in parts)
-        else:
-            a, b = split(sub, verdict, fam)
-            record["verdict"] = "inconsistent"
-            record["inconsistent"] = {h: sorted(v)
-                                      for h, v in verdict.inconsistent.items()}
-            record["split_hole"] = _split_hole_name(fam, sub, a)
-            worklist.extend(((a, excluded), (b, excluded)))
-        stats.trace.append(record)
-    if q.kind == "feasible":
-        return SynthesisOutcome("unsat", stats=stats)
-    return SynthesisOutcome("partition", T=_lex_sorted(fam, T),
-                            F=_lex_sorted(fam, F), stats=stats)
-
-
 def _split_hole_name(fam, sub, pinned):
     for h, before, after in zip(fam.holes, sub.remaining, pinned.remaining):
         if before != after:
@@ -209,112 +88,230 @@ def _lex_sorted(fam, realisations):
                                       for h in fam.holes))
 
 
-def _feasible_outcome(fam, q, r, stats):
+def _reach(fam, r, goal):
     mc = realise(fam, r)
-    _, value = check(mc, q.spec, q.tolerance)
-    c = query_cost(fam, q, r) if q.budget is not None else None
-    return SynthesisOutcome("witness", witness=r, value=value, cost=c,
-                            stats=stats)
+    return float(reach_probability(mc, goal)[mc.init])
 
 
-def _optimise(fam, q, stats):
-    maximise = q.kind == "max"
-    eps = q.epsilon or 0.0
-    incumbent = None  # (realisation, value, cost)
-    # worklist entries carry the parent quotient bound for eps termination
+def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
+    """One refinement loop for every query kind: take the oldest subfamily,
+    check a lone member directly, else check the quotient and let the query
+    kind classify the subfamily from its bounds.  Failing that, split along
+    the scheduler that attains them: around its realisation (checked once)
+    when it chooses every hole consistently, else along the hole it
+    disagrees on most.  Worklist entries carry the members already checked
+    and the parent quotient's bound."""
+    stats = Stats()
+    search = (_Threshold if q.spec is not None else _Optimum)(fam, q, stats)
     worklist = [(initial_subfamily(fam), frozenset(), None)]
-    mode = "max" if maximise else "min"
+    try:
+        while worklist and not search.finished(worklist):
+            sub, excluded, inherited = worklist.pop(0)
+            if search.prunes(sub, inherited):
+                continue
+            members = _members(fam, sub, excluded)
+            if not members:
+                continue
+            stats.iterations += 1
+            if len(members) == 1:
+                search.single(members[0])
+                continue
+            mdp, meta = quotient_mdp(fam, sub)
+            stats.checks += 1
+            record = {"size": len(members)}
+            stats.trace.append(record)
+            sched, bound = search.bounds(mdp, members, record)
+            if sched is None:
+                continue
+            verdict = scheduler_consistency(meta, sched,
+                                            induced_chain(mdp, sched).reachable())
+            if not verdict.consistent:
+                parts = split(sub, verdict, fam)
+                record.update(verdict="inconsistent", inconsistent={
+                    h: sorted(v) for h, v in verdict.inconsistent.items()})
+                search.note_split(record, sub, parts[0])
+            else:
+                r = verdict.realisation
+                member = sub.contains(fam, r) \
+                    and fam.satisfies_constraints(r.assignment)
+                fresh = member and r.key(fam) not in excluded
+                if fresh or (member and not search.excluded_is_stale):
+                    record.update(verdict="consistent",
+                                  realisation=r.as_dict())
+                else:
+                    record["verdict"] = "consistent-stale"
+                if fresh:
+                    if search.member(r):
+                        break
+                    excluded = excluded | {r.key(fam)}
+                parts = _split_off(sub, r, fam)
+                record["split"] = True
+            worklist.extend((p, excluded, bound) for p in parts)
+        return search.outcome()
+    finally:
+        stats.stop()
 
-    def candidate_value(r):
-        mc = realise(fam, r)
-        stats.candidates += 1
-        stats.checks += 1
-        from ..model import reach_probability
-        return float(reach_probability(mc, q.goal)[mc.init])
 
-    def improves(v):
-        if incumbent is None:
-            return True
-        return v > incumbent[1] + 1e-12 if maximise else v < incumbent[1] - 1e-12
+class _Search:
+    """The per-kind steps of the refinement loop.  `member` classifies one
+    member and returns True when that ends the search; `bounds` checks a
+    quotient, classifies the subfamily if its bounds are conclusive and
+    otherwise returns the scheduler to analyse with the bound the
+    subfamily's parts inherit."""
 
-    def admissible(r):
-        return q.budget is None or query_cost(fam, q, r) <= q.budget
+    # the trace calls a scheduler whose member was checked before stale
+    excluded_is_stale = True
 
-    def prunable(bound):
-        if incumbent is None or bound is None:
-            return False
-        if maximise:
-            return bound <= incumbent[1] + 1e-9
-        return bound >= incumbent[1] - 1e-9
+    def __init__(self, fam, q, stats):
+        self.fam, self.q, self.stats = fam, q, stats
 
-    while worklist:
-        if incumbent is not None and eps > 0.0:
-            bounds = [b for _, _, b in worklist if b is not None]
-            if bounds:
-                best_remaining = max(bounds) if maximise else min(bounds)
-                done = incumbent[1] >= (1.0 - eps) * best_remaining - 1e-12 \
-                    if maximise else \
-                    incumbent[1] <= best_remaining / (1.0 - eps) + 1e-12
-                if done:
+    def prunes(self, sub, bound):
+        return False
+
+    def single(self, r):
+        self.member(r)
+
+    def value(self, r, goal):
+        self.stats.candidates += 1
+        self.stats.checks += 1
+        return _reach(self.fam, r, goal)
+
+
+class _Threshold(_Search):
+    """feasible/partition: conclusive min/max bounds put the whole
+    subfamily into T or F; otherwise the scheduler attaining the bound that
+    blocks a verdict is analysed."""
+
+    def __init__(self, fam, q, stats):
+        super().__init__(fam, q, stats)
+        self.lower = q.spec.op in (">=", ">")  # T needs the quotient min
+        self.T, self.F = [], []
+        self.witness = None  # (realisation, value); value None if unchecked
+
+    def finished(self, worklist):
+        return self.witness is not None
+
+    def _take(self, r, sat, value=None):
+        (self.T if sat else self.F).append(r)
+        if sat and self.q.kind == "feasible":
+            self.witness = (r, value)
+        return self.witness is not None
+
+    def _check(self, r):
+        spec = self.q.spec
+        value = self.value(r, spec.goal)
+        sat = compare(value, spec.op, spec.threshold, self.q.tolerance) \
+            and within_budget(self.fam, self.q, r)
+        self._take(r, sat, value)
+        return sat
+
+    def member(self, r):
+        self._check(r)
+        return self.witness is not None
+
+    def single(self, r):
+        sat = self._check(r)
+        self.stats.trace.append({"size": 1, "verdict": "direct", "sat": sat})
+
+    def bounds(self, mdp, members, record):
+        spec, tol = self.q.spec, self.q.tolerance
+        vmin, smin = mdp_extremal(mdp, spec.goal, "min")
+        vmax, smax = mdp_extremal(mdp, spec.goal, "max")
+        record.update(min=vmin, max=vmax)
+        # the bound least favourable to the specification, then the other
+        (worst, sched), best = ((vmin, smin), vmax) if self.lower \
+            else ((vmax, smax), vmin)
+        if compare(worst, spec.op, spec.threshold, tol):
+            record["verdict"] = "all-sat"
+            for r in members:  # under a budget, each member's cost decides
+                if self._take(r, within_budget(self.fam, self.q, r)):
                     break
-        sub, excluded, parent_bound = worklist.pop(0)
-        members = _members(fam, sub, excluded)
-        if not members:
-            continue
-        if prunable(parent_bound):
-            continue
-        mincost = _min_possible_cost(fam, sub, q)
-        if q.budget is not None and mincost is not None and mincost > q.budget:
-            continue
-        stats.iterations += 1
-        if len(members) == 1:
-            r = members[0]
-            if admissible(r):
-                v = candidate_value(r)
-                if improves(v):
-                    incumbent = (r, v, query_cost(fam, q, r)
-                                 if q.budget is not None else None)
-            continue
-        mdp, meta = quotient_mdp(fam, sub)
-        bound, sched = mdp_extremal(mdp, q.goal, mode)
-        stats.checks += 1
-        rec = {"size": len(members), "bound": bound, "mode": mode}
-        stats.trace.append(rec)
-        if prunable(bound):
-            rec["verdict"] = "pruned"
-            continue
-        chain = induced_chain(mdp, sched)
-        verdict = scheduler_consistency(meta, sched, chain.reachable())
-        if verdict.consistent and sub.contains(fam, verdict.realisation) \
-                and fam.satisfies_constraints(verdict.realisation.assignment):
-            r = verdict.realisation
-            rec["verdict"] = "consistent"
-            rec["realisation"] = r.as_dict()
-            if r.key(fam) not in excluded and admissible(r):
-                v = candidate_value(r)
-                if improves(v):
-                    incumbent = (r, v, query_cost(fam, q, r)
-                                 if q.budget is not None else None)
-            excluded = excluded | {r.key(fam)}
-            parts = _split_off(sub, r, fam)
-            rec["split"] = parts is not None
-            if parts:
-                worklist.extend((p, excluded, bound) for p in parts)
-        elif verdict.consistent:
-            # the scheduler's realisation is no member: split around it
-            parts = _split_off(sub, verdict.realisation, fam)
-            rec["verdict"] = "consistent-stale"
-            rec["split"] = parts is not None
-            if parts:
-                worklist.extend((p, excluded, bound) for p in parts)
-        else:
-            a, b = split(sub, verdict, fam)
-            rec["verdict"] = "inconsistent"
-            rec["inconsistent"] = {h: sorted(v)
-                                   for h, v in verdict.inconsistent.items()}
-            rec["split"] = True
-            worklist.extend(((a, excluded, bound), (b, excluded, bound)))
-    if incumbent is None:
-        return SynthesisOutcome("unsat", stats=stats)
-    r, v, c = incumbent
-    return SynthesisOutcome("witness", witness=r, value=v, cost=c, stats=stats)
+            return None, None
+        if not compare(best, spec.op, spec.threshold, tol):
+            self.F.extend(members)
+            record["verdict"] = "all-violate"
+            return None, None
+        return sched, None
+
+    def note_split(self, record, sub, pinned):
+        record["split_hole"] = _split_hole_name(self.fam, sub, pinned)
+
+    def outcome(self):
+        fam, q = self.fam, self.q
+        if q.kind == "partition":
+            return SynthesisOutcome("partition", T=_lex_sorted(fam, self.T),
+                                    F=_lex_sorted(fam, self.F),
+                                    stats=self.stats)
+        if self.witness is None:
+            return SynthesisOutcome("unsat", stats=self.stats)
+        r, value = self.witness
+        if value is None:  # classified by the quotient's bounds
+            value = _reach(fam, r, q.spec.goal)
+        return witness_outcome(fam, q, r, value, self.stats)
+
+
+class _Optimum(_Search):
+    """max/min: the incumbent is the best member value checked; a subfamily
+    whose quotient bound cannot beat it is pruned, and with eps the search
+    stops once the incumbent is eps-close to every bound left."""
+
+    excluded_is_stale = False
+
+    def __init__(self, fam, q, stats):
+        super().__init__(fam, q, stats)
+        self.maximise = q.kind == "max"
+        self.eps = q.epsilon or 0.0
+        self.incumbent = None  # (realisation, value)
+
+    def finished(self, worklist):
+        if self.incumbent is None or self.eps == 0.0:
+            return False
+        bounds = [b for _, _, b in worklist if b is not None]
+        if not bounds:
+            return False
+        v = self.incumbent[1]
+        if self.maximise:
+            return v >= (1.0 - self.eps) * max(bounds) - 1e-12
+        return v <= min(bounds) / (1.0 - self.eps) + 1e-12
+
+    def _beaten(self, bound):
+        if self.incumbent is None or bound is None:
+            return False
+        if self.maximise:
+            return bound <= self.incumbent[1] + 1e-9
+        return bound >= self.incumbent[1] - 1e-9
+
+    def prunes(self, sub, bound):
+        if self._beaten(bound):
+            return True
+        if self.q.budget is None:
+            return False
+        least = _min_possible_cost(self.fam, sub, self.q)
+        return least is not None and least > self.q.budget
+
+    def member(self, r):
+        if within_budget(self.fam, self.q, r):
+            v = self.value(r, self.q.goal)
+            best = self.incumbent
+            if best is None or (v > best[1] + 1e-12 if self.maximise
+                                else v < best[1] - 1e-12):
+                self.incumbent = (r, v)
+        return False
+
+    def bounds(self, mdp, members, record):
+        mode = "max" if self.maximise else "min"
+        bound, sched = mdp_extremal(mdp, self.q.goal, mode)
+        record.update(bound=bound, mode=mode)
+        if self._beaten(bound):
+            record["verdict"] = "pruned"
+            return None, None
+        return sched, bound
+
+    def note_split(self, record, sub, pinned):
+        record["split"] = True
+
+    def outcome(self):
+        if self.incumbent is None:
+            return SynthesisOutcome("unsat", stats=self.stats)
+        r, v = self.incumbent
+        return witness_outcome(self.fam, self.q, r, v, self.stats)

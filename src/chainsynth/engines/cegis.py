@@ -15,8 +15,8 @@ from ..family import (Family, HoleRef, Realisation, enumerate_realisations,
                       realise)
 from ..model import (MarkovChain, Specification, check, compare,
                      reach_probability, sub_mc)
-from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery, Timer,
-                   query_cost)
+from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
+                   witness_outcome, within_budget)
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,15 @@ def extract_counterexample(mc: MarkovChain, spec: Specification, mode: str,
     (Refute: the sub-value already violates the threshold of an upper-bound
     spec; Establish: it already clears the threshold of a lower-bound spec).
     """
-    verdict, _ = check(mc, spec, tol)
-    if mode == "refute":
-        if spec.op not in ("<=", "<") or verdict:
-            raise EngineError("refutation requires a violated upper-bound spec")
-    elif mode == "establish":
-        if spec.op not in (">=", ">") or not verdict:
-            raise EngineError("establishing requires a satisfied lower-bound spec")
-    else:
+    if mode not in ("refute", "establish"):
         raise EngineError("mode must be 'refute' or 'establish'")
-
     to_goal = reach_probability(mc, spec.goal)
+    verdict = compare(float(to_goal[mc.init]), spec.op, spec.threshold, tol)
+    if mode == "refute" and (spec.op not in ("<=", "<") or verdict):
+        raise EngineError("refutation requires a violated upper-bound spec")
+    if mode == "establish" and (spec.op not in (">=", ">") or not verdict):
+        raise EngineError("establishing requires a satisfied lower-bound spec")
+
     reachable = sorted(mc.reachable())
     scores = {}
     for s in reachable:
@@ -244,20 +242,12 @@ class AssignmentSpace:
         return None
 
 
-def next_candidate(space: AssignmentSpace):
-    return space.next_candidate()
-
-
 # ---------------------------------------------------------------------------
 # the verifier loop
 
 
 def cegis_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
-    if q.optimise_cost:
-        raise EngineError("cegis does not support cost-optimal search; "
-                          "use the enum engine")
     stats = Stats()
-    timer = Timer().__enter__()
     try:
         if q.kind in ("feasible", "partition"):
             return _threshold(fam, q, stats, q.spec,
@@ -265,16 +255,7 @@ def cegis_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
                               cache={}, tol=q.tolerance)
         return _optimise(fam, q, stats)
     finally:
-        timer.stamp(stats)
-
-
-def _value_of(fam, r, goal, cache, stats):
-    key = tuple(sorted(r.assignment.items()))
-    if key not in cache:
-        mc = realise(fam, r)
-        cache[key] = float(reach_probability(mc, goal)[mc.init])
-        stats.checks += 1
-    return cache[key]
+        stats.stop()
 
 
 def _threshold(fam, q, stats, spec, stop_at_witness, cache, tol):
@@ -291,56 +272,52 @@ def _threshold(fam, q, stats, spec, stop_at_witness, cache, tol):
         stats.candidates += 1
         stats.iterations += 1
         key = r.key(fam)
-        if q.budget is not None and stop_at_witness \
-                and not _budget_ok(fam, q, r):
+        if stop_at_witness and not within_budget(fam, q, r):
             # structural costs are only checkable per candidate
-            singles[key] = (False, None)
+            singles[key] = False
             space.block_assignment(r)
             continue
-        value = _value_of(fam, r, spec.goal, cache, stats)
+        # the cache keeps values only: a chain is realised when needed
+        mc = None
+        value = cache.get(key)
+        if value is None:
+            mc = realise(fam, r)
+            value = cache[key] = float(reach_probability(mc, spec.goal)[mc.init])
+            stats.checks += 1
         sat = compare(value, spec.op, spec.threshold, tol)
         record = {"candidate": r.as_dict(), "value": value, "sat": sat}
-        if upper and not sat:
-            critical = extract_counterexample(realise(fam, r), spec,
-                                              "refute", tol)
+        if upper != sat:  # a refuted upper or an established lower bound
+            if mc is None:
+                mc = realise(fam, r)
+            critical = extract_counterexample(
+                mc, spec, "refute" if upper else "establish", tol)
             scope = _option_scope(fam, critical, r)
-            scopes.append((scope, False))
+            scopes.append((scope, sat))
             space.learn_scope(scope)
-            space.mark_refuted(r)
-            record.update(critical=sorted(critical),
-                          conflict_holes=sorted(scope),
-                          pruned=scope_size(fam, scope))
-        elif not upper and sat:
-            critical = extract_counterexample(realise(fam, r), spec,
-                                              "establish", tol)
-            scope = _option_scope(fam, critical, r)
-            scopes.append((scope, True))
-            space.learn_scope(scope)
+            if not sat:
+                space.mark_refuted(r)
             record.update(critical=sorted(critical),
                           conflict_holes=sorted(scope),
                           pruned=scope_size(fam, scope))
         else:
-            singles[key] = (sat, value)
+            singles[key] = sat
             space.block_assignment(r)
             if not sat:
                 space.mark_refuted(r)
             record["pruned"] = 1
         stats.trace.append(record)
-        if sat and stop_at_witness and _budget_ok(fam, q, r):
+        if sat and stop_at_witness and within_budget(fam, q, r):
             witness = (r, value)
             break
     if stop_at_witness:
         if witness is None:
             return SynthesisOutcome("unsat", stats=stats)
-        r, value = witness
-        c = query_cost(fam, q, r) if q.budget is not None else None
-        return SynthesisOutcome("witness", witness=r, value=value, cost=c,
-                                stats=stats)
+        return witness_outcome(fam, q, *witness, stats)
     T, F = [], []
     for r in enumerate_realisations(fam):
         key = r.key(fam)
         if key in singles:
-            sat = singles[key][0]
+            sat = singles[key]
         else:
             sat = None
             for scope, verdict in scopes:
@@ -350,14 +327,8 @@ def _threshold(fam, q, stats, spec, stop_at_witness, cache, tol):
             if sat is None:
                 raise AssertionError("exhausted space left %r unclassified"
                                      % r.as_dict())
-        if sat and q.budget is not None:
-            sat = _budget_ok(fam, q, r)
-        (T if sat else F).append(r)
+        (T if sat and within_budget(fam, q, r) else F).append(r)
     return SynthesisOutcome("partition", T=T, F=F, stats=stats)
-
-
-def _budget_ok(fam, q, r):
-    return q.budget is None or query_cost(fam, q, r) <= q.budget
 
 
 def _optimise(fam, q, stats):
@@ -391,6 +362,4 @@ def _optimise(fam, q, stats):
         if out.kind == "unsat":
             break
         best, best_value = out.witness, out.value
-    c = query_cost(fam, q, best) if q.budget is not None else None
-    return SynthesisOutcome("witness", witness=best, value=best_value, cost=c,
-                            stats=stats)
+    return witness_outcome(fam, q, best, best_value, stats)

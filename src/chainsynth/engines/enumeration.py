@@ -3,17 +3,17 @@ other engines are validated against."""
 
 from __future__ import annotations
 
-from ..family import Family, Realisation, enumerate_realisations, realise
-from ..model import check, compare
-from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery, Timer,
-                   query_cost)
+from ..family import Family, enumerate_realisations, realise
+from ..model import check, reach_probability
+from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
+                   witness_outcome, within_budget)
 
 ENUM_BOUND = 10 ** 6
 
 
 def _values(fam: Family, q: SynthesisQuery, stats: Stats):
-    """Yield (realisation, value, cost) in lexicographic candidate order."""
-    goal = q.goal if q.goal is not None else q.spec.goal
+    """Yield (realisation, value, verdict) in lexicographic candidate order;
+    the verdict against the specification is None for max/min queries."""
     count = 0
     for r in enumerate_realisations(fam):
         count += 1
@@ -21,18 +21,17 @@ def _values(fam: Family, q: SynthesisQuery, stats: Stats):
             raise EngineError("family exceeds enumeration bound %d" % ENUM_BOUND)
         stats.candidates += 1
         mc = realise(fam, r)
-        from ..model import reach_probability
-        value = float(reach_probability(mc, goal)[mc.init])
+        if q.spec is not None:
+            sat, value = check(mc, q.spec, q.tolerance)
+        else:
+            sat, value = None, float(reach_probability(mc, q.goal)[mc.init])
         stats.checks += 1
-        c = query_cost(fam, q, r) if (q.budget is not None or q.optimise_cost) \
-            else None
-        yield r, value, c
+        yield r, value, sat
 
 
 def enum_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
     """Solve any synthesis query by checking every realisation."""
     stats = Stats()
-    timer = Timer().__enter__()
     try:
         if q.kind == "feasible":
             return _feasible(fam, q, stats)
@@ -40,95 +39,47 @@ def enum_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
             return _partition(fam, q, stats)
         return _optimise(fam, q, stats)
     finally:
-        timer.stamp(stats)
+        stats.stop()
 
 
 def _feasible(fam, q, stats):
-    if q.optimise_cost:
-        return cost_optimal(fam, q.spec, q, stats)
-    for r, value, c in _values(fam, q, stats):
+    for r, value, sat in _values(fam, q, stats):
         stats.iterations += 1
-        if compare(value, q.spec.op, q.spec.threshold, q.tolerance) and \
-                (q.budget is None or c <= q.budget):
-            return SynthesisOutcome("witness", witness=r, value=value, cost=c,
-                                    stats=stats)
+        if sat and within_budget(fam, q, r):
+            return witness_outcome(fam, q, r, value, stats)
     return SynthesisOutcome("unsat", stats=stats)
 
 
 def _partition(fam, q, stats):
     T, F = [], []
-    for r, value, c in _values(fam, q, stats):
+    for r, value, sat in _values(fam, q, stats):
         stats.iterations += 1
-        sat = compare(value, q.spec.op, q.spec.threshold, q.tolerance)
-        if sat and (q.budget is None or c <= q.budget):
-            T.append(r)
-        else:
-            F.append(r)
+        (T if sat and within_budget(fam, q, r) else F).append(r)
     return SynthesisOutcome("partition", T=T, F=F, stats=stats)
 
 
 def _optimise(fam, q, stats):
-    best = None  # (realisation, value, cost)
+    best = None  # (realisation, value)
     better = (lambda v, b: v > b + 1e-12) if q.kind == "max" \
         else (lambda v, b: v < b - 1e-12)
     entries = []
-    for r, value, c in _values(fam, q, stats):
+    for r, value, _ in _values(fam, q, stats):
         stats.iterations += 1
-        if q.budget is not None and c > q.budget:
+        if not within_budget(fam, q, r):
             continue
-        entries.append((r, value, c))
+        entries.append((r, value))
         if best is None or better(value, best[1]):
-            best = (r, value, c)
+            best = (r, value)
     if best is None:
         return SynthesisOutcome("unsat", stats=stats)
-    r, value, c = best
+    r, value = best
     if q.epsilon is not None:
         # eps-optimal: lexicographically first realisation close enough
         bound = (1.0 - q.epsilon) * value if q.kind == "max" else \
             value / (1.0 - q.epsilon)
-        for r2, v2, c2 in entries:
+        for r2, v2 in entries:
             ok = v2 >= bound - 1e-12 if q.kind == "max" else v2 <= bound + 1e-12
             if ok:
-                r, value, c = r2, v2, c2
+                r, value = r2, v2
                 break
-    elif q.optimise_cost:
-        # minimal-cost realisation among the value-optimal ones
-        for r2, v2, c2 in entries:
-            if abs(v2 - value) <= 1e-9 and (c2 or 0) < (c if c is not None
-                                                        else float("inf")):
-                r, value, c = r2, v2, c2
-    return SynthesisOutcome("witness", witness=r, value=value, cost=c,
-                            stats=stats)
-
-
-def cost_optimal(fam: Family, spec, q: SynthesisQuery = None,
-                 stats: Stats = None) -> SynthesisOutcome:
-    """Minimal-cost realisation among those satisfying the specification."""
-    own = stats is None
-    if q is None:
-        q = SynthesisQuery("feasible", spec=spec, optimise_cost=True)
-    if own:
-        stats = Stats()
-        timer = Timer().__enter__()
-    best = None
-    goalq = SynthesisQuery("feasible", spec=spec, budget=q.budget,
-                           cost_model=q.cost_model, optimise_cost=True,
-                           tolerance=q.tolerance)
-    for r in enumerate_realisations(fam):
-        stats.candidates += 1
-        mc = realise(fam, r)
-        sat, value = check(mc, spec, q.tolerance)
-        stats.checks += 1
-        if not sat:
-            continue
-        c = query_cost(fam, goalq, r)
-        if q.budget is not None and c > q.budget:
-            continue
-        if best is None or c < best[2]:
-            best = (r, value, c)
-    if own:
-        timer.stamp(stats)
-    if best is None:
-        return SynthesisOutcome("unsat", stats=stats)
-    return SynthesisOutcome("witness", witness=best[0], value=best[1],
-                            cost=best[2], stats=stats)
+    return witness_outcome(fam, q, r, value, stats)

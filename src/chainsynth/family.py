@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .model import (Distribution, MarkovChain, Mdp, MemorylessScheduler,
-                    ModelError, PROB_SUM_TOL)
+                    PROB_SUM_TOL)
 
 
 class FamilyError(ValueError):
@@ -153,15 +153,6 @@ class Family:
     def satisfies_constraints(self, assignment: Mapping) -> bool:
         return all(c.eval(assignment) for c in self.constraints)
 
-    def state_name(self, s: int) -> str:
-        if self.variables is None:
-            return str(s)
-        vals = self.valuations[s]
-        if len(self.variables) == 1:
-            return "%s=%d" % (self.variables[0], vals[0])
-        return "(" + ",".join("%s=%d" % (v, x)
-                              for v, x in zip(self.variables, vals)) + ")"
-
 
 @dataclass(frozen=True)
 class Subfamily:
@@ -237,57 +228,6 @@ def cost(fam: Family, r: Realisation, model: str = None) -> int:
         edges = sum(len(mc.transitions[s].entries) for s in reachable)
         return len(reachable) + edges
     raise FamilyError("unknown cost model %r" % model)
-
-
-def structural_cost_bfs(fam: Family, r: Realisation) -> int:
-    """Independent recomputation of the structural cost via an explicit BFS."""
-    mc = realise(fam, r)
-    seen, queue = {mc.init}, [mc.init]
-    edges = 0
-    while queue:
-        s = queue.pop(0)
-        edges += len(mc.transitions[s].entries)
-        for t, _ in mc.transitions[s].entries:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return len(seen) + edges
-
-
-ALL_IN_ONE_BOUND = 10 ** 5
-
-
-def all_in_one_state(fam: Family, r_idx: int, s: int) -> int:
-    """Index of composite state (s, r_idx) in the all-in-one MDP."""
-    return 1 + r_idx * fam.n_states + s
-
-
-def all_in_one_mdp(fam: Family, bound: int = ALL_IN_ONE_BOUND):
-    """Single MDP whose initial nondeterminism picks a family member.
-
-    Returns (mdp, realisations); initial action ``a_i`` leads with
-    probability 1 to the copy of the initial state owned by
-    ``realisations[i]``.
-    """
-    realisations = list(enumerate_realisations(fam))
-    if len(realisations) > bound:
-        raise FamilyError(
-            "all-in-one MDP over %d realisations exceeds bound %d; "
-            "use the quotient instead" % (len(realisations), bound))
-    n_states = 1 + len(realisations) * fam.n_states
-    actions = [None] * n_states
-    actions[0] = tuple(("a_%d" % i,
-                        Distribution.dirac(all_in_one_state(fam, i, fam.init)))
-                       for i in range(len(realisations)))
-    for i, r in enumerate(realisations):
-        chain = realise(fam, r)
-        for s in range(fam.n_states):
-            shifted = Distribution(tuple(
-                (all_in_one_state(fam, i, t), p)
-                for t, p in chain.transitions[s].entries))
-            actions[all_in_one_state(fam, i, s)] = (("step", shifted),)
-    mdp = Mdp(n_states, 0, tuple(actions))
-    return mdp, realisations
 
 
 @dataclass(frozen=True)

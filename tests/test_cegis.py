@@ -235,10 +235,3 @@ def test_agreement_with_oracle_random():
         q = SynthesisQuery("partition", spec=spec)
         assert sorted(r.key(fam) for r in cegis_solve(fam, q).T) == \
             sorted(r.key(fam) for r in enum_solve(fam, q).T)
-
-
-def test_rejects_cost_optimal_search(example_family):
-    q = SynthesisQuery("feasible", spec=Specification(GOAL4, ">=", 0.1),
-                       optimise_cost=True)
-    with pytest.raises(EngineError):
-        cegis_solve(example_family, q)

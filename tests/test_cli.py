@@ -129,11 +129,29 @@ def test_max_states_env_override(capsys, monkeypatch):
     assert "exceeds" in err
 
 
-def test_bench(capsys):
-    code, out, _ = run(capsys, "bench", "--seed", "1", "--instances", "5",
-                       "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["failures"] == 0
-    assert doc["pruning"]["checks"] < 64
-    assert doc["bench"]["checks"] < 0.2 * doc["bench"]["family_size"]
+def test_max_states_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("CHAINSYNTH_MAX_STATES", "many")
+    code, _, err = run(capsys, "check", "--input", toy_path(),
+                       "--assign", "k2=2,k3=4", "--spec", "P>=0.1 [F s=4]")
+    assert code == 2
+    assert "CHAINSYNTH_MAX_STATES" in err
+
+
+def test_malformed_json_family_is_error(capsys, tmp_path):
+    path = tmp_path / "fam.json"
+    path.write_text('{"states": 2,')
+    code, _, err = run(capsys, "synth", "partition", "--input", str(path),
+                       "--spec", "P>=0.1 [F s=1]")
+    assert code == 2
+    assert "malformed JSON" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("min", "--goal", "s=4", "--epsilon", "1"),
+    ("partition", "--spec", "P>=0.1 [F s=4]", "--epsilon", "0.5"),
+    ("max", "--goal", "s=4", "--spec", "P>=0.1 [F s=4]"),
+])
+def test_refused_query_flags_exit_2(capsys, argv):
+    code, out, err = run(capsys, "synth", *argv, "--input", toy_path())
+    assert code == 2 and not out
+    assert err.startswith("error: ")

@@ -1,7 +1,7 @@
 import pytest
 
 from chainsynth.engines.base import EngineError, SynthesisQuery
-from chainsynth.engines.enumeration import cost_optimal, enum_solve
+from chainsynth.engines.enumeration import enum_solve
 from chainsynth.model import Specification
 
 from conftest import R1, R2, R3, R4
@@ -11,14 +11,19 @@ GOAL2 = frozenset([2])
 
 
 def test_query_validation():
-    with pytest.raises(EngineError):
-        SynthesisQuery("bogus")
-    with pytest.raises(EngineError):
-        SynthesisQuery("feasible")
-    with pytest.raises(EngineError):
-        SynthesisQuery("max")
-    with pytest.raises(EngineError):
-        SynthesisQuery("max", goal=GOAL4, epsilon=0.0)
+    spec = Specification(GOAL4, ">=", 0.1)
+    for kind, kw in [
+            ("bogus", {}),
+            ("feasible", {}),
+            ("max", {}),
+            ("max", {"goal": GOAL4, "epsilon": 0.0}),
+            ("min", {"goal": GOAL4, "epsilon": 1.0}),
+            # flags the query kind does not honour
+            ("partition", {"spec": spec, "epsilon": 0.5}),
+            ("feasible", {"spec": spec, "goal": GOAL4}),
+            ("max", {"goal": GOAL4, "spec": spec})]:
+        with pytest.raises(EngineError):
+            SynthesisQuery(kind, **kw)
 
 
 def test_feasible_first_witness(example_family):
@@ -73,16 +78,6 @@ def test_eps_optimal_takes_first_close_enough(example_family):
                      SynthesisQuery("max", goal=GOAL4, epsilon=0.02))
     assert out.value == pytest.approx(1.0)
     assert out.witness.assignment == R2  # first within (1-eps) of the optimum
-
-
-def test_cost_optimal(example_family):
-    spec = Specification(GOAL4, ">=", 0.1)
-    out = cost_optimal(example_family, spec)
-    assert out.witness.assignment == R2  # cheaper of the two satisfiers
-    assert out.cost == 10
-    out = enum_solve(example_family, SynthesisQuery(
-        "feasible", spec=spec, optimise_cost=True))
-    assert out.witness.assignment == R2 and out.cost == 10
 
 
 def test_partition_with_budget(example_family):

@@ -3,14 +3,27 @@ import pytest
 from chainsynth import jsonio
 from chainsynth.constraints import Atom, Not, Or, parse_sexpr
 from chainsynth.family import (Family, FamilyError, Fixed, Hole, HoleRef,
-                               Realisation, Subfamily, all_in_one_mdp,
-                               all_in_one_state, cost, enumerate_realisations,
-                               quotient_mdp, realise, scheduler_consistency,
-                               structural_cost_bfs)
-from chainsynth.model import (MemorylessScheduler, mdp_extremal,
-                              reach_probability)
+                               Realisation, Subfamily, cost,
+                               enumerate_realisations, quotient_mdp, realise,
+                               scheduler_consistency)
+from chainsynth.model import MemorylessScheduler
 
 from conftest import R1, R2, R3, R4
+
+
+def structural_cost_bfs(fam, r):
+    """Independent recomputation of the structural cost via an explicit BFS."""
+    mc = realise(fam, r)
+    seen, queue = {mc.init}, [mc.init]
+    edges = 0
+    while queue:
+        s = queue.pop(0)
+        edges += len(mc.transitions[s].entries)
+        for t, _ in mc.transitions[s].entries:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return len(seen) + edges
 
 
 def test_hole_validation():
@@ -99,24 +112,6 @@ def test_subfamily_ops(example_family):
     assert not pinned.contains(example_family, Realisation(R1))
     with pytest.raises(FamilyError):
         sub.replace(0, ())
-
-
-def test_all_in_one_mdp(example_family):
-    mdp, realisations = all_in_one_mdp(example_family)
-    assert mdp.n_states == 1 + 4 * 5
-    assert len(realisations) == 4
-    assert len(mdp.actions[0]) == 4
-    # max/min over the all-in-one MDP equal the family extrema
-    goal = frozenset(all_in_one_state(example_family, i, 4) for i in range(4))
-    vmax, _ = mdp_extremal(mdp, goal, "max")
-    vmin, _ = mdp_extremal(mdp, goal, "min")
-    assert vmax == pytest.approx(1.0, abs=1e-9)
-    assert vmin == pytest.approx(0.0, abs=1e-9)
-
-
-def test_all_in_one_bound(example_family):
-    with pytest.raises(FamilyError):
-        all_in_one_mdp(example_family, bound=2)
 
 
 def test_quotient_structure(example_family):

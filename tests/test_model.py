@@ -210,18 +210,6 @@ def test_induced_chain_missing_choice():
         induced_chain(mdp, MemorylessScheduler({0: "go"}))
 
 
-def test_mdp_as_chain():
-    mdp = Mdp(2, 0, (
-        (("go", Distribution.dirac(1)),),
-        (("loop", Distribution.dirac(1)),),
-    ))
-    mc = mdp.as_chain()
-    assert mc.transitions[0].entries == ((1, 1.0),)
-    with pytest.raises(ModelError):
-        Mdp(1, 0, ((("a", Distribution.dirac(0)),
-                    ("b", Distribution.dirac(0))),)).as_chain()
-
-
 # --- extreme probabilities ----------------------------------------------------
 
 def test_tiny_exits_never_yield_a_wrong_value(monkeypatch):

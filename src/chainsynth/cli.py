@@ -11,7 +11,7 @@ import sys
 
 from . import ENGINES, jsonio, sketch
 from .engines.base import EngineError, SynthesisQuery
-from .family import FamilyError, Realisation, realise
+from .family import COST_MODELS, FamilyError, Realisation, realise
 from .model import ModelError, Specification, check
 from .sketch import SketchError
 
@@ -181,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=sorted(ENGINES), default="enum")
     p.add_argument("--epsilon", type=float, help="eps-optimal slack")
     p.add_argument("--budget", type=int, help="cost budget")
-    p.add_argument("--cost", choices=("structural", "optionsum"),
-                   help="cost model override")
+    p.add_argument("--cost", choices=COST_MODELS,
+                   help="cost model of the budget (default: the family's)")
     p.set_defaults(func=cmd_synth)
     return top
 

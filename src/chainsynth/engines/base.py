@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..family import Family, Realisation, cost as realisation_cost
+from ..family import COST_MODELS, Family, Realisation, cost as realisation_cost
 from ..model import COMPARISON_TOL, Specification
 
 KINDS = ("feasible", "partition", "max", "min")
@@ -23,7 +23,7 @@ class SynthesisQuery:
     goal: Optional[frozenset] = None  # max/min carry only the goal set
     epsilon: Optional[float] = None  # eps-optimal slack for max/min
     budget: Optional[int] = None
-    cost_model: Optional[str] = None  # None: family default
+    cost_model: Optional[str] = None  # prices the budget; None: family's
     tolerance: float = COMPARISON_TOL
 
     def __post_init__(self):
@@ -43,6 +43,10 @@ class SynthesisQuery:
                               "specification" % self.kind)
         if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
             raise EngineError("epsilon must lie in (0, 1)")
+        if self.cost_model not in (None,) + COST_MODELS:
+            raise EngineError("unknown cost model %r" % self.cost_model)
+        if self.cost_model is not None and self.budget is None:
+            raise EngineError("a cost model applies only to a budget")
 
 
 @dataclass

@@ -5,11 +5,12 @@ the hole an inconsistent optimising scheduler disagrees on."""
 from __future__ import annotations
 
 from ..family import (ConsistencyVerdict, Family, Realisation, Subfamily,
-                      enumerate_realisations, quotient_mdp, realise,
+                      enumerate_realisations, quotient_mdp,
                       scheduler_consistency)
-from ..model import compare, induced_chain, mdp_extremal, reach_probability
+from ..model import compare, induced_chain, mdp_extremal
 from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
                    witness_outcome, within_budget)
+from .enumeration import Evaluator
 
 
 def initial_subfamily(fam: Family) -> Subfamily:
@@ -88,11 +89,6 @@ def _lex_sorted(fam, realisations):
                                       for h in fam.holes))
 
 
-def _reach(fam, r, goal):
-    mc = realise(fam, r)
-    return float(reach_probability(mc, goal)[mc.init])
-
-
 def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
     """One refinement loop for every query kind: take the oldest subfamily,
     check a lone member directly, else check the quotient and let the query
@@ -164,17 +160,13 @@ class _Search:
 
     def __init__(self, fam, q, stats):
         self.fam, self.q, self.stats = fam, q, stats
+        self.members = Evaluator(fam, q, stats)
 
     def prunes(self, sub, bound):
         return False
 
     def single(self, r):
         self.member(r)
-
-    def value(self, r, goal):
-        self.stats.candidates += 1
-        self.stats.checks += 1
-        return _reach(self.fam, r, goal)
 
 
 class _Threshold(_Search):
@@ -198,10 +190,9 @@ class _Threshold(_Search):
         return self.witness is not None
 
     def _check(self, r):
-        spec = self.q.spec
-        value = self.value(r, spec.goal)
-        sat = compare(value, spec.op, spec.threshold, self.q.tolerance) \
-            and within_budget(self.fam, self.q, r)
+        self.stats.candidates += 1
+        sat, value = self.members.verdict(r, self.q.spec, self.q.tolerance)
+        sat = sat and within_budget(self.fam, self.q, r)
         self._take(r, sat, value)
         return sat
 
@@ -246,7 +237,7 @@ class _Threshold(_Search):
             return SynthesisOutcome("unsat", stats=self.stats)
         r, value = self.witness
         if value is None:  # classified by the quotient's bounds
-            value = _reach(fam, r, q.spec.goal)
+            value = self.members.value(r)
         return witness_outcome(fam, q, r, value, self.stats)
 
 
@@ -291,7 +282,8 @@ class _Optimum(_Search):
 
     def member(self, r):
         if within_budget(self.fam, self.q, r):
-            v = self.value(r, self.q.goal)
+            self.stats.candidates += 1
+            v = self.members.value(r)
             best = self.incumbent
             if best is None or (v > best[1] + 1e-12 if self.maximise
                                 else v < best[1] - 1e-12):

@@ -9,31 +9,17 @@ one model-checker call can prune many family members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..family import (Family, HoleRef, Realisation, enumerate_realisations,
-                      realise)
+from ..family import Family, Realisation, enumerate_realisations, realise
 from ..model import (MarkovChain, Specification, check, compare,
                      reach_probability, sub_mc)
 from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
                    witness_outcome, within_budget)
-
-
-@dataclass(frozen=True)
-class Conflict:
-    holes: tuple  # hole names occurring in transitions of critical states
-    values: dict  # hole -> option chosen by the analysed candidate
-    verdict: str  # "reject" | "accept"
-    critical: frozenset
+from .enumeration import Evaluator
 
 
 def conflict_holes(fam: Family, critical) -> set:
     """Holes referenced by the outgoing transitions of the critical states."""
-    holes = set()
-    for c in critical:
-        for _, tgt in fam.transitions[c]:
-            holes.update(tgt.holes())
-    return holes
+    return set().union(*(fam.rows[c].holes for c in critical))
 
 
 def extract_counterexample(mc: MarkovChain, spec: Specification, mode: str,
@@ -76,37 +62,21 @@ def extract_counterexample(mc: MarkovChain, spec: Specification, mode: str,
 
 
 def _option_scope(fam: Family, critical, r: Realisation) -> dict:
-    """Per conflict hole, the options interchangeable with the candidate's
-    choice on every critical-state successor table; any realisation inside
-    the resulting product induces an isomorphic sub-MC."""
-    holes = conflict_holes(fam, critical)
-    refs = {h: [] for h in holes}
-    for c in critical:
-        for _, tgt in fam.transitions[c]:
-            if isinstance(tgt, HoleRef):
-                for h in tgt.hole_names:
-                    refs[h].append(tgt)
+    """Per conflict hole, the options that select the same distribution as
+    the candidate's choice in every critical state, whatever the state's
+    other holes choose.  A sub-MC depends only on its critical states'
+    distributions, so every realisation in the product shares it."""
     scope = {}
-    for h in holes:
-        hole = fam.hole(h)
+    for h in conflict_holes(fam, critical):
         chosen = r[h]
-        allowed = []
-        for option in hole.options:
-            ok = True
-            for tgt in refs[h]:
-                pos = tgt.hole_names.index(h)
-                for combo in tgt.table:
-                    if combo[pos] != chosen:
-                        continue
-                    swapped = combo[:pos] + (option,) + combo[pos + 1:]
-                    if tgt.table[swapped] != tgt.table[combo]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                allowed.append(option)
-        scope[h] = frozenset(allowed)
+        rows = [(row, row.holes.index(h)) for row in
+                (fam.rows[c] for c in critical) if h in row.holes]
+        scope[h] = frozenset(
+            option for option in fam.hole(h).options
+            if all(dist == row.dists[combo[:pos] + (option,) + combo[pos + 1:]]
+                   for row, pos in rows
+                   for combo, dist in row.dists.items()
+                   if combo[pos] == chosen))
     return scope
 
 
@@ -248,17 +218,19 @@ class AssignmentSpace:
 
 def cegis_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
     stats = Stats()
+    members = Evaluator(fam, q, stats)
     try:
         if q.kind in ("feasible", "partition"):
-            return _threshold(fam, q, stats, q.spec,
+            return _threshold(fam, q, members, q.spec,
                               stop_at_witness=q.kind == "feasible",
-                              cache={}, tol=q.tolerance)
-        return _optimise(fam, q, stats)
+                              tol=q.tolerance)
+        return _optimise(fam, q, members)
     finally:
         stats.stop()
 
 
-def _threshold(fam, q, stats, spec, stop_at_witness, cache, tol):
+def _threshold(fam, q, members, spec, stop_at_witness, tol):
+    stats = members.stats
     upper = spec.op in ("<=", "<")
     seed_budget = q.budget if stop_at_witness else None
     space = AssignmentSpace(fam, budget=seed_budget, cost_model=q.cost_model)
@@ -277,20 +249,11 @@ def _threshold(fam, q, stats, spec, stop_at_witness, cache, tol):
             singles[key] = False
             space.block_assignment(r)
             continue
-        # the cache keeps values only: a chain is realised when needed
-        mc = None
-        value = cache.get(key)
-        if value is None:
-            mc = realise(fam, r)
-            value = cache[key] = float(reach_probability(mc, spec.goal)[mc.init])
-            stats.checks += 1
-        sat = compare(value, spec.op, spec.threshold, tol)
+        sat, value = members.verdict(r, spec, tol)
         record = {"candidate": r.as_dict(), "value": value, "sat": sat}
         if upper != sat:  # a refuted upper or an established lower bound
-            if mc is None:
-                mc = realise(fam, r)
             critical = extract_counterexample(
-                mc, spec, "refute" if upper else "establish", tol)
+                realise(fam, r), spec, "refute" if upper else "establish", tol)
             scope = _option_scope(fam, critical, r)
             scopes.append((scope, sat))
             space.learn_scope(scope)
@@ -331,35 +294,28 @@ def _threshold(fam, q, stats, spec, stop_at_witness, cache, tol):
     return SynthesisOutcome("partition", T=T, F=F, stats=stats)
 
 
-def _optimise(fam, q, stats):
+def _optimise(fam, q, members):
     """Max/min synthesis as iterated feasibility: tighten the threshold to
     the incumbent value with a strict operator until unsatisfiable."""
     maximise = q.kind == "max"
-    cache = {}
-    tol = 1e-9  # strict internal comparisons keep the optimum tight
-    goal = q.goal
-    spec = Specification(goal, ">=" if maximise else "<=",
-                         0.0 if maximise else 1.0)
-    out = _threshold(fam, q, stats, spec, stop_at_witness=True,
-                     cache=cache, tol=tol)
-    if out.kind == "unsat":
-        return SynthesisOutcome("unsat", stats=stats)
-    best, best_value = out.witness, out.value
     eps = q.epsilon or 0.0
+    spec = Specification(q.goal, ">=" if maximise else "<=",
+                         0.0 if maximise else 1.0)
+    best = None
     while True:
-        if maximise:
-            lam = best_value / (1.0 - eps) if eps else best_value
-            if lam > 1.0:
-                break
-            spec = Specification(goal, ">", lam)
-        else:
-            lam = best_value * (1.0 - eps) if eps else best_value
-            if lam < 0.0:
-                break
-            spec = Specification(goal, "<", lam)
-        out = _threshold(fam, q, stats, spec, stop_at_witness=True,
-                         cache=cache, tol=tol)
+        # strict internal comparisons keep the optimum tight
+        out = _threshold(fam, q, members, spec, stop_at_witness=True,
+                         tol=1e-9)
         if out.kind == "unsat":
-            break
-        best, best_value = out.witness, out.value
-    return witness_outcome(fam, q, best, best_value, stats)
+            return out if best is None else best
+        best = out
+        if maximise:
+            lam = out.value / (1.0 - eps)
+            if lam > 1.0:
+                return best
+            spec = Specification(q.goal, ">", lam)
+        else:
+            lam = out.value * (1.0 - eps)
+            if lam < 0.0:
+                return best
+            spec = Specification(q.goal, "<", lam)

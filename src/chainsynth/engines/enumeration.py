@@ -1,32 +1,56 @@
-"""Baseline enumeration engine: exact, deterministic, and the oracle the
-other engines are validated against."""
+"""Baseline enumeration engine: exact, deterministic, the oracle for the
+other engines; its `Evaluator` values members for every engine."""
 
 from __future__ import annotations
 
-from ..family import Family, enumerate_realisations, realise
-from ..model import check, reach_probability
+from ..family import Family, Realisation, enumerate_realisations, realise
+from ..model import Specification, check, compare, reach_probability
 from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
                    witness_outcome, within_budget)
 
 ENUM_BOUND = 10 ** 6
 
 
+class Evaluator:
+    """The one place a member is valued: it realises the member, solves its
+    chain for the query's goal once and remembers the value by member key.
+    Each chain solved counts one `stats.checks`."""
+
+    def __init__(self, fam: Family, q: SynthesisQuery, stats: Stats):
+        self.fam, self.stats = fam, stats
+        self.goal = q.goal if q.spec is None else q.spec.goal
+        self.values = {}
+
+    def verdict(self, r: Realisation, spec: Specification, tol: float):
+        """(verdict, value) of `r`; `spec` names the query's goal."""
+        key = r.key(self.fam)
+        if key in self.values:
+            value = self.values[key]
+            return compare(value, spec.op, spec.threshold, tol), value
+        self.stats.checks += 1
+        sat, self.values[key] = check(realise(self.fam, r), spec, tol)
+        return sat, self.values[key]
+
+    def value(self, r: Realisation) -> float:
+        """Probability that `r` reaches the query's goal."""
+        key = r.key(self.fam)
+        if key not in self.values:
+            self.stats.checks += 1
+            mc = realise(self.fam, r)
+            self.values[key] = float(reach_probability(mc, self.goal)[mc.init])
+        return self.values[key]
+
+
 def _values(fam: Family, q: SynthesisQuery, stats: Stats):
-    """Yield (realisation, value, verdict) in lexicographic candidate order;
+    """Yield (realisation, verdict, value) in lexicographic candidate order;
     the verdict against the specification is None for max/min queries."""
-    count = 0
-    for r in enumerate_realisations(fam):
-        count += 1
+    members = Evaluator(fam, q, stats)
+    for count, r in enumerate(enumerate_realisations(fam), 1):
         if count > ENUM_BOUND:
             raise EngineError("family exceeds enumeration bound %d" % ENUM_BOUND)
         stats.candidates += 1
-        mc = realise(fam, r)
-        if q.spec is not None:
-            sat, value = check(mc, q.spec, q.tolerance)
-        else:
-            sat, value = None, float(reach_probability(mc, q.goal)[mc.init])
-        stats.checks += 1
-        yield r, value, sat
+        yield (r, None, members.value(r)) if q.spec is None \
+            else (r, *members.verdict(r, q.spec, q.tolerance))
 
 
 def enum_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
@@ -43,7 +67,7 @@ def enum_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
 
 
 def _feasible(fam, q, stats):
-    for r, value, sat in _values(fam, q, stats):
+    for r, sat, value in _values(fam, q, stats):
         stats.iterations += 1
         if sat and within_budget(fam, q, r):
             return witness_outcome(fam, q, r, value, stats)
@@ -52,7 +76,7 @@ def _feasible(fam, q, stats):
 
 def _partition(fam, q, stats):
     T, F = [], []
-    for r, value, sat in _values(fam, q, stats):
+    for r, sat, value in _values(fam, q, stats):
         stats.iterations += 1
         (T if sat and within_budget(fam, q, r) else F).append(r)
     return SynthesisOutcome("partition", T=T, F=F, stats=stats)
@@ -63,7 +87,7 @@ def _optimise(fam, q, stats):
     better = (lambda v, b: v > b + 1e-12) if q.kind == "max" \
         else (lambda v, b: v < b - 1e-12)
     entries = []
-    for r, value, _ in _values(fam, q, stats):
+    for r, _, value in _values(fam, q, stats):
         stats.iterations += 1
         if not within_budget(fam, q, r):
             continue

@@ -2,19 +2,24 @@
 
 A family fixes a shared state space and leaves some transition targets open;
 each target either points at a fixed state or resolves through one or more
-holes via a successor table.  Realisations (total hole assignments) induce
-concrete Markov chains over the same index space; unreachable states are
-retained so that indices stay stable across the family.
+holes via a successor table, compiled once into per-state rows.  A
+realisation (total hole assignment) selects one row per state: a Markov chain
+over the same index space, unreachable states kept; a quotient MDP takes
+every row a subfamily allows.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .model import (Distribution, MarkovChain, Mdp, MemorylessScheduler,
                     PROB_SUM_TOL)
+
+COST_MODELS = ("structural", "optionsum")
 
 
 class FamilyError(ValueError):
@@ -97,6 +102,9 @@ class Realisation:
         return dict(self.assignment)
 
 
+StateRows = namedtuple("StateRows", "holes dists")
+
+
 @dataclass(frozen=True)
 class Family:
     n_states: int
@@ -104,7 +112,7 @@ class Family:
     holes: tuple  # tuple[Hole, ...]
     transitions: tuple  # per state: tuple[(prob, Fixed|HoleRef), ...]
     constraints: tuple = ()
-    cost_model: str = "structural"  # "structural" | "optionsum"
+    cost_model: str = "structural"  # one of COST_MODELS
     # present for sketch-derived families: variable names and per-state values
     variables: Optional[tuple] = None
     valuations: Optional[tuple] = None
@@ -115,6 +123,8 @@ class Family:
         by_name = {h.name: h for h in self.holes}
         if len(by_name) != len(self.holes):
             raise FamilyError("duplicate hole names")
+        if self.cost_model not in COST_MODELS:
+            raise FamilyError("unknown cost model %r" % self.cost_model)
         for s, row in enumerate(self.transitions):
             total = sum(p for p, _ in row)
             if abs(total - 1.0) > PROB_SUM_TOL:
@@ -133,6 +143,27 @@ class Family:
                                 "state %d: successor table not total (%r missing)"
                                 % (s, combo))
                         self._check_state(tgt.table[combo], s)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Per state, a `StateRows`: the holes its targets read, in
+        declaration order, and a dict from each combination of their options
+        to the distribution it selects; built on first use."""
+        options = {h.name: h.options for h in self.holes}
+        combos = {}  # states that read the same holes share the dict keys
+        rows = []
+        for row in self.transitions:
+            used = {h for _, tgt in row for h in tgt.holes()}
+            local = tuple(h for h in options if h in used)
+            dists = {}
+            for combo in combos.setdefault(local, list(itertools.product(
+                    *(options[h] for h in local)))):
+                choice = dict(zip(local, combo))
+                dists[combo] = Distribution.from_pairs(
+                    (tgt.state if isinstance(tgt, Fixed)
+                     else tgt.resolve(choice), p) for p, tgt in row)
+            rows.append(StateRows(local, dists))
+        return tuple(rows)
 
     def _check_state(self, t, s):
         if not (0 <= t < self.n_states):
@@ -195,14 +226,9 @@ def realise(fam: Family, r: Realisation) -> MarkovChain:
         h.option_index(r[h.name])
     if not fam.satisfies_constraints(r.assignment):
         raise FamilyError("assignment violates family constraints")
-    transitions = []
-    for row in fam.transitions:
-        pairs = []
-        for p, tgt in row:
-            t = tgt.state if isinstance(tgt, Fixed) else tgt.resolve(r.assignment)
-            pairs.append((t, p))
-        transitions.append(Distribution.from_pairs(pairs))
-    return MarkovChain(fam.n_states, fam.init, tuple(transitions))
+    a = r.assignment
+    return MarkovChain(fam.n_states, fam.init, tuple(
+        row.dists[tuple(a[h] for h in row.holes)] for row in fam.rows))
 
 
 def enumerate_realisations(fam: Family, sub: Subfamily = None):
@@ -255,26 +281,13 @@ def quotient_mdp(fam: Family, sub: Subfamily = None):
     if sub is None:
         sub = Subfamily.full(fam)
     remaining = {h.name: opts for h, opts in zip(fam.holes, sub.remaining)}
-    hole_order = {h.name: i for i, h in enumerate(fam.holes)}
     init_index = fam.n_states
     actions = []
     choices = []
-    for s, row in enumerate(fam.transitions):
-        local = sorted({h for _, tgt in row for h in tgt.holes()},
-                       key=hole_order.get)
-        state_actions = []
-        state_choices = []
-        for combo in itertools.product(*(remaining[h] for h in local)):
-            choice = dict(zip(local, combo))
-            pairs = []
-            for p, tgt in row:
-                t = tgt.state if isinstance(tgt, Fixed) else tgt.resolve(choice)
-                pairs.append((t, p))
-            state_actions.append((len(state_actions),
-                                  Distribution.from_pairs(pairs)))
-            state_choices.append(choice)
-        actions.append(tuple(state_actions))
-        choices.append(tuple(state_choices))
+    for row in fam.rows:
+        combos = list(itertools.product(*(remaining[h] for h in row.holes)))
+        actions.append(tuple(enumerate(row.dists[c] for c in combos)))
+        choices.append(tuple(dict(zip(row.holes, c)) for c in combos))
     actions.append(((0, Distribution.dirac(fam.init)),))
     choices.append(({},))
     mdp = Mdp(fam.n_states + 1, init_index, tuple(actions))

@@ -57,39 +57,43 @@ def family_to_dict(fam: Family) -> dict:
 
 
 def family_from_dict(data: dict) -> Family:
-    holes = tuple(Hole(h["name"], tuple(h["options"]),
-                       tuple(h.get("costs") or [0] * len(h["options"])))
-                  for h in data["holes"])
-    rows = [None] * data["states"]
-    for entry in data["transitions"]:
-        s = entry["from"]
-        branches = []
-        for b in entry["branches"]:
-            if "fixed" in b:
-                branches.append((b["p"], Fixed(b["fixed"])))
-            elif "hole" in b:
-                branches.append((b["p"], HoleRef.single(
-                    b["hole"], {k: v for k, v in b["table"].items()})))
-            else:
-                names = tuple(b["holes"])
-                table = {tuple(k.split("|")): v for k, v in b["table"].items()}
-                branches.append((b["p"], HoleRef(names, table)))
-        rows[s] = tuple(branches)
-    if any(r is None for r in rows):
-        raise FamilyError("transitions missing for some states")
-    variables = tuple(data["variables"]) if "variables" in data else None
-    valuations = (tuple(tuple(v) for v in data["valuations"])
-                  if "valuations" in data else None)
-    return Family(
-        n_states=data["states"],
-        init=data["init"],
-        holes=holes,
-        transitions=tuple(rows),
-        constraints=tuple(cn.parse_sexpr(c) for c in data.get("constraints", [])),
-        cost_model=data.get("cost_model", "structural"),
-        variables=variables,
-        valuations=valuations,
-    )
+    """The family `data` describes; a wrong shape raises FamilyError."""
+    try:
+        holes = tuple(Hole(h["name"], tuple(h["options"]),
+                           tuple(h.get("costs") or [0] * len(h["options"])))
+                      for h in data["holes"])
+        rows = {}
+        for entry in data["transitions"]:
+            branches = []
+            for b in entry["branches"]:
+                if "fixed" in b:
+                    branches.append((b["p"], Fixed(b["fixed"])))
+                elif "hole" in b:
+                    branches.append((b["p"], HoleRef.single(
+                        b["hole"], {k: v for k, v in b["table"].items()})))
+                else:
+                    names = tuple(b["holes"])
+                    table = {tuple(k.split("|")): v for k, v in b["table"].items()}
+                    branches.append((b["p"], HoleRef(names, table)))
+            rows[entry["from"]] = tuple(branches)
+        n = data["states"]
+        if len(rows) != n or set(rows) != set(range(n)):
+            raise FamilyError("transitions missing for some states")
+        variables = tuple(data["variables"]) if "variables" in data else None
+        valuations = (tuple(tuple(v) for v in data["valuations"])
+                      if "valuations" in data else None)
+        return Family(
+            n_states=n,
+            init=data["init"],
+            holes=holes,
+            transitions=tuple(rows[s] for s in range(n)),
+            constraints=tuple(map(cn.parse_sexpr, data.get("constraints", []))),
+            cost_model=data.get("cost_model", "structural"),
+            variables=variables,
+            valuations=valuations,
+        )
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise FamilyError("malformed family: %r" % exc)
 
 
 def dumps(fam: Family) -> str:

@@ -6,7 +6,8 @@ function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Mapping
 
@@ -27,7 +28,7 @@ class ModelError(ValueError):
     """Malformed chain, MDP, scheduler or specification."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Distribution:
     """Sparse probability distribution over state indices."""
 
@@ -51,7 +52,7 @@ class Distribution:
         """Build a distribution, merging duplicate successor states."""
         merged: dict = {}
         for s, p in pairs:
-            merged[s] = merged.get(s, 0.0) + p
+            merged[s] = merged[s] + p if s in merged else float(p)
         return Distribution(tuple(sorted(merged.items())))
 
     @staticmethod
@@ -129,6 +130,11 @@ class Mdp:
                 for t, _ in dist.entries:
                     if not (0 <= t < self.n_states):
                         raise ModelError("state %d has successor %d outside S" % (s, t))
+
+    @cached_property
+    def _matrix(self) -> "_ChoiceMatrix":
+        """The row-grouped choice matrix, compiled once for every analysis."""
+        return _ChoiceMatrix(self)
 
     def dist(self, s: int, label) -> Distribution:
         for a, dist in self.actions[s]:
@@ -557,7 +563,7 @@ def _attains(cm: _ChoiceMatrix, witness, policy, x, unknown, tol):
 def mdp_extremal(mdp: Mdp, goal, mode: str, tol: float = 1e-9):
     """Optimal reachability probability at the initial state plus a witness.
 
-    The MDP is compiled into a row-grouped choice matrix.  Qualitative
+    The MDP is compiled once into a row-grouped choice matrix.  Qualitative
     prob-0/prob-1 sets are graph fixpoints on it; policy iteration computes
     the remaining values exactly, one linear solve per policy.  The witness
     scheduler takes, for min, the first action within `tol` of the best
@@ -573,7 +579,7 @@ def mdp_extremal(mdp: Mdp, goal, mode: str, tol: float = 1e-9):
             raise ModelError("goal state %d outside S" % g)
     if mode not in ("min", "max"):
         raise ModelError("mode must be 'min' or 'max'")
-    cm = _ChoiceMatrix(mdp)
+    cm = mdp._matrix
     is_goal = np.zeros(mdp.n_states, dtype=bool)
     is_goal[list(goal)] = True
     if mode == "max":

@@ -146,10 +146,24 @@ def test_malformed_json_family_is_error(capsys, tmp_path):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"states": "x", "init": 0, "holes": [], "transitions": []}',
+    '[1, 2]',
+])
+def test_wrongly_shaped_json_family_is_error(capsys, tmp_path, text):
+    path = tmp_path / "fam.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "synth", "partition", "--input", str(path),
+                         "--spec", "P>=0.1 [F s=1]")
+    assert code == 2 and not out
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ("min", "--goal", "s=4", "--epsilon", "1"),
     ("partition", "--spec", "P>=0.1 [F s=4]", "--epsilon", "0.5"),
     ("max", "--goal", "s=4", "--spec", "P>=0.1 [F s=4]"),
+    ("max", "--goal", "s=4", "--cost", "structural"),
 ])
 def test_refused_query_flags_exit_2(capsys, argv):
     code, out, err = run(capsys, "synth", *argv, "--input", toy_path())

@@ -21,7 +21,10 @@ def test_query_validation():
             # flags the query kind does not honour
             ("partition", {"spec": spec, "epsilon": 0.5}),
             ("feasible", {"spec": spec, "goal": GOAL4}),
-            ("max", {"goal": GOAL4, "spec": spec})]:
+            ("max", {"goal": GOAL4, "spec": spec}),
+            # a cost model must be known and price a budget
+            ("max", {"goal": GOAL4, "budget": 9, "cost_model": "bogus"}),
+            ("max", {"goal": GOAL4, "cost_model": "structural"})]:
         with pytest.raises(EngineError):
             SynthesisQuery(kind, **kw)
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from chainsynth import jsonio
@@ -6,7 +9,8 @@ from chainsynth.family import (Family, FamilyError, Fixed, Hole, HoleRef,
                                Realisation, Subfamily, cost,
                                enumerate_realisations, quotient_mdp, realise,
                                scheduler_consistency)
-from chainsynth.model import MemorylessScheduler
+from chainsynth.model import Distribution, MemorylessScheduler
+from chainsynth.randfam import random_family
 
 from conftest import R1, R2, R3, R4
 
@@ -24,6 +28,27 @@ def structural_cost_bfs(fam, r):
                 seen.add(t)
                 queue.append(t)
     return len(seen) + edges
+
+
+def resolved(row, choice):
+    """Reference for the compiled rows: the distribution of one state's
+    transitions, each target resolved on the spot under `choice`."""
+    return Distribution.from_pairs(
+        (tgt.state if isinstance(tgt, Fixed) else tgt.resolve(choice), p)
+        for p, tgt in row)
+
+
+def two_hole_family():
+    return Family(
+        2, 0,
+        (Hole("a", ("x", "y"), (1, 2)), Hole("b", ("u", "v"))),
+        (((0.25, HoleRef(("a", "b"), {("x", "u"): 0, ("x", "v"): 1,
+                                      ("y", "u"): 1, ("y", "v"): 0})),
+          (0.75, Fixed(1))),
+         ((1.0, Fixed(1)),)),
+        constraints=(Or((Atom("a", "x"), Not(Atom("b", "v")))),),
+        cost_model="optionsum",
+        variables=("s",), valuations=((0,), (1,)))
 
 
 def test_hole_validation():
@@ -46,6 +71,8 @@ def test_family_validation():
                (((1.0, HoleRef(("h",), {("a",): 0})),),))
     with pytest.raises(FamilyError):  # unknown hole in a target
         Family(1, 0, (), (((1.0, HoleRef(("h",), {("a",): 0})),),))
+    with pytest.raises(FamilyError):
+        Family(1, 0, (), (((1.0, Fixed(0)),),), cost_model="bogus")
 
 
 def test_structural_costs(example_family):
@@ -129,6 +156,46 @@ def test_quotient_respects_subfamily(example_family):
     assert [len(a) for a in mdp.actions] == [2, 1, 1, 1, 1, 1]
 
 
+def _subfamilies(fam, rng):
+    """The full subfamily and three random restrictions of it."""
+    yield Subfamily.full(fam)
+    for _ in range(3):
+        kept = [rng.sample(h.options, rng.randint(1, len(h.options)))
+                for h in fam.holes]
+        yield Subfamily(tuple(tuple(o for o in h.options if o in k)
+                              for h, k in zip(fam.holes, kept)))
+
+
+def _matches_resolution(fam, rng):
+    for r in enumerate_realisations(fam):
+        assert realise(fam, r).transitions == tuple(
+            resolved(row, r.assignment) for row in fam.transitions)
+    order = [h.name for h in fam.holes]
+    for sub in _subfamilies(fam, rng):
+        remaining = dict(zip(order, sub.remaining))
+        mdp, meta = quotient_mdp(fam, sub)
+        for s, row in enumerate(fam.transitions):
+            local = sorted({h for _, tgt in row for h in tgt.holes()},
+                           key=order.index)
+            choices = [dict(zip(local, combo)) for combo in
+                       itertools.product(*(remaining[h] for h in local))]
+            assert list(meta.choices[s]) == choices
+            assert [label for label, _ in mdp.actions[s]] == \
+                list(range(len(choices)))
+            assert [d for _, d in mdp.actions[s]] == \
+                [resolved(row, c) for c in choices]
+
+
+def test_compiled_rows_match_per_call_resolution(sensors_family):
+    """realise and every quotient action select the distribution that
+    resolving each target on the spot gives."""
+    rng = random.Random(97)
+    fams = [random_family(rng, max_states=12, max_realisations=64)
+            for _ in range(30)]
+    for fam in fams + [two_hole_family(), sensors_family]:
+        _matches_resolution(fam, rng)
+
+
 def test_scheduler_consistency(example_family):
     _, meta = quotient_mdp(example_family)
     # state 2 picks k3=2, state 3 picks k3=4: inconsistent on k3
@@ -160,16 +227,7 @@ def test_json_roundtrip(example_family):
 
 
 def test_json_roundtrip_multi_hole_and_constraints():
-    fam = Family(
-        2, 0,
-        (Hole("a", ("x", "y"), (1, 2)), Hole("b", ("u", "v"))),
-        (((0.25, HoleRef(("a", "b"), {("x", "u"): 0, ("x", "v"): 1,
-                                      ("y", "u"): 1, ("y", "v"): 0})),
-          (0.75, Fixed(1))),
-         ((1.0, Fixed(1)),)),
-        constraints=(Or((Atom("a", "x"), Not(Atom("b", "v")))),),
-        cost_model="optionsum",
-        variables=("s",), valuations=((0,), (1,)))
+    fam = two_hole_family()
     text = jsonio.dumps(fam)
     fam2 = jsonio.loads(text)
     assert fam2 == fam

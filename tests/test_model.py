@@ -201,6 +201,17 @@ def test_schedulers_attain_extremal_values():
             assert attained == pytest.approx(value, abs=1e-7)
 
 
+def test_mdp_compiles_its_choice_matrix_once(monkeypatch, example_family):
+    built = []
+    compile_matrix = model._ChoiceMatrix
+    monkeypatch.setattr(model, "_ChoiceMatrix",
+                        lambda mdp: built.append(mdp) or compile_matrix(mdp))
+    mdp, _ = quotient_mdp(example_family)
+    assert mdp_extremal(mdp, {4}, "min")[0] == pytest.approx(0.0)
+    assert mdp_extremal(mdp, {4}, "max")[0] == pytest.approx(1.0)
+    assert len(built) == 1
+
+
 def test_induced_chain_missing_choice():
     mdp = Mdp(2, 0, (
         (("go", Distribution.dirac(1)),),

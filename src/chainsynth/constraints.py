@@ -21,8 +21,8 @@ class Atom:
     def eval(self, assignment):
         return assignment[self.hole] == self.option
 
-    def holes(self):
-        return {self.hole}
+    def atoms(self):
+        return {self}
 
     def to_sexpr(self):
         return "(= %s %s)" % (self.hole, self.option)
@@ -35,8 +35,8 @@ class Not:
     def eval(self, assignment):
         return not self.arg.eval(assignment)
 
-    def holes(self):
-        return self.arg.holes()
+    def atoms(self):
+        return self.arg.atoms()
 
     def to_sexpr(self):
         return "(not %s)" % self.arg.to_sexpr()
@@ -49,8 +49,8 @@ class And:
     def eval(self, assignment):
         return all(a.eval(assignment) for a in self.args)
 
-    def holes(self):
-        return set().union(*(a.holes() for a in self.args)) if self.args else set()
+    def atoms(self):
+        return set().union(*(a.atoms() for a in self.args))
 
     def to_sexpr(self):
         return "(and %s)" % " ".join(a.to_sexpr() for a in self.args)
@@ -63,8 +63,8 @@ class Or:
     def eval(self, assignment):
         return any(a.eval(assignment) for a in self.args)
 
-    def holes(self):
-        return set().union(*(a.holes() for a in self.args)) if self.args else set()
+    def atoms(self):
+        return set().union(*(a.atoms() for a in self.args))
 
     def to_sexpr(self):
         return "(or %s)" % " ".join(a.to_sexpr() for a in self.args)
@@ -78,8 +78,8 @@ class Implies:
     def eval(self, assignment):
         return (not self.lhs.eval(assignment)) or self.rhs.eval(assignment)
 
-    def holes(self):
-        return self.lhs.holes() | self.rhs.holes()
+    def atoms(self):
+        return self.lhs.atoms() | self.rhs.atoms()
 
     def to_sexpr(self):
         return "(=> %s %s)" % (self.lhs.to_sexpr(), self.rhs.to_sexpr())
@@ -89,16 +89,20 @@ def _tokenize(text):
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _parse(tokens, pos):
-    if pos >= len(tokens):
+def _take(tokens, pos, n):
+    """The `n` tokens at `pos`; input that ends before them is an error."""
+    if pos + n > len(tokens):
         raise ConstraintError("unexpected end of constraint")
-    tok = tokens[pos]
+    return tokens[pos:pos + n]
+
+
+def _parse(tokens, pos):
+    tok, head = _take(tokens, pos, 2)
     if tok != "(":
         raise ConstraintError("expected '(' in constraint, got %r" % tok)
-    head = tokens[pos + 1]
     pos += 2
     if head == "=":
-        hole, option = tokens[pos], tokens[pos + 1]
+        hole, option = _take(tokens, pos, 2)
         pos += 2
         node = Atom(hole, option)
     elif head == "not":

@@ -18,20 +18,18 @@ def initial_subfamily(fam: Family) -> Subfamily:
 
     Constraints over several holes stay out of the box: its quotient
     over-approximates the members that satisfy them, and the members
-    themselves are filtered by every constraint.
+    themselves are filtered by every constraint.  A hole left with no
+    option leaves the subfamily without members.
     """
     remaining = [list(h.options) for h in fam.holes]
     names = [h.name for h in fam.holes]
     for c in fam.constraints:
-        holes = c.holes()
+        holes = {a.hole for a in c.atoms()}
         if len(holes) != 1:
             continue
         name = next(iter(holes))
         idx = names.index(name)
-        allowed = [o for o in remaining[idx] if c.eval({name: o})]
-        if not allowed:
-            raise EngineError("constraints rule out every option of %s" % name)
-        remaining[idx] = allowed
+        remaining[idx] = [o for o in remaining[idx] if c.eval({name: o})]
     return Subfamily(tuple(tuple(r) for r in remaining))
 
 
@@ -70,8 +68,8 @@ def _min_possible_cost(fam, sub, q):
     if (q.cost_model or fam.cost_model) != "optionsum":
         return None  # structural cost admits no cheap family-level bound
     total = 0
-    for h, opts in zip(fam.holes, sub.remaining):
-        total += min(h.costs[h.option_index(o)] for o in opts)
+    for h, opts in zip(fam.holes, sub.remaining):  # a hole may have none
+        total += min((h.costs[h.option_index(o)] for o in opts), default=0)
     return total
 
 
@@ -130,16 +128,14 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
                 r = verdict.realisation
                 member = sub.contains(fam, r) \
                     and fam.satisfies_constraints(r.assignment)
-                fresh = member and r.key(fam) not in excluded
-                if fresh or (member and not search.excluded_is_stale):
+                if member and r.key(fam) not in excluded:
                     record.update(verdict="consistent",
                                   realisation=r.as_dict())
-                else:
-                    record["verdict"] = "consistent-stale"
-                if fresh:
                     if search.member(r):
                         break
                     excluded = excluded | {r.key(fam)}
+                else:
+                    record["verdict"] = "consistent-stale"
                 parts = _split_off(sub, r, fam)
                 record["split"] = True
             worklist.extend((p, excluded, bound) for p in parts)
@@ -154,9 +150,6 @@ class _Search:
     quotient, classifies the subfamily if its bounds are conclusive and
     otherwise returns the scheduler to analyse with the bound the
     subfamily's parts inherit."""
-
-    # the trace calls a scheduler whose member was checked before stale
-    excluded_is_stale = True
 
     def __init__(self, fam, q, stats):
         self.fam, self.q, self.stats = fam, q, stats
@@ -245,8 +238,6 @@ class _Optimum(_Search):
     """max/min: the incumbent is the best member value checked; a subfamily
     whose quotient bound cannot beat it is pruned, and with eps the search
     stops once the incumbent is eps-close to every bound left."""
-
-    excluded_is_stale = False
 
     def __init__(self, fam, q, stats):
         super().__init__(fam, q, stats)

@@ -22,24 +22,25 @@ def conflict_holes(fam: Family, critical) -> set:
     return set().union(*(fam.rows[c].holes for c in critical))
 
 
-def extract_counterexample(mc: MarkovChain, spec: Specification, mode: str,
+def extract_counterexample(mc: MarkovChain, spec: Specification,
                            tol: float = 1e-6) -> frozenset:
     """Greedy critical-set construction.
 
     Reachable non-goal states are ranked once by the contribution score
     Pr(init reaches s) * Pr(s reaches goal); starting from {init}, states are
-    added in descending score until the sub-MC alone decides the property
-    (Refute: the sub-value already violates the threshold of an upper-bound
-    spec; Establish: it already clears the threshold of a lower-bound spec).
+    added in descending score until the sub-MC alone decides the property.
+    The operator fixes what that means: an upper-bound spec (<=, <) must be
+    violated and is refuted once the sub-value violates it; a lower-bound
+    spec (>=, >) must be satisfied and is established once the sub-value
+    clears it.
     """
-    if mode not in ("refute", "establish"):
-        raise EngineError("mode must be 'refute' or 'establish'")
     to_goal = reach_probability(mc, spec.goal)
     verdict = compare(float(to_goal[mc.init]), spec.op, spec.threshold, tol)
-    if mode == "refute" and (spec.op not in ("<=", "<") or verdict):
-        raise EngineError("refutation requires a violated upper-bound spec")
-    if mode == "establish" and (spec.op not in (">=", ">") or not verdict):
-        raise EngineError("establishing requires a satisfied lower-bound spec")
+    want = spec.op in (">=", ">")  # the sub-MC's verdict that decides
+    if verdict != want:
+        raise EngineError("establishing requires a satisfied lower-bound spec"
+                          if want else
+                          "refutation requires a violated upper-bound spec")
 
     reachable = sorted(mc.reachable())
     scores = {}
@@ -51,7 +52,6 @@ def extract_counterexample(mc: MarkovChain, spec: Specification, mode: str,
     order = sorted(scores, key=lambda s: (-scores[s], s))
 
     critical = {mc.init}
-    want = mode == "establish"
     for nxt in [None] + order:
         if nxt is not None:
             critical.add(nxt)
@@ -99,8 +99,9 @@ class AssignmentSpace:
     """Boolean assignment space over (hole = option) atoms with exactly-one
     groups per hole, family constraints, and learned verdict clauses.
 
-    Clause literals are (hole index, option-index set, positive); a positive
-    literal demands the hole's option to lie in the set.
+    A clause is a tuple of (hole index, option-index set) literals, each
+    demanding the hole's option to lie outside its set: it blocks the
+    product of the sets.
     """
 
     def __init__(self, fam: Family, budget=None, cost_model=None):
@@ -120,8 +121,8 @@ class AssignmentSpace:
         names = [h.name for h in self.holes]
         for h, opts in scope.items():
             idx = names.index(h)
-            opt_idx = frozenset(self.holes[idx].option_index(o) for o in opts)
-            clause.append((idx, opt_idx, False))
+            clause.append((idx, frozenset(self.holes[idx].option_index(o)
+                                          for o in opts)))
         self.clauses.append(tuple(clause))
 
     def block_assignment(self, r: Realisation):
@@ -137,34 +138,19 @@ class AssignmentSpace:
         while changed:
             changed = False
             for clause in self.clauses:
-                satisfied = False
                 undetermined = []
-                for (i, opts, pos) in clause:
+                for i, opts in clause:
                     dom = domains[i]
-                    inside = dom & opts
-                    if pos:
-                        if not (dom - opts):
-                            satisfied = True
-                            break
-                        if inside:
-                            undetermined.append((i, opts, pos))
-                    else:
-                        if not inside:
-                            satisfied = True
-                            break
-                        if dom - opts:
-                            undetermined.append((i, opts, pos))
-                if satisfied:
-                    continue
-                if not undetermined:
-                    return None  # clause falsified
-                if len(undetermined) == 1:
-                    i, opts, pos = undetermined[0]
-                    new = domains[i] & opts if pos else domains[i] - opts
-                    if new != domains[i]:
-                        if not new:
-                            return None
-                        domains[i] = new
+                    if not dom & opts:
+                        break  # the clause holds
+                    if dom - opts:
+                        undetermined.append((i, opts))
+                else:
+                    if not undetermined:
+                        return None  # clause falsified
+                    if len(undetermined) == 1:
+                        i, opts = undetermined[0]
+                        domains[i] = domains[i] - opts
                         changed = True
             if self.min_costs is not None:
                 bound = sum(min(self.min_costs[i][o] for o in dom)
@@ -195,11 +181,6 @@ class AssignmentSpace:
         if branch is None:
             assignment = {h.name: h.options[next(iter(dom))]
                           for h, dom in zip(self.holes, domains)}
-            for clause in self.clauses:  # final consistency re-check
-                if not any(
-                        (next(iter(domains[i])) in opts) == pos
-                        for i, opts, pos in clause) and clause:
-                    return None
             if not self.fam.satisfies_constraints(assignment):
                 return None
             return Realisation(assignment)
@@ -252,8 +233,7 @@ def _threshold(fam, q, members, spec, stop_at_witness, tol):
         sat, value = members.verdict(r, spec, tol)
         record = {"candidate": r.as_dict(), "value": value, "sat": sat}
         if upper != sat:  # a refuted upper or an established lower bound
-            critical = extract_counterexample(
-                realise(fam, r), spec, "refute" if upper else "establish", tol)
+            critical = extract_counterexample(realise(fam, r), spec, tol)
             scope = _option_scope(fam, critical, r)
             scopes.append((scope, sat))
             space.learn_scope(scope)

@@ -143,6 +143,13 @@ class Family:
                                 "state %d: successor table not total (%r missing)"
                                 % (s, combo))
                         self._check_state(tgt.table[combo], s)
+        for c in self.constraints:
+            for atom in c.atoms():
+                if atom.hole not in by_name:
+                    raise FamilyError("constraint names unknown hole %r"
+                                      % atom.hole)
+                # raises FamilyError on an option the hole does not have
+                by_name[atom.hole].option_index(atom.option)
 
     @cached_property
     def rows(self) -> tuple:
@@ -187,7 +194,8 @@ class Family:
 
 @dataclass(frozen=True)
 class Subfamily:
-    """Per-hole restriction to a nonempty subset of options (ordered)."""
+    """Per-hole restriction to a subset of options (ordered).  Splits keep
+    every subset nonempty; constraints can empty one, leaving no member."""
 
     remaining: tuple  # tuple[tuple[str, ...], ...], parallel to fam.holes
 

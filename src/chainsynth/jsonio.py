@@ -92,7 +92,7 @@ def family_from_dict(data: dict) -> Family:
             variables=variables,
             valuations=valuations,
         )
-    except (TypeError, KeyError, AttributeError) as exc:
+    except (TypeError, KeyError, AttributeError, cn.ConstraintError) as exc:
         raise FamilyError("malformed family: %r" % exc)
 
 

@@ -382,10 +382,6 @@ class _ChoiceMatrix:
         return np.minimum.reduceat(
             np.where(rows, np.arange(len(rows)), len(rows)), self.first[:-1])
 
-    def expect(self, x):
-        """Per row: the expected value of `x` after one step."""
-        return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
-
 
 def _attract(cm: _ChoiceMatrix, seeds, rows_ok, policy=None):
     """States from which some path of `rows_ok` rows reaches `seeds`.  With
@@ -446,18 +442,19 @@ def _keep_proper(cm: _ChoiceMatrix, nxt, policy, unknown, gain):
         nxt[s] = policy[s]
 
 
-def _policy_iteration(cm: _ChoiceMatrix, known, unknown, mode):
+def _policy_iteration(cm: _ChoiceMatrix, known, unknown, mode, policy):
     """Optimal values on the `unknown` states, `known` fixing the others,
-    and a policy (one row per state) attaining them there.
+    and `policy` (one row per state) improved there until it attains them;
+    its rows for the other states are kept.
 
     Every policy evaluated is proper on `unknown`, so each evaluation is one
-    exact linear solve.  For max the first policy moves every state closer
-    to a value-1 state; for min every policy is proper once the states that
-    can avoid the goal surely are known.  A row is switched on any gain
-    over the state's current row, however small: around a cycle whose exits
-    are 1e-12 a one-step gain of 4e-13 can be worth 0.2 in value.  For max,
-    switches that would keep a state inside `unknown` for ever are undone,
-    and no policy is evaluated twice, so the loop ends.
+    exact linear solve.  For max the first policy moves every unknown state
+    closer to a value-1 state; for min every policy is proper once the
+    states that can avoid the goal surely are known.  A row is switched on
+    any gain over the state's current row, however small: around a cycle
+    whose exits are 1e-12 a one-step gain of 4e-13 can be worth 0.2 in
+    value.  For max, switches that would keep a state inside `unknown` for
+    ever are undone, and no policy is evaluated twice, so the loop ends.
     """
     states = np.flatnonzero(unknown)
     row_of = np.repeat(np.arange(len(cm.labels)), np.diff(cm.indptr))
@@ -466,7 +463,6 @@ def _policy_iteration(cm: _ChoiceMatrix, known, unknown, mode):
     movable = exits > 0.0
     exits[~movable] = 1.0
     maximise = mode == "max"
-    policy = cm.first[:-1].copy()
     if maximise:
         _attract(cm, known == 1.0, unknown[cm.state], policy)
     x = known.copy()
@@ -496,82 +492,17 @@ def _policy_iteration(cm: _ChoiceMatrix, known, unknown, mode):
         policy = nxt
 
 
-def _min_witness(cm: _ChoiceMatrix, q, prob0, tol):
-    """Per state, the first row within `tol` of the best row seen before
-    it; a state that can avoid the goal surely keeps to rows that do."""
-    first = cm.first.tolist()
-    stays = (cm.all_succ(prob0) | ~prob0[cm.state]).tolist()
-    witness = []
-    for s in range(len(first) - 1):
-        best = None
-        for r in range(first[s], first[s + 1]):
-            if stays[r] and (best is None or q[r] < q[best] - tol):
-                best = r
-        witness.append(best)
-    return witness
-
-
-def _max_witness(cm: _ChoiceMatrix, x, goal, prob1, tol):
-    """Per state, a row within `tol` of the state's value that moves towards
-    a settled state: a positive-value state needs this progress-aware
-    tie-break, as a value-preserving self-loop satisfies the fixed point
-    but never reaches the goal.  A state that reaches the goal almost
-    surely keeps to rows that do."""
-    first = cm.first.tolist()
-    ok = (cm.expect(x) >= x[cm.state] - tol)
-    ok &= cm.all_succ(prob1) | ~prob1[cm.state]
-    ok = ok.tolist()
-    succ = cm.indices.tolist()
-    ptr = cm.indptr.tolist()
-    xs = x.tolist()
-    n = len(xs)
-    settled = [s in goal or xs[s] <= tol for s in range(n)]
-    witness = [first[s] for s in range(n)]
-    pending = [s for s in range(n) if not settled[s]]
-    while pending:
-        waiting = []
-        for s in pending:
-            for r in range(first[s], first[s + 1]):
-                if ok[r] and any(settled[t] and t != s
-                                 for t in succ[ptr[r]:ptr[r + 1]]):
-                    witness[s] = r
-                    settled[s] = True
-                    break
-            else:
-                waiting.append(s)
-        if len(waiting) == len(pending):
-            break  # the rest is unreachable under any optimal play
-        pending = waiting
-    return witness
-
-
-def _attains(cm: _ChoiceMatrix, witness, policy, x, unknown, tol):
-    """Whether the scheduler `witness` attains `x` within `tol` on the
-    unknown states, given that it does on the others."""
-    states = np.flatnonzero(unknown)
-    rows = witness[states]
-    if np.array_equal(rows, policy[states]):
-        return True
-    chosen = np.zeros(len(cm.labels), dtype=bool)
-    chosen[rows] = True
-    if not _attract(cm, ~unknown, chosen)[states].all():
-        return False  # some unknown state never leaves the unknown states
-    values = _evaluate(cm, rows, states, np.where(unknown, 0.0, x))
-    return bool(np.max(np.abs(values - x[states])) <= tol)
-
-
-def mdp_extremal(mdp: Mdp, goal, mode: str, tol: float = 1e-9):
-    """Optimal reachability probability at the initial state plus a witness.
+def mdp_extremal(mdp: Mdp, goal, mode: str):
+    """Optimal reachability probability at the initial state plus a
+    memoryless scheduler that attains the optimal value from every state.
 
     The MDP is compiled once into a row-grouped choice matrix.  Qualitative
-    prob-0/prob-1 sets are graph fixpoints on it; policy iteration computes
-    the remaining values exactly, one linear solve per policy.  The witness
-    scheduler takes, for min, the first action within `tol` of the best
-    seen so far and, for max, an action within `tol` of the value with a
-    progress-aware tie-break.  If its induced chain does not attain the
-    values within `tol` -- with probabilities far below `tol` a near-optimal
-    action can be far from optimal -- the optimal policy that policy
-    iteration found is the witness instead.
+    prob-0/prob-1 sets are graph fixpoints on it, and their states get their
+    rows on the way: for max a prob-1 state takes a row that stays in prob-1
+    and moves towards the goal, for min a prob-0 state its first row that
+    stays in prob-0.  Policy iteration computes the remaining values
+    exactly, one linear solve per policy, and its optimal policy is the
+    scheduler there.
     """
     goal = frozenset(goal)
     for g in goal:
@@ -582,26 +513,22 @@ def mdp_extremal(mdp: Mdp, goal, mode: str, tol: float = 1e-9):
     cm = mdp._matrix
     is_goal = np.zeros(mdp.n_states, dtype=bool)
     is_goal[list(goal)] = True
+    policy = cm.first[:-1].copy()
     if mode == "max":
         reach = _attract(cm, is_goal, True)
         prob0 = ~reach
         prob1 = _prob1e(cm, is_goal, reach)
+        _attract(cm, is_goal, cm.all_succ(prob1), policy)
     else:
         prob0 = _prob0e(cm, is_goal)
         prob1 = ~_attract(cm, prob0, ~is_goal[cm.state])
+        policy[prob0] = cm.first_row(cm.all_succ(prob0))[prob0]
     x = prob1.astype(float)
     unknown = ~(prob0 | prob1)
     if unknown.any():
-        x, policy = _policy_iteration(cm, x, unknown, mode)
-    if mode == "min":
-        witness = _min_witness(cm, cm.expect(x).tolist(), prob0, tol)
-    else:
-        witness = _max_witness(cm, x, goal, prob1, tol)
-    witness = np.array(witness, dtype=np.intp)
-    if unknown.any() and not _attains(cm, witness, policy, x, unknown, tol):
-        witness[unknown] = policy[unknown]
+        x, policy = _policy_iteration(cm, x, unknown, mode, policy)
     labels = cm.labels
-    choice = {s: labels[r] for s, r in enumerate(witness.tolist())}
+    choice = {s: labels[r] for s, r in enumerate(policy.tolist())}
     return float(x[mdp.init]), MemorylessScheduler(choice)
 
 

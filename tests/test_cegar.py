@@ -67,11 +67,24 @@ def test_engines_agree_on_sensors_sketch(sensors_family):
                     assert out.value == pytest.approx(expect.value, abs=1e-6)
 
 
-def test_initial_subfamily_rejects_empty_domain(example_family):
+def test_engines_agree_on_an_empty_domain(example_family):
+    # single-hole constraints that rule out every option of k3 leave no member
     fam = constrained(example_family,
                       [Not(Atom("k3", "2")), Not(Atom("k3", "4"))])
-    with pytest.raises(EngineError):
-        initial_subfamily(fam)
+    assert initial_subfamily(fam).remaining == (("2", "3"), ())
+    spec = Specification(GOAL4, ">=", 0.1)
+    for q in (SynthesisQuery("partition", spec=spec),
+              SynthesisQuery("feasible", spec=spec),
+              SynthesisQuery("max", goal=GOAL4),
+              SynthesisQuery("max", goal=GOAL4, budget=5,
+                             cost_model="optionsum")):
+        for solve in (enum_solve, cegar_solve, cegis_solve):
+            out = solve(fam, q)
+            if q.kind == "partition":
+                assert (out.kind, out.T, out.F) == ("partition", [], []), \
+                    solve.__name__
+            else:
+                assert out.kind == "unsat", (solve.__name__, q)
 
 
 def four_option_family():

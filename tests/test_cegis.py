@@ -99,7 +99,7 @@ def test_refuted_options_tried_last(example_family):
 def test_refuting_critical_set(example_family):
     spec = Specification(GOAL2, "<=", 0.4)
     mc = realise(example_family, Realisation(R1))
-    critical = extract_counterexample(mc, spec, "refute")
+    critical = extract_counterexample(mc, spec)
     assert critical == frozenset([0])
     assert conflict_holes(example_family, critical) == {"k2"}
 
@@ -115,19 +115,18 @@ def test_refute_scope_covers_r2(example_family):
 def test_establishing_critical_set(example_family):
     spec = Specification(GOAL2, ">=", 0.4)
     mc = realise(example_family, Realisation(R1))
-    critical = extract_counterexample(mc, spec, "establish")
+    critical = extract_counterexample(mc, spec)
     # the one-step fragment already guarantees probability 0.5 >= 0.4
     assert critical == frozenset([0])
 
 
 def test_extraction_mode_preconditions(example_family):
+    # the operator fixes the mode: refute an upper bound, establish a lower
     mc = realise(example_family, Realisation(R1))
-    with pytest.raises(EngineError):  # refute needs an upper-bound spec
-        extract_counterexample(mc, Specification(GOAL2, ">=", 0.4), "refute")
-    with pytest.raises(EngineError):  # candidate actually satisfies it
-        extract_counterexample(mc, Specification(GOAL2, "<=", 1.0), "refute")
-    with pytest.raises(EngineError):
-        extract_counterexample(mc, Specification(GOAL2, "<=", 0.4), "bogus")
+    with pytest.raises(EngineError):  # candidate satisfies the upper bound
+        extract_counterexample(mc, Specification(GOAL2, "<=", 1.0))
+    with pytest.raises(EngineError):  # candidate violates the lower bound
+        extract_counterexample(mc, Specification(GOAL4, ">=", 0.4))
 
 
 def test_scope_members_share_verdict_random():
@@ -145,7 +144,7 @@ def test_scope_members_share_verdict_random():
             sat, _ = check(mc, spec)
             if sat:
                 continue
-            critical = extract_counterexample(mc, spec, "refute")
+            critical = extract_counterexample(mc, spec)
             scope = _option_scope(fam, critical, r)
             for other in enumerate_realisations(fam):
                 if scope_matches(scope, other):

@@ -169,3 +169,27 @@ def test_refused_query_flags_exit_2(capsys, argv):
     code, out, err = run(capsys, "synth", *argv, "--input", toy_path())
     assert code == 2 and not out
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("engine", ["enum", "cegar", "cegis"])
+@pytest.mark.parametrize("constraint", [
+    "(foo h a)",  # unknown operator
+    "(",  # truncated
+    "(= zz a)",  # undeclared hole
+    "(= h zz)",  # undeclared option
+])
+def test_bad_constraint_in_json_family_is_error(capsys, tmp_path, engine,
+                                                constraint):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({
+        "states": 2, "init": 0,
+        "holes": [{"name": "h", "options": ["a", "b"]}],
+        "transitions": [
+            {"from": 0, "branches": [
+                {"p": 1.0, "hole": "h", "table": {"a": 0, "b": 1}}]},
+            {"from": 1, "branches": [{"p": 1.0, "fixed": 1}]}],
+        "constraints": [constraint]}))
+    code, out, err = run(capsys, "synth", "partition", "--input", str(path),
+                         "--spec", "P>=0.5 [F s=1]", "--engine", engine)
+    assert code == 2 and not out
+    assert err.startswith("error: ")

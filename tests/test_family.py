@@ -73,6 +73,13 @@ def test_family_validation():
         Family(1, 0, (), (((1.0, HoleRef(("h",), {("a",): 0})),),))
     with pytest.raises(FamilyError):
         Family(1, 0, (), (((1.0, Fixed(0)),),), cost_model="bogus")
+    hole = (Hole("h", ("a", "b")),)
+    with pytest.raises(FamilyError):  # constraint names an unknown hole
+        Family(1, 0, hole, (((1.0, Fixed(0)),),),
+               constraints=(Atom("zz", "a"),))
+    with pytest.raises(FamilyError):  # constraint names an unknown option
+        Family(1, 0, hole, (((1.0, Fixed(0)),),),
+               constraints=(Not(Atom("h", "zz")),))
 
 
 def test_structural_costs(example_family):

@@ -195,10 +195,12 @@ def test_schedulers_attain_extremal_values():
                             ("b", Distribution.from_pairs(entries))))
         mdp = Mdp(base.n_states, 0, tuple(actions))
         goal = random_goal(rng, base.n_states)
+        optima = brute_force(mdp, goal)
         for mode in ("max", "min"):
             value, sched = mdp_extremal(mdp, goal, mode)
-            attained = reach_probability(induced_chain(mdp, sched), goal)[0]
-            assert attained == pytest.approx(value, abs=1e-7)
+            assert value == pytest.approx(optima[mode][0], abs=1e-7)
+            attained = reach_probability(induced_chain(mdp, sched), goal)
+            assert attained == pytest.approx(optima[mode], abs=1e-7)
 
 
 def test_mdp_compiles_its_choice_matrix_once(monkeypatch, example_family):
@@ -327,24 +329,27 @@ def small_mdps(draw):
     return Mdp(n, 0, tuple(actions)), goal
 
 
-def brute_force(mdp, goal, mode):
-    """Optimum over every memoryless deterministic scheduler."""
+def brute_force(mdp, goal):
+    """Per mode, the optimum over every memoryless deterministic scheduler
+    from every state: an optimal memoryless scheduler is optimal from all
+    states at once, so this is the elementwise max or min."""
     values = []
     for pick in itertools.product(*(range(len(a)) for a in mdp.actions)):
         chain = MarkovChain(mdp.n_states, mdp.init, tuple(
             acts[i][1] for acts, i in zip(mdp.actions, pick)))
-        values.append(reach_probability(chain, goal)[mdp.init])
-    return max(values) if mode == "max" else min(values)
+        values.append(reach_probability(chain, goal))
+    return {"max": np.max(values, axis=0), "min": np.min(values, axis=0)}
 
 
 @settings(max_examples=300)
 @given(small_mdps(), st.sampled_from(("min", "max")))
 def test_mdp_extremal_matches_brute_force(case, mode):
     mdp, goal = case
+    optimum = brute_force(mdp, goal)[mode]
     value, sched = mdp_extremal(mdp, goal, mode)
-    assert value == pytest.approx(brute_force(mdp, goal, mode), abs=1e-6)
-    attained = reach_probability(induced_chain(mdp, sched), goal)[mdp.init]
-    assert attained == pytest.approx(value, abs=1e-6)
+    assert value == pytest.approx(optimum[mdp.init], abs=1e-6)
+    attained = reach_probability(induced_chain(mdp, sched), goal)
+    assert attained == pytest.approx(optimum, abs=1e-6)
 
 
 def test_sparse_solve_on_a_long_walk():

@@ -4,6 +4,9 @@ the hole an inconsistent optimising scheduler disagrees on."""
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from ..family import (ConsistencyVerdict, Family, Realisation, Subfamily,
                       enumerate_realisations, quotient_mdp,
                       scheduler_consistency)
@@ -51,17 +54,47 @@ def split(sub: Subfamily, verdict: ConsistencyVerdict, fam: Family):
 
 def _split_off(sub: Subfamily, r: Realisation, fam: Family):
     """Partition `sub`, which holds two members or more, around the
-    realisation r: pin the lowest hole with >= 2 remaining options to r's
-    choice vs the rest."""
+    realisation r: halve the lowest hole with >= 2 remaining options, each
+    half in declaration order, the half holding r's choice first."""
     idx = next(i for i, opts in enumerate(sub.remaining) if len(opts) >= 2)
-    pick = r[fam.holes[idx].name]
-    rest = tuple(o for o in sub.remaining[idx] if o != pick)
-    return sub.replace(idx, (pick,)), sub.replace(idx, rest)
+    opts = sub.remaining[idx]
+    lower, upper = opts[:len(opts) // 2], opts[len(opts) // 2:]
+    if r[fam.holes[idx].name] in upper:
+        lower, upper = upper, lower
+    return sub.replace(idx, lower), sub.replace(idx, upper)
+
+
+def _linked(fam):
+    """The holes that multi-hole constraints read, in declaration order,
+    and those constraints: single-hole ones are folded into the box."""
+    constraints = [c for c in fam.constraints
+                   if len({a.hole for a in c.atoms()}) > 1]
+    names = {a.hole for c in constraints for a in c.atoms()}
+    return [i for i, h in enumerate(fam.holes) if h.name in names], constraints
+
+
+def _count(fam, sub, excluded, linked):
+    """Members of `sub` outside `excluded`: the product of the option counts
+    of the holes no multi-hole constraint reads, times the combinations of
+    the other holes that satisfy those constraints.  `excluded` holds
+    members only."""
+    idxs, constraints = linked
+    n = math.prod(len(opts) for i, opts in enumerate(sub.remaining)
+                  if i not in idxs)
+    if idxs and n:
+        names = [fam.holes[i].name for i in idxs]
+        n *= sum(all(c.eval(dict(zip(names, combo))) for c in constraints)
+                 for combo in itertools.product(
+                     *(sub.remaining[i] for i in idxs)))
+    return n - sum(all(o in opts for o, opts in zip(key, sub.remaining))
+                   for key in excluded)
 
 
 def _members(fam, sub, excluded):
-    return [r for r in enumerate_realisations(fam, sub)
-            if r.key(fam) not in excluded]
+    """The members of `sub` outside `excluded`, listed lazily."""
+    for r in enumerate_realisations(fam, sub):
+        if r.key(fam) not in excluded:
+            yield r
 
 
 def _min_possible_cost(fam, sub, q):
@@ -88,31 +121,34 @@ def _lex_sorted(fam, realisations):
 
 
 def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
-    """One refinement loop for every query kind: take the oldest subfamily,
-    check a lone member directly, else check the quotient and let the query
-    kind classify the subfamily from its bounds.  Failing that, split along
-    the scheduler that attains them: around its realisation (checked once)
-    when it chooses every hole consistently, else along the hole it
+    """One refinement loop for every query kind: take the oldest subfamily
+    and count its members, check a lone member directly, else check the
+    quotient and let the query kind classify the subfamily from its bounds,
+    listing members only where the verdict emits them.  Failing that, split
+    along the scheduler that attains them: around its realisation (checked
+    once) when it chooses every hole consistently, else along the hole it
     disagrees on most.  Worklist entries carry the members already checked
     and the parent quotient's bound."""
     stats = Stats()
     search = (_Threshold if q.spec is not None else _Optimum)(fam, q, stats)
+    linked = _linked(fam)
     worklist = [(initial_subfamily(fam), frozenset(), None)]
     try:
         while worklist and not search.finished(worklist):
             sub, excluded, inherited = worklist.pop(0)
             if search.prunes(sub, inherited):
                 continue
-            members = _members(fam, sub, excluded)
-            if not members:
+            size = _count(fam, sub, excluded, linked)
+            if not size:
                 continue
             stats.iterations += 1
-            if len(members) == 1:
-                search.single(members[0])
+            members = _members(fam, sub, excluded)
+            if size == 1:
+                search.single(next(members))
                 continue
             mdp, meta = quotient_mdp(fam, sub)
             stats.checks += 1
-            record = {"size": len(members)}
+            record = {"size": size}
             stats.trace.append(record)
             sched, bound = search.bounds(mdp, members, record)
             if sched is None:
@@ -212,7 +248,8 @@ class _Threshold(_Search):
                     break
             return None, None
         if not compare(best, spec.op, spec.threshold, tol):
-            self.F.extend(members)
+            if self.q.kind == "partition":  # feasible has no use for F
+                self.F.extend(members)
             record["verdict"] = "all-violate"
             return None, None
         return sched, None

@@ -262,19 +262,26 @@ def _system(indptr, indices, data, rows, states, known):
 def _linear_solve(rows, cols, vals, exits, b):
     """Solve (I - P) x = b exactly.  The diagonal of I - P is each state's
     exit mass, not 1 - P(s,s): with a self-loop of 1 - 2e-12 the subtraction
-    would lose five digits of a 2e-12 exit."""
+    would lose five digits of a 2e-12 exit.  Exits too small to register
+    leave I - P singular in floating point; that raises ModelError."""
     n = len(b)
     off = rows != cols
     if n <= DENSE_SOLVE_LIMIT:
         A = np.zeros((n, n))
         A[rows[off], cols[off]] = -vals[off]
         A[np.arange(n), np.arange(n)] = exits
-        return np.linalg.solve(A, b)
+        try:
+            return np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise ModelError("linear solve failed: %s" % exc)
     diag = np.arange(n)
     A = sp.csr_matrix((np.concatenate([-vals[off], exits]),
                        (np.concatenate([rows[off], diag]),
                         np.concatenate([cols[off], diag]))), shape=(n, n))
-    return spla.spsolve(A, b)
+    x = spla.spsolve(A, b)  # nan where A is singular
+    if not np.all(np.isfinite(x)):
+        raise ModelError("linear solve failed: singular matrix")
+    return x
 
 
 def _interval_iteration(rows, cols, vals, b):

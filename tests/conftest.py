@@ -60,6 +60,22 @@ def cycle_exit_family(stop_goal):
          ((1.0, Fixed(3)),)))
 
 
+def singular_cycle_family():
+    """Five states, two members.  State 0 moves to 1 and leaves to the goal
+    3 and the sink 4 with 3e-24 each, too little to register next to 1.0.
+    State 1 moves to 2, which returns to 0 under "a" and enters the goal
+    under "b".  Under "a" the cycle's linear system is singular in floating
+    point; "b" reaches the goal with probability 1.0 to double precision."""
+    eps = 3e-24
+    return Family(
+        5, 0, (Hole("h", ("a", "b")),),
+        (((1.0, Fixed(1)), (eps, Fixed(3)), (eps, Fixed(4))),
+         ((1.0, Fixed(2)),),
+         ((1.0, HoleRef.single("h", {"a": 0, "b": 3})),),
+         ((1.0, Fixed(3)),),
+         ((1.0, Fixed(4)),)))
+
+
 @pytest.fixture(scope="session")
 def example_family():
     """The running-example family built directly, bypassing the sketch

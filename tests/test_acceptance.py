@@ -10,6 +10,7 @@ import pytest
 
 from chainsynth import ENGINES
 from chainsynth.engines.base import SynthesisQuery
+from chainsynth.engines.cegar import cegar_solve
 from chainsynth.engines.cegis import cegis_solve
 from chainsynth.family import Realisation, cost, enumerate_realisations, realise
 from chainsynth.model import (Specification, check, prob01_states,
@@ -195,3 +196,19 @@ def test_criterion_10_numerics(toy_family):
             prob0, _ = prob01_states(mc, GOAL4)
             assert 0 in prob0
             assert reach_probability(mc, GOAL4)[0] == 0.0
+
+
+def test_criterion_11_cegar_bench_scale():
+    with criterion(11, "CEGAR classifies a 10^4-realisation family in "
+                       "subfamilies, with fewer than 40 checks"):
+        bench, spec = bench_family()
+        out = cegar_solve(bench, SynthesisQuery("partition", spec=spec))
+        assert len(out.T) == 175  # the admissible route, every mid and tail
+        assert out.stats.checks < 40
+        out = cegar_solve(bench, SynthesisQuery("feasible", spec=spec))
+        assert out.kind == "witness"
+        assert out.stats.checks < 40
+        fam, spec = pruning_family(128)
+        out = cegar_solve(fam, SynthesisQuery("partition", spec=spec))
+        assert len(out.T) == 1
+        assert out.stats.checks <= 32

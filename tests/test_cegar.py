@@ -2,18 +2,21 @@ import random
 
 import pytest
 
-from chainsynth.constraints import Atom, Implies, Not
+from chainsynth.constraints import And, Atom, Implies, Not
 from chainsynth.engines.base import EngineError, SynthesisQuery
 from chainsynth import sketch
-from chainsynth.engines.cegar import cegar_solve, initial_subfamily, split
+from chainsynth.engines.cegar import (_count, _linked, _split_off,
+                                      cegar_solve, initial_subfamily, split)
 from chainsynth.engines.cegis import cegis_solve
 from chainsynth.engines.enumeration import enum_solve
 from chainsynth.family import (ConsistencyVerdict, Family, Fixed, Hole,
-                               HoleRef, Realisation, Subfamily, realise)
+                               HoleRef, Realisation, Subfamily,
+                               enumerate_realisations, realise)
 from chainsynth.model import Specification, check
-from chainsynth.randfam import random_family, random_goal
+from chainsynth.randfam import pruning_family, random_family, random_goal
 
 from conftest import R1, R2, R3, R4, cycle_exit_family, tiny_exit_family
+from test_family import two_hole_family
 
 GOAL4 = frozenset([4])
 
@@ -110,6 +113,52 @@ def test_split_two_option_hole(example_family):
                          example_family)
     assert pinned.remaining == (("2", "3"), ("2",))
     assert rest.remaining == (("2", "3"), ("4",))
+
+
+def test_split_off_halves_the_first_open_hole():
+    fam, _ = pruning_family(8)
+    full = Subfamily.full(fam)
+    low, high = ("c0", "c1", "c2", "c3"), ("c4", "c5", "c6", "c7")
+    first, second = _split_off(full, Realisation({"route": "c3"}), fam)
+    assert (first.remaining, second.remaining) == ((low,), (high,))
+    first, second = _split_off(full, Realisation({"route": "c6"}), fam)
+    assert (first.remaining, second.remaining) == ((high,), (low,))
+
+
+def random_boxes(rng, fam, n):
+    """`n` random subfamilies inside the one cegar starts from."""
+    start = initial_subfamily(fam).remaining
+    for _ in range(n):
+        yield Subfamily(tuple(tuple(o for o in opts if rng.random() < 0.6)
+                              or opts for opts in start))
+
+
+def assert_count_matches_listing(rng, fam, n_boxes=20):
+    members = [r.key(fam) for r in enumerate_realisations(fam)]
+    for sub in random_boxes(rng, fam, n_boxes):
+        excluded = frozenset(rng.sample(members,
+                                        rng.randint(0, min(3, len(members)))))
+        listed = sum(r.key(fam) not in excluded
+                     for r in enumerate_realisations(fam, sub))
+        assert _count(fam, sub, excluded, _linked(fam)) == listed, sub
+
+
+def test_count_matches_listing_with_multi_hole_constraints(sensors_family):
+    rng = random.Random(11)
+    assert_count_matches_listing(rng, sensors_family, 40)
+    fam = two_hole_family()
+    assert_count_matches_listing(rng, fam)
+    fam = constrained(fam, fam.constraints + (
+        Not(And((Atom("a", "x"), Atom("b", "u")))),))
+    assert _count(fam, initial_subfamily(fam), frozenset(), _linked(fam)) == 2
+    assert_count_matches_listing(rng, fam)
+
+
+def test_count_matches_listing_on_random_families():
+    rng = random.Random(31)
+    for _ in range(30):
+        assert_count_matches_listing(rng, random_family(
+            rng, max_states=8, max_realisations=64))
 
 
 def test_split_requires_inconsistent(example_family):

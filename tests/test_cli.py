@@ -4,7 +4,7 @@ import pytest
 
 from chainsynth.cli import main
 
-from conftest import toy_path
+from conftest import singular_cycle_family, toy_path
 
 
 def run(capsys, *argv):
@@ -191,5 +191,16 @@ def test_bad_constraint_in_json_family_is_error(capsys, tmp_path, engine,
         "constraints": [constraint]}))
     code, out, err = run(capsys, "synth", "partition", "--input", str(path),
                          "--spec", "P>=0.5 [F s=1]", "--engine", engine)
+    assert code == 2 and not out
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("engine", ["enum", "cegis"])
+def test_singular_solve_exits_2(capsys, tmp_path, engine):
+    from chainsynth import jsonio
+    path = tmp_path / "fam.json"
+    path.write_text(jsonio.dumps(singular_cycle_family()))
+    code, out, err = run(capsys, "synth", "max", "--input", str(path),
+                         "--goal", "s=3", "--engine", engine)
     assert code == 2 and not out
     assert err.startswith("error: ")

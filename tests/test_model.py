@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainsynth import model
+from chainsynth import ENGINES, model
+from chainsynth.engines.base import SynthesisQuery
 from chainsynth.family import Realisation, quotient_mdp, realise
 from chainsynth.model import (COMPARISON_TOL, Distribution, MarkovChain, Mdp,
                               MemorylessScheduler, ModelError, Specification,
@@ -13,7 +14,7 @@ from chainsynth.model import (COMPARISON_TOL, Distribution, MarkovChain, Mdp,
                               prob01_states, reach_probability, sub_mc)
 from chainsynth.randfam import random_chain, random_critical, random_goal
 
-from conftest import R1, R2, R3, R4, tiny_exit_family
+from conftest import R1, R2, R3, R4, singular_cycle_family, tiny_exit_family
 
 
 def chain_of(fam, assignment):
@@ -373,3 +374,23 @@ def test_sparse_solve_on_a_long_walk():
     value, sched = mdp_extremal(mdp, frozenset([n - 1]), "max")
     assert value == pytest.approx(walk_value[n // 2], abs=1e-9)
     assert all(sched[i] == 1 for i in range(1, n - 1))
+
+
+@pytest.mark.parametrize("dense_limit", [model.DENSE_SOLVE_LIMIT, 0])
+def test_singular_solve_is_model_error(monkeypatch, dense_limit):
+    # both solve paths, dense and sparse, on the member whose cycle has
+    # exits too small to register
+    monkeypatch.setattr(model, "DENSE_SOLVE_LIMIT", dense_limit)
+    mc = chain_of(singular_cycle_family(), {"h": "a"})
+    with pytest.raises(ModelError):
+        reach_probability(mc, frozenset([3]))
+
+
+def test_engines_refuse_or_answer_a_singular_member():
+    fam = singular_cycle_family()
+    for name, solve in ENGINES.items():
+        try:
+            out = solve(fam, SynthesisQuery("max", goal=frozenset([3])))
+        except ModelError:
+            continue
+        assert out.value == 1.0, name

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..family import Family, Realisation, enumerate_realisations, realise
 from ..model import (MarkovChain, Specification, check, compare,
-                     reach_probability, sub_mc)
+                     first_passage, reach_probability, sub_mc)
 from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
                    witness_outcome, within_budget)
 from .enumeration import Evaluator
@@ -27,12 +27,16 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
     """Greedy critical-set construction.
 
     Reachable non-goal states are ranked once by the contribution score
-    Pr(init reaches s) * Pr(s reaches goal); starting from {init}, states are
-    added in descending score until the sub-MC alone decides the property.
-    The operator fixes what that means: an upper-bound spec (<=, <) must be
-    violated and is refuted once the sub-value violates it; a lower-bound
-    spec (>=, >) must be satisfied and is established once the sub-value
-    clears it.
+    Pr(init reaches s) * Pr(s reaches goal), the first factor of every state
+    coming from one factorisation (`first_passage`).  The critical set is
+    {init} plus the shortest prefix of that ranking whose sub-MC alone
+    decides the property.  The operator fixes what that means: an
+    upper-bound spec (<=, <) must be violated and is refuted once the
+    sub-value violates it; a lower-bound spec (>=, >) must be satisfied and
+    is established once the sub-value clears it.  A sub-MC's value only
+    grows with its critical set, so whether a prefix decides is monotone in
+    its length, and bisection finds the shortest one with at most
+    ceil(log2(m + 2)) sub-MC checks for m ranked states.
     """
     to_goal = reach_probability(mc, spec.goal)
     verdict = compare(float(to_goal[mc.init]), spec.op, spec.threshold, tol)
@@ -42,23 +46,34 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
                           if want else
                           "refutation requires a violated upper-bound spec")
 
-    reachable = sorted(mc.reachable())
-    scores = {}
-    for s in reachable:
-        if s == mc.init or s in spec.goal:
-            continue
-        from_init = float(reach_probability(mc, frozenset([s]))[mc.init])
-        scores[s] = from_init * float(to_goal[s])
-    order = sorted(scores, key=lambda s: (-scores[s], s))
+    from_init = first_passage(mc)
+    scores = {s: float(from_init[s]) * float(to_goal[s])
+              for s in mc.reachable() if s != mc.init and s not in spec.goal}
+    # equal scores come out of the factorisation equal only up to rounding:
+    # a score within a relative 1e-12 of the first of its run ties with it,
+    # and ties are broken by index
+    tied, lead = {}, None
+    for s in sorted(scores, key=scores.get, reverse=True):
+        if lead is None or scores[lead] - scores[s] > 1e-12 * scores[lead]:
+            lead = s
+        tied[s] = scores[lead]
+    order = sorted(scores, key=lambda s: (-tied[s], s))
 
-    critical = {mc.init}
-    for nxt in [None] + order:
-        if nxt is not None:
-            critical.add(nxt)
-        sub_verdict, _ = check(sub_mc(mc, critical), spec, tol)
-        if sub_verdict == want:
-            return frozenset(critical)
-    raise AssertionError("full reachable set must decide the property")
+    def decides(k):
+        critical = [mc.init, *order[:k]]
+        return check(sub_mc(mc, critical), spec, tol)[0] == want
+
+    lo, hi = 0, len(order) + 1  # every prefix shorter than lo fails
+    while lo < hi:  # hi decides, or is past the full reachable set
+        mid = (lo + hi) // 2
+        if decides(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    if hi > len(order):
+        raise EngineError("the full reachable set does not decide the "
+                          "property")
+    return frozenset([mc.init, *order[:hi]])
 
 
 def _option_scope(fam: Family, critical, r: Realisation) -> dict:
@@ -268,8 +283,8 @@ def _threshold(fam, q, members, spec, stop_at_witness, tol):
                     sat = verdict
                     break
             if sat is None:
-                raise AssertionError("exhausted space left %r unclassified"
-                                     % r.as_dict())
+                raise EngineError("exhausted space left %r unclassified"
+                                  % r.as_dict())
         (T if sat and within_budget(fam, q, r) else F).append(r)
     return SynthesisOutcome("partition", T=T, F=F, stats=stats)
 

@@ -7,7 +7,7 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from typing import Iterable, Mapping
 
@@ -19,7 +19,8 @@ PROB_SUM_TOL = 1e-9
 COMPARISON_TOL = 1e-6  # default tolerance for threshold comparisons
 VI_CONVERGENCE = 1e-10  # certified gap at which interval iteration stops
 VI_MAX_SWEEPS = 10 ** 6
-DENSE_SOLVE_LIMIT = 600  # unknowns up to which a dense solve beats spsolve
+DENSE_SOLVE_LIMIT = 128  # unknowns up to which dense beats sparse algebra
+GREEN_BLOCK = 1 << 22  # entries of a Green's function (I - Q)^-1 held at once
 
 OPS = ("<", "<=", ">=", ">")
 
@@ -259,29 +260,60 @@ def _system(indptr, indices, data, rows, states, known):
     return src[inner], col[inner], p[inner], exits, b
 
 
-def _linear_solve(rows, cols, vals, exits, b):
-    """Solve (I - P) x = b exactly.  The diagonal of I - P is each state's
-    exit mass, not 1 - P(s,s): with a self-loop of 1 - 2e-12 the subtraction
-    would lose five digits of a 2e-12 exit.  Exits too small to register
-    leave I - P singular in floating point; that raises ModelError."""
-    n = len(b)
+def _identity_minus(rows, cols, vals, exits):
+    """I - P, dense up to DENSE_SOLVE_LIMIT unknowns and CSR above.  Its
+    diagonal is each state's exit mass, not 1 - P(s,s): with a self-loop of
+    1 - 2e-12 the subtraction would lose five digits of a 2e-12 exit."""
+    n = len(exits)
     off = rows != cols
     if n <= DENSE_SOLVE_LIMIT:
         A = np.zeros((n, n))
         A[rows[off], cols[off]] = -vals[off]
         A[np.arange(n), np.arange(n)] = exits
+        return A
+    diag = np.arange(n)
+    return sp.csr_matrix((np.concatenate([-vals[off], exits]),
+                          (np.concatenate([rows[off], diag]),
+                           np.concatenate([cols[off], diag]))), shape=(n, n))
+
+
+def _linear_solve(rows, cols, vals, exits, b):
+    """Solve (I - P) x = b exactly.  Exits too small to register leave
+    I - P singular in floating point; that raises ModelError."""
+    A = _identity_minus(rows, cols, vals, exits)
+    if isinstance(A, np.ndarray):
         try:
             return np.linalg.solve(A, b)
         except np.linalg.LinAlgError as exc:
             raise ModelError("linear solve failed: %s" % exc)
-    diag = np.arange(n)
-    A = sp.csr_matrix((np.concatenate([-vals[off], exits]),
-                       (np.concatenate([rows[off], diag]),
-                        np.concatenate([cols[off], diag]))), shape=(n, n))
     x = spla.spsolve(A, b)  # nan where A is singular
     if not np.all(np.isfinite(x)):
         raise ModelError("linear solve failed: singular matrix")
     return x
+
+
+def _green(rows, cols, vals, exits, i):
+    """Row i and the diagonal of G = (I - P)^-1, the expected visits to each
+    state, from one factorisation of I - P (dense LU, or sparse above
+    DENSE_SOLVE_LIMIT) solved for GREEN_BLOCK entries of G at a time."""
+    A = _identity_minus(rows, cols, vals, exits)
+    n = len(exits)
+    row, diag = np.empty(n), np.empty(n)
+    step = max(1, GREEN_BLOCK // n)
+    try:
+        solve = (partial(np.linalg.solve, A) if isinstance(A, np.ndarray)
+                 else spla.splu(A.tocsc()).solve)
+        for lo in range(0, n, step):
+            block = np.arange(lo, min(n, lo + step))
+            unit = np.zeros((n, len(block)))
+            unit[block, block - lo] = 1.0
+            G = solve(unit)  # the columns `block` of G
+            row[block], diag[block] = G[i], G[block, block - lo]
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        raise ModelError("linear solve failed: %s" % exc)
+    if not (np.all(np.isfinite(row)) and np.all(np.isfinite(diag))):
+        raise ModelError("linear solve failed: singular matrix")
+    return row, diag
 
 
 def _interval_iteration(rows, cols, vals, b):
@@ -328,6 +360,73 @@ def reach_probability(mc: MarkovChain, goal, method: str = "auto") -> np.ndarray
         raise ModelError("unknown method %r" % method)
     x[unknown] = np.clip(sol, 0.0, 1.0)
     return x
+
+
+def _bottom_sccs(mc: MarkovChain):
+    """The states reachable from the initial state, split into transient
+    ones and bottom SCCs: Tarjan's algorithm without recursion, an SCC being
+    bottom when no transition leaves it."""
+    index = {mc.init: 0}
+    low = {mc.init: 0}
+    stack = [mc.init]
+    work = [(mc.init, iter(mc.successors(mc.init)))]
+    transient, bottoms = [], []
+    while work:
+        v, succ = work[-1]
+        for w in succ:
+            if w not in index:
+                index[w] = low[w] = len(index)
+                stack.append(w)
+                work.append((w, iter(mc.successors(w))))
+                break
+            if w in low:  # still on the stack
+                low[v] = min(low[v], index[w])
+        else:
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                scc = []
+                while not scc or scc[-1] != v:
+                    scc.append(stack.pop())
+                    del low[scc[-1]]
+                members = set(scc)
+                if all(t in members for s in scc for t in mc.successors(s)):
+                    bottoms.append(scc)
+                else:
+                    transient.extend(scc)
+    return transient, bottoms
+
+
+def first_passage(mc: MarkovChain) -> np.ndarray:
+    """Probability of ever visiting each state from the initial state (1 at
+    the initial state itself, 0 where it cannot reach).
+
+    One factorisation serves every state.  Over the transient states,
+    G = (I - Q)^-1 counts expected visits, so a transient s is visited with
+    probability G(init,s) / G(s,s).  A bottom SCC is visited whole once it
+    is entered, which happens with probability sum_t G(init,t) P(t,SCC).  If
+    the initial state lies in a bottom SCC, it visits that SCC only.
+    """
+    h = np.zeros(mc.n_states)
+    transient, bottoms = _bottom_sccs(mc)
+    for scc in bottoms:
+        if mc.init in scc:
+            h[scc] = 1.0
+            return h
+    indptr, indices, data = _csr_rows([mc.transitions[s] for s in transient])
+    rows, cols, vals, exits, _ = _system(indptr, indices, data,
+                                         np.arange(len(transient)),
+                                         np.array(transient), h)
+    row, diag = _green(rows, cols, vals, exits, transient.index(mc.init))
+    h[transient] = np.clip(row / diag, 0.0, 1.0)
+    # the probability of entering each bottom state: sum_t G(init,t) P(t,b)
+    flow = data * np.repeat(row, np.diff(indptr))
+    entry = np.bincount(indices, weights=flow, minlength=mc.n_states)
+    for scc in bottoms:
+        h[scc] = min(1.0, entry[scc].sum())
+    return h
 
 
 def check(mc: MarkovChain, spec: Specification, tol: float = COMPARISON_TOL):

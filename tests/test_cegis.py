@@ -1,8 +1,12 @@
+import math
 import random
 
 import pytest
 
+from chainsynth import model
+from chainsynth.cli import main
 from chainsynth.constraints import Atom, Implies, Not
+from chainsynth.engines import cegis
 from chainsynth.engines.base import EngineError, SynthesisQuery
 from chainsynth.engines.cegis import (AssignmentSpace, _option_scope,
                                       cegis_solve, conflict_holes,
@@ -11,11 +15,13 @@ from chainsynth.engines.cegis import (AssignmentSpace, _option_scope,
 from chainsynth.engines.enumeration import enum_solve
 from chainsynth.family import (Family, Fixed, Hole, Realisation,
                                enumerate_realisations, realise)
-from chainsynth.model import Specification, check
-from chainsynth.randfam import (bench_family, pruning_family, random_family,
-                                random_goal)
+from chainsynth.model import (Distribution, MarkovChain, Specification, check,
+                              compare, first_passage, reach_probability,
+                              sub_mc)
+from chainsynth.randfam import (bench_family, pruning_family, random_chain,
+                                random_family, random_goal)
 
-from conftest import R1, R2, R3, R4
+from conftest import R1, R2, R3, R4, toy_path
 
 GOAL4 = frozenset([4])
 GOAL2 = frozenset([2])
@@ -234,3 +240,167 @@ def test_agreement_with_oracle_random():
         q = SynthesisQuery("partition", spec=spec)
         assert sorted(r.key(fam) for r in cegis_solve(fam, q).T) == \
             sorted(r.key(fam) for r in enum_solve(fam, q).T)
+
+
+# --- critical sets from one factorisation ----------------------------------
+
+def reference_extract(mc, spec, tol=1e-6):
+    """The critical-set search as it was before the factorisation: one
+    reach_probability per state for the ranking, then one sub-MC check per
+    prefix length until a prefix decides."""
+    to_goal = reach_probability(mc, spec.goal)
+    want = spec.op in (">=", ">")
+    if compare(float(to_goal[mc.init]), spec.op, spec.threshold, tol) != want:
+        raise EngineError("the candidate does not have the wanted verdict")
+    scores = {}
+    for s in sorted(mc.reachable()):
+        if s == mc.init or s in spec.goal:
+            continue
+        from_init = float(reach_probability(mc, frozenset([s]))[mc.init])
+        scores[s] = from_init * float(to_goal[s])
+    order = sorted(scores, key=lambda s: (-scores[s], s))
+    critical = {mc.init}
+    for nxt in [None] + order:
+        if nxt is not None:
+            critical.add(nxt)
+        if check(sub_mc(mc, critical), spec, tol)[0] == want:
+            return frozenset(critical)
+    raise EngineError("the full reachable set does not decide the property")
+
+
+def chain(rows, init=0):
+    return MarkovChain(len(rows), init,
+                       tuple(Distribution.from_pairs(r) for r in rows))
+
+
+def assert_first_passage(mc, abs_tol=1e-9):
+    h = first_passage(mc)
+    reachable = mc.reachable()
+    for s in range(mc.n_states):
+        expect = reach_probability(mc, {s})[mc.init] if s in reachable else 0.0
+        assert h[s] == pytest.approx(expect, abs=abs_tol), s
+
+
+def test_first_passage_matches_reach_probability_random():
+    rng = random.Random(41)
+    for _ in range(250):
+        assert_first_passage(random_chain(rng, max_states=30))
+
+
+def test_first_passage_init_in_bottom_scc():
+    # 0 <-> 1 is closed; 2 and 3 are unreachable
+    mc = chain([[(1, 1.0)], [(0, 0.5), (1, 0.5)], [(3, 1.0)], [(2, 1.0)]])
+    assert first_passage(mc).tolist() == [1.0, 1.0, 0.0, 0.0]
+    assert_first_passage(mc)
+
+
+def test_first_passage_bottom_scc_with_goal_and_non_goal_states():
+    # from 0 the closed cycle 2 -> 3 -> 4 -> 2 is entered with probability
+    # 3/7 and the sink 5 with 4/7; the goal 3 lies on the cycle
+    rows = [[(1, 0.6), (5, 0.4)], [(0, 0.5), (2, 0.5)], [(3, 1.0)],
+            [(4, 1.0)], [(2, 0.9), (3, 0.1)], [(5, 1.0)]]
+    mc = chain(rows)
+    h = first_passage(mc)
+    enter = 3 / 7
+    assert h[2] == h[3] == h[4] == pytest.approx(enter, abs=1e-12)
+    assert_first_passage(mc)
+    for op, threshold in (("<=", 0.2), (">=", 0.3)):
+        spec = Specification(frozenset([3]), op, threshold)
+        assert extract_counterexample(mc, spec) == reference_extract(mc, spec)
+
+
+def test_first_passage_with_exits_of_1e12():
+    eps = 1e-12
+    # 0 loops but for 1e-12 to 1 and 1e-12 to 2; 1 loops but for 1e-12 to 3
+    rows = [[(0, 1 - 2 * eps), (1, eps), (2, eps)],
+            [(1, 1 - eps), (3, eps)], [(2, 1.0)], [(3, 1.0)]]
+    mc = chain(rows)
+    h = first_passage(mc)
+    assert h[1] == pytest.approx(0.5, abs=1e-9)
+    assert h[3] == pytest.approx(0.5, abs=1e-9)
+    assert_first_passage(mc)
+    spec = Specification(frozenset([3]), "<=", 0.25)
+    assert extract_counterexample(mc, spec) == reference_extract(mc, spec)
+    assert extract_counterexample(mc, spec) == frozenset([0, 1])
+
+
+def random_extractions(rng, n_chains):
+    """Per random chain, a violated upper bound and a satisfied lower bound
+    on its value, both well clear of the comparison tolerance."""
+    made = 0
+    while made < n_chains:
+        mc = random_chain(rng, max_states=rng.choice((6, 12, 30)))
+        goal = random_goal(rng, mc.n_states)
+        value = float(reach_probability(mc, goal)[mc.init])
+        if value < 1e-3:
+            continue
+        made += 1
+        yield mc, Specification(goal, "<=", value * rng.uniform(0.05, 0.95))
+        yield mc, Specification(goal, ">=", value * rng.uniform(0.05, 0.95))
+
+
+def test_extraction_matches_reference_random():
+    rng = random.Random(43)
+    for mc, spec in random_extractions(rng, 250):
+        assert extract_counterexample(mc, spec) == \
+            reference_extract(mc, spec), (mc.dump(), spec)
+
+
+def test_extraction_bisects_within_the_check_bound(monkeypatch):
+    calls = []
+
+    def counted(mc, spec, tol=model.COMPARISON_TOL):
+        calls.append(1)
+        return check(mc, spec, tol)
+
+    monkeypatch.setattr(cegis, "check", counted)
+    rng = random.Random(47)
+    for mc, spec in random_extractions(rng, 200):
+        calls.clear()
+        extract_counterexample(mc, spec)
+        m = len(mc.reachable() - spec.goal - {mc.init})
+        assert len(calls) <= math.ceil(math.log2(m + 1)) + 1, (m, len(calls))
+
+
+def test_extraction_on_the_sparse_path(monkeypatch):
+    # a walk longer than DENSE_SOLVE_LIMIT: each state steps right with
+    # 0.899, back with 0.1 and into the sink with 0.001; the last is the goal
+    n = model.DENSE_SOLVE_LIMIT + 30
+    sink, goal = n, n - 1
+    rows = [[(s + 1, 0.899), (max(s - 1, 0), 0.1), (sink, 0.001)]
+            for s in range(n - 1)] + [[(goal, 1.0)], [(sink, 1.0)]]
+    mc = chain(rows)
+    value = float(reach_probability(mc, {goal})[0])
+    specs = [Specification(frozenset([goal]), "<=", value * 0.6),
+             Specification(frozenset([goal]), ">=", value * 0.6)]
+    monkeypatch.setattr(model, "GREEN_BLOCK", 5 * n)  # several column blocks
+    sparse = first_passage(mc)
+    assert_first_passage(mc)
+    assert [extract_counterexample(mc, spec) for spec in specs] == \
+        [reference_extract(mc, spec) for spec in specs]
+    monkeypatch.setattr(model, "DENSE_SOLVE_LIMIT", n + 1)
+    assert first_passage(mc) == pytest.approx(sparse, abs=1e-12)
+
+
+def test_undecided_full_set_is_engine_error(monkeypatch, example_family):
+    spec = Specification(GOAL2, "<=", 0.4)
+    mc = realise(example_family, Realisation(R1))
+    monkeypatch.setattr(cegis, "check", lambda mc, spec, tol: (True, 0.0))
+    with pytest.raises(EngineError, match="does not decide"):
+        extract_counterexample(mc, spec)
+
+
+def test_unclassified_member_is_engine_error(monkeypatch, example_family):
+    monkeypatch.setattr(cegis, "scope_matches", lambda scope, r: False)
+    q = SynthesisQuery("partition", spec=Specification(GOAL2, "<=", 0.4))
+    with pytest.raises(EngineError, match="unclassified"):
+        cegis_solve(example_family, q)
+
+
+def test_disagreeing_sub_mc_check_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cegis, "check", lambda mc, spec, tol: (False, 0.0))
+    code = main(["synth", "partition", "--input", toy_path(),
+                 "--spec", "P>=0.1 [F s=4]", "--engine", "cegis"])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "does not decide" in err

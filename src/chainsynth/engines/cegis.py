@@ -10,8 +10,8 @@ one model-checker call can prune many family members.
 from __future__ import annotations
 
 from ..family import Family, Realisation, enumerate_realisations, realise
-from ..model import (MarkovChain, Specification, check, compare,
-                     first_passage, reach_probability, sub_mc)
+from ..model import (ChainMatrix, MarkovChain, Specification, check,
+                     compare, reach_probability, sub_mc)
 from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
                    witness_outcome, within_budget)
 from .enumeration import Evaluator
@@ -36,7 +36,10 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
     is established once the sub-value clears it.  A sub-MC's value only
     grows with its critical set, so whether a prefix decides is monotone in
     its length, and bisection finds the shortest one with at most
-    ceil(log2(m + 2)) sub-MC checks for m ranked states.
+    ceil(log2(m + 2)) valuations for m ranked states.  Each valuation solves
+    the prefix's sub-MC on the candidate's arrays (`ChainMatrix.sub_value`),
+    compiled once with the ranking; the chosen set alone is certified by an
+    independent `check(sub_mc(...))`.
     """
     to_goal = reach_probability(mc, spec.goal)
     verdict = compare(float(to_goal[mc.init]), spec.op, spec.threshold, tol)
@@ -46,9 +49,10 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
                           if want else
                           "refutation requires a violated upper-bound spec")
 
-    from_init = first_passage(mc)
+    chain = ChainMatrix(mc)
+    from_init, reached = chain.first_passage()
     scores = {s: float(from_init[s]) * float(to_goal[s])
-              for s in mc.reachable() if s != mc.init and s not in spec.goal}
+              for s in reached if s != mc.init and s not in spec.goal}
     # equal scores come out of the factorisation equal only up to rounding:
     # a score within a relative 1e-12 of the first of its run ties with it,
     # and ties are broken by index
@@ -60,8 +64,8 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
     order = sorted(scores, key=lambda s: (-tied[s], s))
 
     def decides(k):
-        critical = [mc.init, *order[:k]]
-        return check(sub_mc(mc, critical), spec, tol)[0] == want
+        value = chain.sub_value([mc.init, *order[:k]], spec.goal)
+        return compare(value, spec.op, spec.threshold, tol) == want
 
     lo, hi = 0, len(order) + 1  # every prefix shorter than lo fails
     while lo < hi:  # hi decides, or is past the full reachable set
@@ -73,7 +77,11 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
     if hi > len(order):
         raise EngineError("the full reachable set does not decide the "
                           "property")
-    return frozenset([mc.init, *order[:hi]])
+    critical = frozenset([mc.init, *order[:hi]])
+    if check(sub_mc(mc, critical), spec, tol)[0] != want:
+        raise EngineError("the sub-MC check of the critical set does not "
+                          "decide the property")
+    return critical
 
 
 def _option_scope(fam: Family, critical, r: Realisation) -> dict:
@@ -232,7 +240,6 @@ def _threshold(fam, q, members, spec, stop_at_witness, tol):
     space = AssignmentSpace(fam, budget=seed_budget, cost_model=q.cost_model)
     singles = {}
     scopes = []  # (scope, sat)
-    witness = None
     while True:
         r = space.next_candidate()
         if r is None:
@@ -247,6 +254,12 @@ def _threshold(fam, q, members, spec, stop_at_witness, tol):
             continue
         sat, value = members.verdict(r, spec, tol)
         record = {"candidate": r.as_dict(), "value": value, "sat": sat}
+        if sat and stop_at_witness:  # within budget, checked above
+            # the witness ends this search: a scope learned from it would
+            # be discarded, so none is extracted
+            record["pruned"] = 1
+            stats.trace.append(record)
+            return witness_outcome(fam, q, r, value, stats)
         if upper != sat:  # a refuted upper or an established lower bound
             critical = extract_counterexample(realise(fam, r), spec, tol)
             scope = _option_scope(fam, critical, r)
@@ -264,13 +277,8 @@ def _threshold(fam, q, members, spec, stop_at_witness, tol):
                 space.mark_refuted(r)
             record["pruned"] = 1
         stats.trace.append(record)
-        if sat and stop_at_witness and within_budget(fam, q, r):
-            witness = (r, value)
-            break
     if stop_at_witness:
-        if witness is None:
-            return SynthesisOutcome("unsat", stats=stats)
-        return witness_outcome(fam, q, *witness, stats)
+        return SynthesisOutcome("unsat", stats=stats)
     T, F = [], []
     for r in enumerate_realisations(fam):
         key = r.key(fam)

@@ -239,6 +239,17 @@ def _csr_rows(dists):
     return indptr, np.array(targets, dtype=np.intp), np.array(probs)
 
 
+def _entries(indptr, rows):
+    """The entries of the CSR rows `rows`, in order: per entry, the position
+    of its row in `rows` and its index into the CSR arrays."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    src = np.repeat(np.arange(len(rows)), counts)
+    entry = np.arange(len(src)) + np.repeat(starts - np.cumsum(counts) + counts,
+                                            counts)
+    return src, entry
+
+
 def _system(indptr, indices, data, rows, states, known):
     """The fixed point x = P x + b over `states`, each taking its row of
     `rows`: P's entries among `states` as (row, col, val) triplets, each
@@ -247,11 +258,7 @@ def _system(indptr, indices, data, rows, states, known):
     n = len(states)
     local = np.full(len(known), -1, dtype=np.intp)
     local[states] = np.arange(n)
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    src = np.repeat(np.arange(n), counts)
-    entry = np.arange(len(src)) + np.repeat(starts - np.cumsum(counts) + counts,
-                                            counts)
+    src, entry = _entries(indptr, rows)
     tgt, p = indices[entry], data[entry]
     col = local[tgt]
     exits = np.bincount(src, weights=np.where(col == src, 0.0, p), minlength=n)
@@ -362,22 +369,22 @@ def reach_probability(mc: MarkovChain, goal, method: str = "auto") -> np.ndarray
     return x
 
 
-def _bottom_sccs(mc: MarkovChain):
-    """The states reachable from the initial state, split into transient
-    ones and bottom SCCs: Tarjan's algorithm without recursion, an SCC being
-    bottom when no transition leaves it."""
-    index = {mc.init: 0}
-    low = {mc.init: 0}
-    stack = [mc.init]
-    work = [(mc.init, iter(mc.successors(mc.init)))]
+def _bottom_sccs(init, succ):
+    """The states reachable from `init`, split into transient ones and
+    bottom SCCs: Tarjan's algorithm without recursion over the successor
+    lists `succ`, an SCC being bottom when no transition leaves it."""
+    index = {init: 0}
+    low = {init: 0}
+    stack = [init]
+    work = [(init, iter(succ[init]))]
     transient, bottoms = [], []
     while work:
-        v, succ = work[-1]
-        for w in succ:
+        v, it = work[-1]
+        for w in it:
             if w not in index:
                 index[w] = low[w] = len(index)
                 stack.append(w)
-                work.append((w, iter(mc.successors(w))))
+                work.append((w, iter(succ[w])))
                 break
             if w in low:  # still on the stack
                 low[v] = min(low[v], index[w])
@@ -392,11 +399,76 @@ def _bottom_sccs(mc: MarkovChain):
                     scc.append(stack.pop())
                     del low[scc[-1]]
                 members = set(scc)
-                if all(t in members for s in scc for t in mc.successors(s)):
+                if all(t in members for s in scc for t in succ[s]):
                     bottoms.append(scc)
                 else:
                     transient.extend(scc)
     return transient, bottoms
+
+
+class ChainMatrix:
+    """A chain compiled once for repeated analyses: one CSR row per state,
+    and each state's successor and predecessor lists."""
+
+    def __init__(self, mc: MarkovChain):
+        self.mc = mc
+        self.indptr, self.indices, self.data = _csr_rows(mc.transitions)
+        self.succ = [d.support() for d in mc.transitions]
+        self.preds = _mc_predecessors(mc)
+
+    def first_passage(self):
+        """`first_passage` of the chain, and the states reachable from its
+        initial state (both found by one graph search)."""
+        mc = self.mc
+        h = np.zeros(mc.n_states)
+        transient, bottoms = _bottom_sccs(mc.init, self.succ)
+        reached = transient + [s for scc in bottoms for s in scc]
+        for scc in bottoms:
+            if mc.init in scc:
+                h[scc] = 1.0
+                return h, reached
+        states = np.array(transient, dtype=np.intp)
+        rows, cols, vals, exits, _ = _system(self.indptr, self.indices,
+                                             self.data, states, states, h)
+        row, diag = _green(rows, cols, vals, exits, transient.index(mc.init))
+        h[transient] = np.clip(row / diag, 0.0, 1.0)
+        # the probability of entering each bottom state: sum_t G(init,t) P(t,b)
+        src, entry = _entries(self.indptr, states)
+        flow = self.data[entry] * row[src]
+        entered = np.bincount(self.indices[entry], weights=flow,
+                              minlength=mc.n_states)
+        for scc in bottoms:
+            h[scc] = min(1.0, entered[scc].sum())
+        return h, reached
+
+    def sub_value(self, critical, goal) -> float:
+        """The value at the initial state that `check(sub_mc(mc, critical),
+        spec)` computes for a spec on `goal`, bit for bit, without building
+        the sub-MC.  Its states outside `critical` are absorbing, so they
+        keep value 1 in the goal and 0 elsewhere; `prob01_states` of the
+        sub-MC is a graph search over the critical states alone, and its
+        unknown states, sorted, take their rows from this chain's CSR arrays
+        to form the system `reach_probability` solves."""
+        n, init, goal = self.mc.n_states, self.mc.init, frozenset(goal)
+        outside = set(range(n)).difference(critical)
+        reach = _backward_reach(n, self.preds, goal, blocked=outside)
+        if init not in reach:
+            return 0.0
+        # below 1: a path avoiding the goal reaches a state outside `reach`
+        leaks = [s for s in reach - outside - goal
+                 if any(t not in reach for t in self.succ[s])]
+        below = _backward_reach(n, self.preds, leaks, blocked=outside | goal)
+        if init not in below:
+            return 1.0
+        unknown = sorted(below)
+        states = np.array(unknown, dtype=np.intp)
+        known = np.zeros(n)
+        known[list(reach - below)] = 1.0
+        rows, cols, vals, exits, b = _system(self.indptr, self.indices,
+                                             self.data, states, states, known)
+        value = float(_linear_solve(rows, cols, vals, exits, b)[
+            unknown.index(init)])
+        return min(max(value, 0.0), 1.0)  # np.clip's result, NaN kept
 
 
 def first_passage(mc: MarkovChain) -> np.ndarray:
@@ -409,24 +481,7 @@ def first_passage(mc: MarkovChain) -> np.ndarray:
     is entered, which happens with probability sum_t G(init,t) P(t,SCC).  If
     the initial state lies in a bottom SCC, it visits that SCC only.
     """
-    h = np.zeros(mc.n_states)
-    transient, bottoms = _bottom_sccs(mc)
-    for scc in bottoms:
-        if mc.init in scc:
-            h[scc] = 1.0
-            return h
-    indptr, indices, data = _csr_rows([mc.transitions[s] for s in transient])
-    rows, cols, vals, exits, _ = _system(indptr, indices, data,
-                                         np.arange(len(transient)),
-                                         np.array(transient), h)
-    row, diag = _green(rows, cols, vals, exits, transient.index(mc.init))
-    h[transient] = np.clip(row / diag, 0.0, 1.0)
-    # the probability of entering each bottom state: sum_t G(init,t) P(t,b)
-    flow = data * np.repeat(row, np.diff(indptr))
-    entry = np.bincount(indices, weights=flow, minlength=mc.n_states)
-    for scc in bottoms:
-        h[scc] = min(1.0, entry[scc].sum())
-    return h
+    return ChainMatrix(mc).first_passage()[0]
 
 
 def check(mc: MarkovChain, spec: Specification, tol: float = COMPARISON_TOL):

@@ -19,7 +19,7 @@ from chainsynth.model import (Distribution, MarkovChain, Specification, check,
                               compare, first_passage, reach_probability,
                               sub_mc)
 from chainsynth.randfam import (bench_family, pruning_family, random_chain,
-                                random_family, random_goal)
+                                random_critical, random_family, random_goal)
 
 from conftest import R1, R2, R3, R4, toy_path
 
@@ -242,6 +242,38 @@ def test_agreement_with_oracle_random():
             sorted(r.key(fam) for r in enum_solve(fam, q).T)
 
 
+def test_returned_witness_is_never_extracted(monkeypatch, example_family):
+    # a witness ends its search, so no critical set is extracted for it:
+    # feasible >= and max never extract from the member they return, and
+    # min only refutes it in a later round
+    calls = []
+    extract = cegis.extract_counterexample
+
+    def counted(mc, spec, tol=1e-6):
+        calls.append((mc, spec))
+        return extract(mc, spec, tol)
+
+    monkeypatch.setattr(cegis, "extract_counterexample", counted)
+    pruning, _ = pruning_family(16)
+    for fam, goal in ((example_family, GOAL4), (pruning, frozenset([3]))):
+        for q in (SynthesisQuery("feasible",
+                                 spec=Specification(goal, ">=", 0.1)),
+                  SynthesisQuery("max", goal=goal),
+                  SynthesisQuery("min", goal=goal)):
+            calls.clear()
+            out = cegis_solve(fam, q)
+            expect = enum_solve(fam, q)
+            assert out.kind == expect.kind == "witness"
+            assert out.value == pytest.approx(expect.value, abs=1e-6)
+            witness = realise(fam, out.witness)
+            on_witness = [spec for mc, spec in calls if mc == witness]
+            if q.kind == "min":
+                assert all(not check(witness, spec, 1e-9)[0]
+                           for spec in on_witness), on_witness
+            else:
+                assert not on_witness, (q.kind, on_witness)
+
+
 # --- critical sets from one factorisation ----------------------------------
 
 def reference_extract(mc, spec, tol=1e-6):
@@ -347,19 +379,35 @@ def test_extraction_matches_reference_random():
 
 
 def test_extraction_bisects_within_the_check_bound(monkeypatch):
-    calls = []
+    # the bisection values prefixes on the candidate's arrays, at most
+    # ceil(log2(m + 1)) + 1 of them, and certifies the chosen set with
+    # exactly one sub-MC check
+    valued, checked, built = [], [], []
+    sub_value = model.ChainMatrix.sub_value
 
-    def counted(mc, spec, tol=model.COMPARISON_TOL):
-        calls.append(1)
+    def counted_value(self, critical, goal):
+        valued.append(1)
+        return sub_value(self, critical, goal)
+
+    def counted_check(mc, spec, tol=model.COMPARISON_TOL):
+        checked.append(1)
         return check(mc, spec, tol)
 
-    monkeypatch.setattr(cegis, "check", counted)
+    def counted_sub_mc(mc, critical):
+        built.append(1)
+        return sub_mc(mc, critical)
+
+    monkeypatch.setattr(model.ChainMatrix, "sub_value", counted_value)
+    monkeypatch.setattr(cegis, "check", counted_check)
+    monkeypatch.setattr(cegis, "sub_mc", counted_sub_mc)
     rng = random.Random(47)
     for mc, spec in random_extractions(rng, 200):
-        calls.clear()
+        for calls in (valued, checked, built):
+            calls.clear()
         extract_counterexample(mc, spec)
         m = len(mc.reachable() - spec.goal - {mc.init})
-        assert len(calls) <= math.ceil(math.log2(m + 1)) + 1, (m, len(calls))
+        assert len(valued) <= math.ceil(math.log2(m + 1)) + 1, (m, len(valued))
+        assert (len(checked), len(built)) == (1, 1)
 
 
 def test_extraction_on_the_sparse_path(monkeypatch):
@@ -382,11 +430,83 @@ def test_extraction_on_the_sparse_path(monkeypatch):
     assert first_passage(mc) == pytest.approx(sparse, abs=1e-12)
 
 
+# --- sub-MC values on the candidate's arrays ---------------------------------
+
+def assert_sub_value(mc, critical, goal):
+    spec = Specification(frozenset(goal), ">=", 0.5)
+    value = model.ChainMatrix(mc).sub_value(critical, goal)
+    assert value == check(sub_mc(mc, critical), spec)[1], \
+        (mc.dump(), sorted(critical), sorted(goal))
+    return value
+
+
+def test_sub_value_equals_sub_mc_check_random():
+    rng = random.Random(53)
+    for _ in range(300):
+        mc = random_chain(rng, max_states=rng.choice((6, 12, 30)))
+        goal = random_goal(rng, mc.n_states)
+        ranked = sorted(mc.reachable() - {mc.init})
+        rng.shuffle(ranked)
+        k = rng.randint(0, len(ranked))
+        assert_sub_value(mc, [mc.init, *ranked[:k]], goal)
+        assert_sub_value(mc, random_critical(rng, mc), goal)
+
+
+def test_sub_value_init_in_goal():
+    mc = chain([[(1, 0.5), (2, 0.5)], [(1, 1.0)], [(2, 1.0)]])
+    assert assert_sub_value(mc, [0], {0, 2}) == 1.0
+    assert assert_sub_value(mc, [0, 1, 2], {0}) == 1.0
+
+
+def test_sub_value_closed_class_inside_the_critical_set():
+    # 1 <-> 3 is a closed class that cannot reach the goal 4; 2 leads there
+    mc = chain([[(1, 0.5), (2, 0.5)], [(3, 1.0)], [(4, 1.0)], [(1, 1.0)],
+                [(4, 1.0)]])
+    assert assert_sub_value(mc, [0, 1, 3], {4}) == 0.0
+    assert assert_sub_value(mc, [0, 1, 2, 3], {4}) == 0.5
+    assert assert_sub_value(mc, [0, 1, 3], {2}) == 0.5
+
+
+def test_sub_value_with_exits_of_1e12():
+    eps = 1e-12
+    # 0 loops but for 1e-12 to 1 and 1e-12 to 2; 1 loops but for 1e-12 to 3
+    mc = chain([[(0, 1 - 2 * eps), (1, eps), (2, eps)],
+                [(1, 1 - eps), (3, eps)], [(2, 1.0)], [(3, 1.0)]])
+    assert assert_sub_value(mc, [0], {1}) == pytest.approx(0.5, abs=1e-9)
+    assert assert_sub_value(mc, [0], {3}) == 0.0
+    assert assert_sub_value(mc, [0, 1], {3}) == pytest.approx(0.5, abs=1e-9)
+    assert assert_sub_value(mc, [0, 1, 2], {2, 3}) == 1.0
+
+
+def test_sub_value_on_the_sparse_path():
+    # the walk of test_extraction_on_the_sparse_path: its prefixes of more
+    # than DENSE_SOLVE_LIMIT states solve sparse
+    n = model.DENSE_SOLVE_LIMIT + 30
+    sink, goal = n, n - 1
+    rows = [[(s + 1, 0.899), (max(s - 1, 0), 0.1), (sink, 0.001)]
+            for s in range(n - 1)] + [[(goal, 1.0)], [(sink, 1.0)]]
+    mc = chain(rows)
+    for k in (1, model.DENSE_SOLVE_LIMIT, n - 1, n, n + 1):
+        assert_sub_value(mc, range(k), {goal})
+    assert assert_sub_value(mc, range(n + 1), {goal}) > 0.0
+
+
 def test_undecided_full_set_is_engine_error(monkeypatch, example_family):
     spec = Specification(GOAL2, "<=", 0.4)
     mc = realise(example_family, Realisation(R1))
+    monkeypatch.setattr(model.ChainMatrix, "sub_value",
+                        lambda self, critical, goal: 0.0)
+    with pytest.raises(EngineError, match="full reachable set does not "
+                                          "decide"):
+        extract_counterexample(mc, spec)
+
+
+def test_failed_certificate_is_engine_error(monkeypatch, example_family):
+    spec = Specification(GOAL2, "<=", 0.4)
+    mc = realise(example_family, Realisation(R1))
     monkeypatch.setattr(cegis, "check", lambda mc, spec, tol: (True, 0.0))
-    with pytest.raises(EngineError, match="does not decide"):
+    with pytest.raises(EngineError, match="sub-MC check of the critical set "
+                                          "does not decide"):
         extract_counterexample(mc, spec)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -98,6 +99,8 @@ def _outcome_json(args, q, out):
 
 
 def cmd_check(args) -> int:
+    if not 0.0 <= args.tolerance < math.inf:  # nan fails too
+        raise CliError("--tolerance must be finite and non-negative")
     fam = load_family(args.input, args.format)
     spec = parse_spec(args.spec, fam)
     if not args.assign:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -43,6 +44,8 @@ class SynthesisQuery:
                               "specification" % self.kind)
         if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
             raise EngineError("epsilon must lie in (0, 1)")
+        if not 0.0 <= self.tolerance < math.inf:  # nan fails too
+            raise EngineError("tolerance must be finite and non-negative")
         if self.cost_model not in (None,) + COST_MODELS:
             raise EngineError("unknown cost model %r" % self.cost_model)
         if self.cost_model is not None and self.budget is None:

@@ -28,18 +28,19 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
 
     Reachable non-goal states are ranked once by the contribution score
     Pr(init reaches s) * Pr(s reaches goal), the first factor of every state
-    coming from one factorisation (`first_passage`).  The critical set is
-    {init} plus the shortest prefix of that ranking whose sub-MC alone
-    decides the property.  The operator fixes what that means: an
+    coming from one factorisation (`ChainMatrix.first_passage`).  The
+    critical set is {init} plus the shortest prefix of that ranking whose
+    sub-MC alone decides the property.  The operator fixes what that means: an
     upper-bound spec (<=, <) must be violated and is refuted once the
     sub-value violates it; a lower-bound spec (>=, >) must be satisfied and
     is established once the sub-value clears it.  A sub-MC's value only
     grows with its critical set, so whether a prefix decides is monotone in
     its length, and bisection finds the shortest one with at most
-    ceil(log2(m + 2)) valuations for m ranked states.  Each valuation solves
-    the prefix's sub-MC on the candidate's arrays (`ChainMatrix.sub_value`),
-    compiled once with the ranking; the chosen set alone is certified by an
-    independent `check(sub_mc(...))`.
+    ceil(log2(m + 2)) valuations for m ranked states.  Each valuation
+    (`ChainMatrix.sub_value`) values the prefix's sub-MC on the candidate's
+    arrays, compiled once with the ranking, by the qualitative pass and the
+    solve that `check(sub_mc(...))` runs, so the two agree exactly; that
+    check certifies the chosen set alone.
     """
     to_goal = reach_probability(mc, spec.goal)
     verdict = compare(float(to_goal[mc.init]), spec.op, spec.threshold, tol)

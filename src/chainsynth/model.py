@@ -83,16 +83,13 @@ class MarkovChain:
                 if not (0 <= t < self.n_states):
                     raise ModelError("state %d has successor %d outside S" % (s, t))
 
-    def successors(self, s: int):
-        return self.transitions[s].support()
-
     def reachable(self) -> set:
         """States reachable from the initial state."""
         seen = {self.init}
         stack = [self.init]
         while stack:
             s = stack.pop()
-            for t in self.successors(s):
+            for t, _ in self.transitions[s].entries:
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
@@ -161,11 +158,6 @@ class Specification:
         if not (0.0 <= self.threshold <= 1.0):
             raise ModelError("threshold %r outside [0, 1]" % self.threshold)
 
-    def check_goal(self, n_states: int):
-        for g in self.goal:
-            if not (0 <= g < n_states):
-                raise ModelError("goal state %d outside S" % g)
-
 
 @dataclass(frozen=True)
 class MemorylessScheduler:
@@ -199,7 +191,7 @@ def compare(value: float, op: str, threshold: float,
 # qualitative precomputation
 
 
-def _backward_reach(n_states, predecessors, seeds, blocked=frozenset()):
+def _backward_reach(predecessors, seeds, blocked=frozenset()):
     """States with a path to `seeds` whose intermediate states avoid `blocked`."""
     seen = set(seeds)
     stack = list(seeds)
@@ -220,15 +212,29 @@ def _mc_predecessors(mc: MarkovChain):
     return preds
 
 
+def _prob01(n_states, preds, goal, outside=frozenset()):
+    """Exact prob-0 and prob-1 state sets for reaching `goal` in the chain
+    with predecessor lists `preds`, every state in `outside` made absorbing
+    as `sub_mc` does: no path passes through an outside state."""
+    states = set(range(n_states))
+    prob0 = states - _backward_reach(preds, goal, blocked=outside)
+    # value < 1 iff the state can reach prob0 without passing through goal;
+    # an outside state lies in goal or in prob0, so it is never passed
+    return prob0, states - _backward_reach(preds, prob0, blocked=goal)
+
+
 def prob01_states(mc: MarkovChain, goal: frozenset):
     """Exact prob-0 and prob-1 state sets for reaching `goal` in an MC."""
-    preds = _mc_predecessors(mc)
-    can_reach = _backward_reach(mc.n_states, preds, goal)
-    prob0 = set(range(mc.n_states)) - can_reach
-    # value < 1 iff the state can reach prob0 without passing through goal
-    lt_one = _backward_reach(mc.n_states, preds, prob0, blocked=goal)
-    prob1 = set(range(mc.n_states)) - lt_one
-    return prob0, prob1
+    return _prob01(mc.n_states, _mc_predecessors(mc), goal)
+
+
+def _goal_states(goal, n_states) -> frozenset:
+    """`goal` as a frozenset, refused if some state lies outside S."""
+    goal = frozenset(goal)
+    for g in goal:
+        if not (0 <= g < n_states):
+            raise ModelError("goal state %d outside S" % g)
+    return goal
 
 
 def _csr_rows(dists):
@@ -288,12 +294,11 @@ def _linear_solve(rows, cols, vals, exits, b):
     """Solve (I - P) x = b exactly.  Exits too small to register leave
     I - P singular in floating point; that raises ModelError."""
     A = _identity_minus(rows, cols, vals, exits)
-    if isinstance(A, np.ndarray):
-        try:
-            return np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise ModelError("linear solve failed: %s" % exc)
-    x = spla.spsolve(A, b)  # nan where A is singular
+    try:
+        x = (np.linalg.solve(A, b) if isinstance(A, np.ndarray)
+             else spla.splu(A.tocsc()).solve(b))
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        raise ModelError("linear solve failed: %s" % exc)
     if not np.all(np.isfinite(x)):
         raise ModelError("linear solve failed: singular matrix")
     return x
@@ -337,36 +342,39 @@ def _interval_iteration(rows, cols, vals, b):
                      % (np.max(hi - lo), VI_MAX_SWEEPS))
 
 
+def _values(n_states, prob0, prob1, rows_of, method="auto"):
+    """Reachability values of every state: 0 on `prob0`, 1 on `prob1`, and
+    on the other states, sorted, the solution of x = P x + b, their rows
+    being those that `rows_of(unknown)` returns as (indptr, indices, data,
+    rows) of CSR arrays.  Method "vi" solves by interval iteration."""
+    x = np.zeros(n_states)
+    x[list(prob1)] = 1.0
+    unknown = np.array(sorted(set(range(n_states)).difference(prob0, prob1)),
+                       dtype=np.intp)
+    if len(unknown):
+        rows, cols, vals, exits, b = _system(*rows_of(unknown), unknown, x)
+        sol = (_interval_iteration(rows, cols, vals, b) if method == "vi"
+               else _linear_solve(rows, cols, vals, exits, b))
+        x[unknown] = sol.clip(0.0, 1.0)
+    return x
+
+
 def reach_probability(mc: MarkovChain, goal, method: str = "auto") -> np.ndarray:
     """Probability of eventually reaching `goal`, for every state.
 
     Qualitative 0/1 states are fixed graph-theoretically; the rest solve the
     linear fixed point x_s = sum_t P(s,t) x_t.  Methods "auto" and "linear"
     solve it directly; "vi" runs interval iteration and raises ModelError if
-    its bounds do not meet within VI_MAX_SWEEPS.
+    its bounds do not meet within VI_MAX_SWEEPS.  Only the rows of the
+    states left unknown are compiled into CSR arrays.
     """
-    goal = frozenset(goal)
-    for g in goal:
-        if not (0 <= g < mc.n_states):
-            raise ModelError("goal state %d outside S" % g)
-    prob0, prob1 = prob01_states(mc, goal)
-    x = np.zeros(mc.n_states)
-    x[list(prob1)] = 1.0
-    unknown = np.array(sorted(set(range(mc.n_states)) - prob0 - prob1),
-                       dtype=np.intp)
-    if not len(unknown):
-        return x
-    indptr, indices, data = _csr_rows([mc.transitions[s] for s in unknown])
-    rows, cols, vals, exits, b = _system(indptr, indices, data,
-                                         np.arange(len(unknown)), unknown, x)
-    if method in ("auto", "linear"):
-        sol = _linear_solve(rows, cols, vals, exits, b)
-    elif method == "vi":
-        sol = _interval_iteration(rows, cols, vals, b)
-    else:
+    if method not in ("auto", "linear", "vi"):
         raise ModelError("unknown method %r" % method)
-    x[unknown] = np.clip(sol, 0.0, 1.0)
-    return x
+    goal = _goal_states(goal, mc.n_states)
+    prob0, prob1 = prob01_states(mc, goal)
+    return _values(mc.n_states, prob0, prob1, lambda unknown: (
+        *_csr_rows([mc.transitions[s] for s in unknown]),
+        np.arange(len(unknown))), method)
 
 
 def _bottom_sccs(init, succ):
@@ -417,8 +425,17 @@ class ChainMatrix:
         self.preds = _mc_predecessors(mc)
 
     def first_passage(self):
-        """`first_passage` of the chain, and the states reachable from its
-        initial state (both found by one graph search)."""
+        """Probability of ever visiting each state from the initial state (1
+        at the initial state itself, 0 where it cannot reach), and the
+        states reachable from it, both found by one graph search.
+
+        One factorisation serves every state.  Over the transient states,
+        G = (I - Q)^-1 counts expected visits, so a transient s is visited
+        with probability G(init,s) / G(s,s).  A bottom SCC is visited whole
+        once it is entered, which happens with probability
+        sum_t G(init,t) P(t,SCC).  If the initial state lies in a bottom SCC,
+        it visits that SCC only.
+        """
         mc = self.mc
         h = np.zeros(mc.n_states)
         transient, bottoms = _bottom_sccs(mc.init, self.succ)
@@ -442,51 +459,21 @@ class ChainMatrix:
         return h, reached
 
     def sub_value(self, critical, goal) -> float:
-        """The value at the initial state that `check(sub_mc(mc, critical),
-        spec)` computes for a spec on `goal`, bit for bit, without building
-        the sub-MC.  Its states outside `critical` are absorbing, so they
-        keep value 1 in the goal and 0 elsewhere; `prob01_states` of the
-        sub-MC is a graph search over the critical states alone, and its
-        unknown states, sorted, take their rows from this chain's CSR arrays
-        to form the system `reach_probability` solves."""
-        n, init, goal = self.mc.n_states, self.mc.init, frozenset(goal)
+        """The value at the initial state of `check(sub_mc(mc, critical),
+        spec)` for a spec on `goal`, without building the sub-MC: the same
+        qualitative pass, with the states outside `critical` absorbing, and
+        the same solve, on this chain's CSR rows of the unknown states."""
+        n, init = self.mc.n_states, self.mc.init
         outside = set(range(n)).difference(critical)
-        reach = _backward_reach(n, self.preds, goal, blocked=outside)
-        if init not in reach:
-            return 0.0
-        # below 1: a path avoiding the goal reaches a state outside `reach`
-        leaks = [s for s in reach - outside - goal
-                 if any(t not in reach for t in self.succ[s])]
-        below = _backward_reach(n, self.preds, leaks, blocked=outside | goal)
-        if init not in below:
-            return 1.0
-        unknown = sorted(below)
-        states = np.array(unknown, dtype=np.intp)
-        known = np.zeros(n)
-        known[list(reach - below)] = 1.0
-        rows, cols, vals, exits, b = _system(self.indptr, self.indices,
-                                             self.data, states, states, known)
-        value = float(_linear_solve(rows, cols, vals, exits, b)[
-            unknown.index(init)])
-        return min(max(value, 0.0), 1.0)  # np.clip's result, NaN kept
-
-
-def first_passage(mc: MarkovChain) -> np.ndarray:
-    """Probability of ever visiting each state from the initial state (1 at
-    the initial state itself, 0 where it cannot reach).
-
-    One factorisation serves every state.  Over the transient states,
-    G = (I - Q)^-1 counts expected visits, so a transient s is visited with
-    probability G(init,s) / G(s,s).  A bottom SCC is visited whole once it
-    is entered, which happens with probability sum_t G(init,t) P(t,SCC).  If
-    the initial state lies in a bottom SCC, it visits that SCC only.
-    """
-    return ChainMatrix(mc).first_passage()[0]
+        prob0, prob1 = _prob01(n, self.preds, frozenset(goal), outside)
+        if init in prob0 or init in prob1:
+            return float(init in prob1)
+        return float(_values(n, prob0, prob1, lambda unknown: (
+            self.indptr, self.indices, self.data, unknown))[init])
 
 
 def check(mc: MarkovChain, spec: Specification, tol: float = COMPARISON_TOL):
     """Model-check a reachability specification; returns (verdict, value at init)."""
-    spec.check_goal(mc.n_states)
     value = float(reach_probability(mc, spec.goal)[mc.init])
     return compare(value, spec.op, spec.threshold, tol), value
 
@@ -665,10 +652,7 @@ def mdp_extremal(mdp: Mdp, goal, mode: str):
     exactly, one linear solve per policy, and its optimal policy is the
     scheduler there.
     """
-    goal = frozenset(goal)
-    for g in goal:
-        if not (0 <= g < mdp.n_states):
-            raise ModelError("goal state %d outside S" % g)
+    goal = _goal_states(goal, mdp.n_states)
     if mode not in ("min", "max"):
         raise ModelError("mode must be 'min' or 'max'")
     cm = mdp._matrix
@@ -694,21 +678,15 @@ def mdp_extremal(mdp: Mdp, goal, mode: str):
 
 
 def induced_chain(mdp: Mdp, sched: MemorylessScheduler) -> MarkovChain:
-    """MC obtained by resolving every choice with a memoryless scheduler."""
-    transitions = []
-    reachable = {mdp.init}
-    stack = [mdp.init]
-    while stack:
-        s = stack.pop()
-        if s not in sched.choice:
-            raise ModelError("scheduler has no choice for reachable state %d" % s)
-        for t, _ in mdp.dist(s, sched.choice[s]).entries:
-            if t not in reachable:
-                reachable.add(t)
-                stack.append(t)
-    for s in range(mdp.n_states):
-        if s in sched.choice:
-            transitions.append(mdp.dist(s, sched.choice[s]))
-        else:
-            transitions.append(mdp.actions[s][0][1])
-    return MarkovChain(mdp.n_states, mdp.init, tuple(transitions))
+    """MC obtained by resolving every choice with a memoryless scheduler.
+    A state the scheduler leaves out takes its first action; that is refused
+    where the chain reaches it."""
+    choice = sched.choice
+    mc = MarkovChain(mdp.n_states, mdp.init, tuple(
+        mdp.dist(s, choice[s]) if s in choice else acts[0][1]
+        for s, acts in enumerate(mdp.actions)))
+    missing = mc.reachable().difference(choice)
+    if missing:
+        raise ModelError("scheduler has no choice for reachable state %d"
+                         % min(missing))
+    return mc

@@ -16,8 +16,7 @@ from chainsynth.engines.enumeration import enum_solve
 from chainsynth.family import (Family, Fixed, Hole, Realisation,
                                enumerate_realisations, realise)
 from chainsynth.model import (Distribution, MarkovChain, Specification, check,
-                              compare, first_passage, reach_probability,
-                              sub_mc)
+                              compare, reach_probability, sub_mc)
 from chainsynth.randfam import (bench_family, pruning_family, random_chain,
                                 random_critical, random_family, random_goal)
 
@@ -306,7 +305,7 @@ def chain(rows, init=0):
 
 
 def assert_first_passage(mc, abs_tol=1e-9):
-    h = first_passage(mc)
+    h = model.ChainMatrix(mc).first_passage()[0]
     reachable = mc.reachable()
     for s in range(mc.n_states):
         expect = reach_probability(mc, {s})[mc.init] if s in reachable else 0.0
@@ -322,7 +321,8 @@ def test_first_passage_matches_reach_probability_random():
 def test_first_passage_init_in_bottom_scc():
     # 0 <-> 1 is closed; 2 and 3 are unreachable
     mc = chain([[(1, 1.0)], [(0, 0.5), (1, 0.5)], [(3, 1.0)], [(2, 1.0)]])
-    assert first_passage(mc).tolist() == [1.0, 1.0, 0.0, 0.0]
+    h = model.ChainMatrix(mc).first_passage()[0]
+    assert h.tolist() == [1.0, 1.0, 0.0, 0.0]
     assert_first_passage(mc)
 
 
@@ -332,7 +332,7 @@ def test_first_passage_bottom_scc_with_goal_and_non_goal_states():
     rows = [[(1, 0.6), (5, 0.4)], [(0, 0.5), (2, 0.5)], [(3, 1.0)],
             [(4, 1.0)], [(2, 0.9), (3, 0.1)], [(5, 1.0)]]
     mc = chain(rows)
-    h = first_passage(mc)
+    h = model.ChainMatrix(mc).first_passage()[0]
     enter = 3 / 7
     assert h[2] == h[3] == h[4] == pytest.approx(enter, abs=1e-12)
     assert_first_passage(mc)
@@ -347,7 +347,7 @@ def test_first_passage_with_exits_of_1e12():
     rows = [[(0, 1 - 2 * eps), (1, eps), (2, eps)],
             [(1, 1 - eps), (3, eps)], [(2, 1.0)], [(3, 1.0)]]
     mc = chain(rows)
-    h = first_passage(mc)
+    h = model.ChainMatrix(mc).first_passage()[0]
     assert h[1] == pytest.approx(0.5, abs=1e-9)
     assert h[3] == pytest.approx(0.5, abs=1e-9)
     assert_first_passage(mc)
@@ -422,12 +422,13 @@ def test_extraction_on_the_sparse_path(monkeypatch):
     specs = [Specification(frozenset([goal]), "<=", value * 0.6),
              Specification(frozenset([goal]), ">=", value * 0.6)]
     monkeypatch.setattr(model, "GREEN_BLOCK", 5 * n)  # several column blocks
-    sparse = first_passage(mc)
+    sparse = model.ChainMatrix(mc).first_passage()[0]
     assert_first_passage(mc)
     assert [extract_counterexample(mc, spec) for spec in specs] == \
         [reference_extract(mc, spec) for spec in specs]
     monkeypatch.setattr(model, "DENSE_SOLVE_LIMIT", n + 1)
-    assert first_passage(mc) == pytest.approx(sparse, abs=1e-12)
+    dense = model.ChainMatrix(mc).first_passage()[0]
+    assert dense == pytest.approx(sparse, abs=1e-12)
 
 
 # --- sub-MC values on the candidate's arrays ---------------------------------

@@ -171,6 +171,18 @@ def test_refused_query_flags_exit_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("argv", [
+    ("check", "--assign", "k2=2,k3=4", "--spec", "P>=0.0 [F s=4]"),
+    ("synth", "partition", "--spec", "P<=0.4 [F s=4]"),
+])
+def test_bad_tolerance_exits_2(capsys, argv, tolerance):
+    code, out, err = run(capsys, *argv, "--input", toy_path(),
+                         "--tolerance", tolerance)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "tolerance" in err
+
+
 @pytest.mark.parametrize("engine", ["enum", "cegar", "cegis"])
 @pytest.mark.parametrize("constraint", [
     "(foo h a)",  # unknown operator

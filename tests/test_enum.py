@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from chainsynth.engines.base import EngineError, SynthesisQuery
@@ -24,9 +26,14 @@ def test_query_validation():
             ("max", {"goal": GOAL4, "spec": spec}),
             # a cost model must be known and price a budget
             ("max", {"goal": GOAL4, "budget": 9, "cost_model": "bogus"}),
-            ("max", {"goal": GOAL4, "cost_model": "structural"})]:
+            ("max", {"goal": GOAL4, "cost_model": "structural"}),
+            # a tolerance must be finite and non-negative
+            ("partition", {"spec": spec, "tolerance": -1e-9}),
+            ("partition", {"spec": spec, "tolerance": math.nan}),
+            ("max", {"goal": GOAL4, "tolerance": math.inf})]:
         with pytest.raises(EngineError):
             SynthesisQuery(kind, **kw)
+    assert SynthesisQuery("partition", spec=spec, tolerance=0.0).tolerance == 0
 
 
 def test_feasible_first_witness(example_family):

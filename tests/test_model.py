@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,17 @@ def test_reach_rejects_bad_goal():
         reach_probability(mc, [5])
 
 
+@pytest.mark.parametrize("mc", [
+    # every state is qualitative, so nothing is solved
+    MarkovChain(2, 0, (Distribution.dirac(1), Distribution.dirac(1))),
+    # state 0 reaches the goal 1 with probability 0.5
+    MarkovChain(3, 0, (Distribution(((1, 0.5), (2, 0.5))),
+                       Distribution.dirac(1), Distribution.dirac(2)))])
+def test_reach_rejects_unknown_method(mc):
+    with pytest.raises(ModelError, match="unknown method"):
+        reach_probability(mc, [1], method="bogus")
+
+
 # --- sub-MC -----------------------------------------------------------------
 
 def test_sub_mc_value(example_family):
@@ -147,6 +159,30 @@ def test_sub_mc_keeps_index_space(example_family):
 def test_sub_mc_requires_init(example_family):
     with pytest.raises(ModelError):
         sub_mc(chain_of(example_family, R1), {1, 2})
+
+
+def test_prob01_with_absorbing_outside_states_is_that_of_the_sub_mc():
+    rng = random.Random(67)
+    for _ in range(300):
+        mc = random_chain(rng, max_states=rng.choice((6, 12, 30)))
+        goal = random_goal(rng, mc.n_states)
+        k = rng.randint(0, mc.n_states - 1)
+        critical = {mc.init, *rng.sample(range(mc.n_states), k)}
+        outside = set(range(mc.n_states)) - critical
+        assert model._prob01(mc.n_states, model._mc_predecessors(mc), goal,
+                             outside) == \
+            prob01_states(sub_mc(mc, critical), goal), (mc.dump(), critical)
+
+
+def test_sub_value_of_the_whole_chain_is_reach_probability():
+    # with every state critical the sub-MC is the chain itself, and both
+    # values come from one qualitative pass and one solve
+    rng = random.Random(71)
+    for _ in range(300):
+        mc = random_chain(rng, max_states=rng.choice((6, 12, 30)))
+        goal = random_goal(rng, mc.n_states)
+        assert model.ChainMatrix(mc).sub_value(range(mc.n_states), goal) == \
+            reach_probability(mc, goal)[mc.init], mc.dump()
 
 
 def test_sub_mc_monotone_random():
@@ -221,6 +257,20 @@ def test_induced_chain_missing_choice():
         (("loop", Distribution.dirac(1)),),
     ))
     with pytest.raises(ModelError):
+        induced_chain(mdp, MemorylessScheduler({0: "go"}))
+
+
+def test_induced_chain_needs_choices_only_where_it_reaches():
+    # 0 moves to 1 or 3, which loop; 2 is unreachable
+    mdp = Mdp(4, 0, (
+        (("go", Distribution(((1, 0.5), (3, 0.5)))),),
+        (("loop", Distribution.dirac(1)),),
+        (("loop", Distribution.dirac(2)), ("back", Distribution.dirac(0))),
+        (("loop", Distribution.dirac(3)),)))
+    mc = induced_chain(mdp, MemorylessScheduler({0: "go", 1: "loop",
+                                                 3: "loop"}))
+    assert mc.transitions[2] == Distribution.dirac(2)  # its first action
+    with pytest.raises(ModelError, match="reachable state 1$"):
         induced_chain(mdp, MemorylessScheduler({0: "go"}))
 
 
@@ -379,11 +429,14 @@ def test_sparse_solve_on_a_long_walk():
 @pytest.mark.parametrize("dense_limit", [model.DENSE_SOLVE_LIMIT, 0])
 def test_singular_solve_is_model_error(monkeypatch, dense_limit):
     # both solve paths, dense and sparse, on the member whose cycle has
-    # exits too small to register
+    # exits too small to register, without a solver warning
     monkeypatch.setattr(model, "DENSE_SOLVE_LIMIT", dense_limit)
     mc = chain_of(singular_cycle_family(), {"h": "a"})
-    with pytest.raises(ModelError):
-        reach_probability(mc, frozenset([3]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ModelError):
+            reach_probability(mc, frozenset([3]))
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_engines_refuse_or_answer_a_singular_member():

@@ -11,6 +11,7 @@ every row a subfamily allows.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -268,15 +269,32 @@ def cost(fam: Family, r: Realisation, model: str = None) -> int:
 class QuotientMeta:
     """Per-state action metadata of a quotient MDP.
 
-    `choices[s]` is a list parallel to the state's actions; each element maps
-    the hole names occurring in that state's distribution to the option the
-    action commits to (empty for hole-free states).
+    Action `label` of state s commits to the label-th combination, in
+    product order, of the remaining options of the holes its row reads;
+    `decode` names it.  `digits[s]` holds those holes, the last first, each
+    with its remaining options (empty for hole-free states and for the
+    fresh initial state).
     """
 
     fam: Family
     sub: Subfamily
     init_index: int  # index of the fresh initial state
-    choices: tuple  # tuple[tuple[dict, ...], ...]
+    digits: tuple  # tuple[tuple[(hole name, options), ...], ...]
+
+    def decode(self, s: int, label: int):
+        """The (hole, option) pairs that action `label` of state s commits
+        to, one per hole its row reads, the last hole first."""
+        for hole, opts in self.digits[s]:
+            label, i = divmod(label, len(opts))
+            yield hole, opts[i]
+
+    @cached_property
+    def choices(self) -> tuple:
+        """Per state, `decode` of each of its actions, built on first use."""
+        return tuple(tuple(dict(self.decode(s, label))
+                           for label in range(math.prod(
+                               len(opts) for _, opts in digits)))
+                     for s, digits in enumerate(self.digits))
 
 
 def quotient_mdp(fam: Family, sub: Subfamily = None):
@@ -290,16 +308,21 @@ def quotient_mdp(fam: Family, sub: Subfamily = None):
         sub = Subfamily.full(fam)
     remaining = {h.name: opts for h, opts in zip(fam.holes, sub.remaining)}
     init_index = fam.n_states
+    combos = {}  # states that read the same holes share their combinations
     actions = []
-    choices = []
+    digits = []
     for row in fam.rows:
-        combos = list(itertools.product(*(remaining[h] for h in row.holes)))
-        actions.append(tuple(enumerate(row.dists[c] for c in combos)))
-        choices.append(tuple(dict(zip(row.holes, c)) for c in combos))
+        if row.holes not in combos:
+            combos[row.holes] = (
+                list(itertools.product(*(remaining[h] for h in row.holes))),
+                tuple((h, remaining[h]) for h in reversed(row.holes)))
+        keys, local = combos[row.holes]
+        actions.append(tuple(enumerate(row.dists[c] for c in keys)))
+        digits.append(local)
     actions.append(((0, Distribution.dirac(fam.init)),))
-    choices.append(({},))
+    digits.append(())
     mdp = Mdp(fam.n_states + 1, init_index, tuple(actions))
-    return mdp, QuotientMeta(fam, sub, init_index, tuple(choices))
+    return mdp, QuotientMeta(fam, sub, init_index, tuple(digits))
 
 
 @dataclass(frozen=True)
@@ -323,17 +346,19 @@ class ConsistencyVerdict:
 
 def scheduler_consistency(meta: QuotientMeta, sched: MemorylessScheduler,
                           reachable) -> ConsistencyVerdict:
-    """Classify a quotient scheduler as consistent (a realisation) or not."""
+    """Classify a quotient scheduler as consistent (a realisation) or not.
+    Each reachable state's action is decoded as `QuotientMeta.decode` does,
+    inlined: a generator per state would cost more than the counting."""
     fam, sub = meta.fam, meta.sub
     freqs = {h.name: {} for h in fam.holes}
+    digits, choice = meta.digits, sched.choice
     for s in reachable:
-        if s == meta.init_index:
-            continue
-        label = sched.choice[s]
-        choice = meta.choices[s][label]
-        for hole, option in choice.items():
-            counts = freqs[hole]
-            counts[option] = counts.get(option, 0) + 1
+        if digits[s]:  # not hole-free, nor the fresh initial state
+            label = choice[s]
+            for hole, opts in digits[s]:
+                label, i = divmod(label, len(opts))
+                counts = freqs[hole]
+                counts[opts[i]] = counts.get(opts[i], 0) + 1
     multi = {h: set(c) for h, c in freqs.items() if len(c) > 1}
     if multi:
         return ConsistencyVerdict(None, multi, freqs)

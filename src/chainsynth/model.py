@@ -502,7 +502,12 @@ def sub_mc(mc: MarkovChain, critical) -> MarkovChain:
 
 class _ChoiceMatrix:
     """An MDP as a row-grouped choice matrix: one CSR row per action, the
-    rows of state s at first[s]:first[s + 1], `state[r]` owning row r."""
+    rows of state s at first[s]:first[s + 1], `state[r]` owning row r.
+    For the graph searches, `row_preds[t]` lists in row order the pairs
+    (r, state[r]) of the rows r that have t as a successor.
+    For policy iteration, `leave` is each entry's probability unless it is
+    its row's self-loop, and `exits` each row's sum of them, 1 where that
+    is 0 and `movable` false."""
 
     def __init__(self, mdp: Mdp):
         dists = [d for acts in mdp.actions for _, d in acts]
@@ -512,10 +517,16 @@ class _ChoiceMatrix:
         self.first = np.fromiter(accumulate(counts, initial=0), np.intp,
                                  mdp.n_states + 1)
         self.state = np.repeat(np.arange(mdp.n_states), counts)
-
-    def some_succ(self, mask):
-        """Per row: some successor lies in `mask`."""
-        return np.logical_or.reduceat(mask[self.indices], self.indptr[:-1])
+        self.row_preds = preds = [[] for _ in range(mdp.n_states)]
+        for edge, d in zip(enumerate(self.state.tolist()), dists):
+            for t, _ in d.entries:
+                preds[t].append(edge)
+        row_of = np.repeat(np.arange(len(dists)), np.diff(self.indptr))
+        self.leave = np.where(self.indices == self.state[row_of], 0.0,
+                              self.data)
+        self.exits = np.add.reduceat(self.leave, self.indptr[:-1])
+        self.movable = self.exits > 0.0
+        self.exits[~self.movable] = 1.0
 
     def all_succ(self, mask):
         """Per row: every successor lies in `mask`."""
@@ -532,24 +543,39 @@ class _ChoiceMatrix:
 
 
 def _attract(cm: _ChoiceMatrix, seeds, rows_ok, policy=None):
-    """States from which some path of `rows_ok` rows reaches `seeds`.  With
-    `policy`, each added state gets the first row that attracted it."""
-    reached = seeds.copy()
-    while True:
-        hit = rows_ok & cm.some_succ(reached)
-        new = cm.some_row(hit) & ~reached
-        if not new.any():
-            return reached
-        if policy is not None:
-            policy[new] = cm.first_row(hit)[new]
-        reached |= new
+    """States from which some path of `rows_ok` rows reaches `seeds`: a
+    backward search, frontier by frontier, over the predecessor rows, that
+    looks at each (row, state) edge once.  With `policy`, each added state
+    gets its lowest `rows_ok` row into the frontier it joins from; no lower
+    row of it reaches an earlier frontier, or it would have joined then."""
+    reached = seeds.tolist()
+    ok = rows_ok.tolist() if isinstance(rows_ok, np.ndarray) \
+        else [rows_ok] * len(cm.labels)
+    row_preds = cm.row_preds
+    frontier = np.flatnonzero(seeds).tolist()
+    rows = {}  # each added state's row
+    while frontier:
+        joined = {}
+        for t in frontier:
+            for r, s in row_preds[t]:
+                if ok[r] and not reached[s] and r < joined.get(s, r + 1):
+                    joined[s] = r
+        for s in joined:
+            reached[s] = True
+        rows.update(joined)
+        frontier = joined
+    if policy is not None and rows:
+        policy[list(rows)] = list(rows.values())
+    return np.array(reached)
 
 
-def _prob1e(cm: _ChoiceMatrix, goal, stay):
+def _prob1e(cm: _ChoiceMatrix, goal, stay, policy):
     """States where some scheduler reaches `goal` almost surely; `stay`
-    holds the states that can reach it at all."""
+    holds the states that can reach it at all.  Each round's attractor
+    writes `policy`, so the last one leaves every returned state outside
+    `goal` a row that stays in the set and moves towards `goal`."""
     while True:
-        nxt = _attract(cm, goal, cm.all_succ(stay))
+        nxt = _attract(cm, goal, cm.all_succ(stay), policy)
         if np.array_equal(nxt, stay):
             return stay
         stay = nxt
@@ -605,11 +631,6 @@ def _policy_iteration(cm: _ChoiceMatrix, known, unknown, mode, policy):
     ever are undone, and no policy is evaluated twice, so the loop ends.
     """
     states = np.flatnonzero(unknown)
-    row_of = np.repeat(np.arange(len(cm.labels)), np.diff(cm.indptr))
-    leave = np.where(cm.indices == cm.state[row_of], 0.0, cm.data)
-    exits = np.add.reduceat(leave, cm.indptr[:-1])
-    movable = exits > 0.0
-    exits[~movable] = 1.0
     maximise = mode == "max"
     if maximise:
         _attract(cm, known == 1.0, unknown[cm.state], policy)
@@ -618,8 +639,8 @@ def _policy_iteration(cm: _ChoiceMatrix, known, unknown, mode, policy):
     while True:
         x[states] = _evaluate(cm, policy[states], states, known)
         # the value each row gives its state with the self-loop unrolled
-        onward = np.add.reduceat(leave * x[cm.indices], cm.indptr[:-1])
-        unrolled = np.where(movable, onward / exits, x[cm.state])
+        onward = np.add.reduceat(cm.leave * x[cm.indices], cm.indptr[:-1])
+        unrolled = np.where(cm.movable, onward / cm.exits, x[cm.state])
         if maximise:
             best = np.maximum.reduceat(unrolled, cm.first[:-1])
             gain = best - unrolled[policy]
@@ -662,8 +683,7 @@ def mdp_extremal(mdp: Mdp, goal, mode: str):
     if mode == "max":
         reach = _attract(cm, is_goal, True)
         prob0 = ~reach
-        prob1 = _prob1e(cm, is_goal, reach)
-        _attract(cm, is_goal, cm.all_succ(prob1), policy)
+        prob1 = _prob1e(cm, is_goal, reach, policy)
     else:
         prob0 = _prob0e(cm, is_goal)
         prob1 = ~_attract(cm, prob0, ~is_goal[cm.state])
@@ -680,13 +700,16 @@ def mdp_extremal(mdp: Mdp, goal, mode: str):
 def induced_chain(mdp: Mdp, sched: MemorylessScheduler) -> MarkovChain:
     """MC obtained by resolving every choice with a memoryless scheduler.
     A state the scheduler leaves out takes its first action; that is refused
-    where the chain reaches it."""
+    where the chain reaches it, so the chain is walked only when the
+    scheduler leaves some state out."""
     choice = sched.choice
     mc = MarkovChain(mdp.n_states, mdp.init, tuple(
         mdp.dist(s, choice[s]) if s in choice else acts[0][1]
         for s, acts in enumerate(mdp.actions)))
-    missing = mc.reachable().difference(choice)
+    missing = set(range(mdp.n_states)).difference(choice)
     if missing:
-        raise ModelError("scheduler has no choice for reachable state %d"
-                         % min(missing))
+        missing &= mc.reachable()
+        if missing:
+            raise ModelError("scheduler has no choice for reachable state %d"
+                             % min(missing))
     return mc

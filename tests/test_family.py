@@ -217,6 +217,27 @@ def test_scheduler_consistency(example_family):
     assert verdict.realisation.assignment == {"k2": "2", "k3": "2"}
 
 
+def test_consistency_counts_the_decoded_choices(sensors_family):
+    """scheduler_consistency counts, per hole and option, the reachable
+    states whose action commits to it, as `QuotientMeta.choices` names it."""
+    rng = random.Random(41)
+    fams = [random_family(rng, max_states=12, max_realisations=64)
+            for _ in range(20)]
+    for fam in fams + [two_hole_family(), sensors_family]:
+        for sub in _subfamilies(fam, rng):
+            mdp, meta = quotient_mdp(fam, sub)
+            sched = MemorylessScheduler({s: rng.randrange(len(acts))
+                                         for s, acts in enumerate(mdp.actions)})
+            reachable = rng.sample(range(mdp.n_states),
+                                   rng.randint(1, mdp.n_states))
+            freqs = {h.name: {} for h in fam.holes}
+            for s in reachable:
+                for hole, option in meta.choices[s][sched[s]].items():
+                    freqs[hole][option] = freqs[hole].get(option, 0) + 1
+            verdict = scheduler_consistency(meta, sched, reachable)
+            assert verdict.frequencies == freqs
+
+
 def test_consistent_scheduler_defaults_unconstrained(example_family):
     _, meta = quotient_mdp(example_family)
     sched = MemorylessScheduler({0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0})

@@ -426,6 +426,115 @@ def test_sparse_solve_on_a_long_walk():
     assert all(sched[i] == 1 for i in range(1, n - 1))
 
 
+def test_max_on_a_long_walk_with_a_down_step():
+    # gambler's ruin between the absorbing ends 0 and n - 1: the fair step
+    # reaches n - 1 from i with probability i / (n - 1), "down" never does.
+    # Prob1E drops one state per round here, so each round must be cheap
+    n = 702
+    mdp = Mdp(n, n // 2, tuple(
+        (("stay", Distribution.dirac(i)),) if i in (0, n - 1) else
+        (("fair", Distribution(((i - 1, 0.5), (i + 1, 0.5)))),
+         ("down", Distribution.dirac(i - 1))) for i in range(n)))
+    value, sched = mdp_extremal(mdp, [n - 1], "max")
+    assert value == pytest.approx(351 / 701, abs=1e-9)
+    assert all(sched[i] == "fair" for i in range(1, n - 1))
+    value, sched = mdp_extremal(mdp, [n - 1], "min")
+    assert value == 0.0
+    assert sched[n - 2] == "down"  # the one state whose fair step can win
+
+
+# --- MDP graph fixpoints against the layered reference ----------------------
+# The whole-matrix numpy rounds that computed the prob-0/prob-1 sets before
+# the worklist searches: one round adds every state with a row into the set.
+
+
+def _some_succ(cm, mask):
+    return np.logical_or.reduceat(mask[cm.indices], cm.indptr[:-1])
+
+
+def _all_succ(cm, mask):
+    return np.logical_and.reduceat(mask[cm.indices], cm.indptr[:-1])
+
+
+def _some_row(cm, rows):
+    return np.logical_or.reduceat(rows, cm.first[:-1])
+
+
+def _first_row(cm, rows):
+    return np.minimum.reduceat(
+        np.where(rows, np.arange(len(rows)), len(rows)), cm.first[:-1])
+
+
+def layered_attract(cm, seeds, rows_ok, policy=None):
+    reached = seeds.copy()
+    while True:
+        hit = rows_ok & _some_succ(cm, reached)
+        new = _some_row(cm, hit) & ~reached
+        if not new.any():
+            return reached
+        if policy is not None:
+            policy[new] = _first_row(cm, hit)[new]
+        reached |= new
+
+
+def layered_prob1e(cm, goal, stay):
+    while True:
+        nxt = layered_attract(cm, goal, _all_succ(cm, stay))
+        if np.array_equal(nxt, stay):
+            return stay
+        stay = nxt
+
+
+def layered_prob0e(cm, goal):
+    avoid = ~goal
+    while True:
+        nxt = avoid & _some_row(cm, _all_succ(cm, avoid))
+        if np.array_equal(nxt, avoid):
+            return avoid
+        avoid = nxt
+
+
+def random_mdp(rng):
+    """1-12 states, 1-3 rows each; a row may loop on its state, and its
+    successors after the first take 1e-12 or a random share."""
+    n = rng.randint(1, 12)
+    actions = []
+    for s in range(n):
+        acts = []
+        for label in range(rng.randint(1, 3)):
+            targets = rng.sample(range(n), rng.randint(1, min(3, n)))
+            if rng.random() < 0.3 and s not in targets:
+                targets[0] = s
+            small = [rng.choice((1e-12, 0.1, 0.25)) for _ in targets[1:]]
+            acts.append((label, Distribution(tuple(zip(
+                targets, [1.0 - sum(small)] + small)))))
+        actions.append(tuple(acts))
+    return Mdp(n, 0, tuple(actions))
+
+
+def test_graph_fixpoints_equal_the_layered_reference():
+    rng = random.Random(2024)
+    for _ in range(250):
+        mdp = random_mdp(rng)
+        cm = mdp._matrix
+        n, n_rows = mdp.n_states, len(cm.labels)
+        goal = np.array([rng.random() < 0.3 for _ in range(n)])
+        rows_ok = np.array([rng.random() < 0.7 for _ in range(n_rows)])
+        for ok in (True, rows_ok):
+            got, want = cm.first[:-1].copy(), cm.first[:-1].copy()
+            reached = model._attract(cm, goal, ok, got)
+            assert np.array_equal(reached, layered_attract(cm, goal, ok, want))
+            assert np.array_equal(got, want)
+        reach = layered_attract(cm, goal, True)
+        got, want = cm.first[:-1].copy(), cm.first[:-1].copy()
+        prob1 = model._prob1e(cm, goal, reach, got)
+        assert np.array_equal(prob1, layered_prob1e(cm, goal, reach))
+        layered_attract(cm, goal, _all_succ(cm, prob1), want)
+        assert np.array_equal(got[prob1], want[prob1])
+        assert np.array_equal(model._prob0e(cm, goal),
+                              layered_prob0e(cm, goal))
+
+
 @pytest.mark.parametrize("dense_limit", [model.DENSE_SOLVE_LIMIT, 0])
 def test_singular_solve_is_model_error(monkeypatch, dense_limit):
     # both solve paths, dense and sparse, on the member whose cycle has

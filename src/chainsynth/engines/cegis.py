@@ -1,20 +1,27 @@
-"""Inductive synthesis engine: a clause-learning synthesiser proposes
-candidates, the verifier model-checks them and generalises verdicts through
-critical-subsystem conflicts.
+"""Inductive synthesis engine: the synthesiser proposes the next member no
+verdict covers yet, the verifier model-checks it and generalises its verdict
+through a critical-subsystem conflict.
 
 A refuting (or establishing) critical set C fixes the chain's behaviour on C;
 every realisation inducing the same transitions on C shares the verdict, so
-one model-checker call can prune many family members.
+one model-checker call can prune many family members.  The design space is
+one verdict array over every combination of options, so a family with more
+than `ENUM_BOUND` combinations is refused, as enum refuses it.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
 
 from ..family import Family, Realisation, enumerate_realisations, realise
 from ..model import (ChainMatrix, MarkovChain, Specification, check,
                      compare, reach_probability, sub_mc)
 from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
                    witness_outcome, within_budget)
-from .enumeration import Evaluator
+from .enumeration import ENUM_BOUND, Evaluator
 
 
 def conflict_holes(fam: Family, critical) -> set:
@@ -105,116 +112,82 @@ def _option_scope(fam: Family, critical, r: Realisation) -> dict:
 
 
 def scope_size(fam: Family, scope: dict) -> int:
-    n = 1
-    for h in fam.holes:
-        n *= len(scope[h.name]) if h.name in scope else len(h.options)
-    return n
-
-
-def scope_matches(scope: dict, r: Realisation) -> bool:
-    return all(r[h] in opts for h, opts in scope.items())
+    return math.prod(len(scope.get(h.name, h.options)) for h in fam.holes)
 
 
 # ---------------------------------------------------------------------------
-# the synthesiser: DPLL over hole assignments with clause learning
+# the synthesiser: one verdict per member of the option product
+
+OPEN, OUT = -1, -2  # unclassified; excluded by the constraints or the budget
 
 
 class AssignmentSpace:
-    """Boolean assignment space over (hole = option) atoms with exactly-one
-    groups per hole, family constraints, and learned verdict clauses.
-
-    A clause is a tuple of (hole index, option-index set) literals, each
-    demanding the hole's option to lie outside its set: it blocks the
-    product of the sets.
+    """The design space as one int8 array over the product of the holes'
+    option indices, whose C order is the lexicographic member order.  Each
+    entry is OPEN, a verdict (0 or 1), or OUT: excluded by the family's
+    constraints or by an optionsum budget.  The first verdict written to an
+    entry stands.
     """
 
     def __init__(self, fam: Family, budget=None, cost_model=None):
+        if fam.size() > ENUM_BOUND:
+            raise EngineError("family exceeds enumeration bound %d"
+                              % ENUM_BOUND)
         self.fam = fam
-        self.holes = fam.holes
-        self.clauses = []
-        self.refuted_stamp = [[0] * len(h.options) for h in fam.holes]
-        self.stamp = 0
-        self.budget = budget
-        self.min_costs = None
+        self.index = {h.name: i for i, h in enumerate(fam.holes)}
+        shape = tuple(len(h.options) for h in fam.holes)
+        out = np.zeros(shape, dtype=bool)
+        for c in fam.constraints:  # valued over the holes it reads only
+            read = sorted({self.index[a.hole] for a in c.atoms()})
+            names = [fam.holes[i].name for i in read]
+            ok = [c.eval(dict(zip(names, combo))) for combo in
+                  itertools.product(*(fam.holes[i].options for i in read))]
+            out |= ~np.reshape(ok, [n if i in read else 1
+                                    for i, n in enumerate(shape)])
         if budget is not None and (cost_model or fam.cost_model) == "optionsum":
-            self.min_costs = [list(h.costs) for h in fam.holes]
+            out |= sum(np.ix_(*(h.costs for h in fam.holes))) > budget
+        self.verdicts = np.where(out, OUT, OPEN).astype(np.int8)
+        self.trial = np.arange(self.verdicts.size)  # members, in trial order
+        self.refuted_stamp = [[0] * n for n in shape]
+        self.stamp = 0
 
-    def learn_scope(self, scope: dict):
-        """Block every assignment inside the scope product."""
-        clause = []
-        names = [h.name for h in self.holes]
-        for h, opts in scope.items():
-            idx = names.index(h)
-            clause.append((idx, frozenset(self.holes[idx].option_index(o)
-                                          for o in opts)))
-        self.clauses.append(tuple(clause))
+    def _point(self, r: Realisation) -> tuple:
+        return tuple(h.option_index(r[h.name]) for h in self.fam.holes)
 
-    def block_assignment(self, r: Realisation):
-        self.learn_scope({h.name: frozenset([r[h.name]]) for h in self.holes})
+    def learn_scope(self, scope: dict, verdict: bool):
+        """Give `verdict` to every OPEN member of the scope product."""
+        box = [range(len(h.options)) for h in self.fam.holes]
+        for name, opts in scope.items():
+            i = self.index[name]
+            box[i] = sorted(map(self.fam.holes[i].option_index, opts))
+        box = np.ix_(*box)
+        part = self.verdicts[box]
+        self.verdicts[box] = np.where(part == OPEN, int(verdict), part)
+
+    def block_assignment(self, r: Realisation, verdict: bool):
+        self.verdicts[self._point(r)] = verdict
 
     def mark_refuted(self, r: Realisation):
+        """Try `r`'s options last: members are tried in the product order
+        of each hole's options sorted unrefuted first, then least recently
+        refuted, ties by index."""
         self.stamp += 1
-        for i, h in enumerate(self.holes):
-            self.refuted_stamp[i][h.option_index(r[h.name])] = self.stamp
-
-    def _propagate(self, domains):
-        changed = True
-        while changed:
-            changed = False
-            for clause in self.clauses:
-                undetermined = []
-                for i, opts in clause:
-                    dom = domains[i]
-                    if not dom & opts:
-                        break  # the clause holds
-                    if dom - opts:
-                        undetermined.append((i, opts))
-                else:
-                    if not undetermined:
-                        return None  # clause falsified
-                    if len(undetermined) == 1:
-                        i, opts = undetermined[0]
-                        domains[i] = domains[i] - opts
-                        changed = True
-            if self.min_costs is not None:
-                bound = sum(min(self.min_costs[i][o] for o in dom)
-                            for i, dom in enumerate(domains))
-                if bound > self.budget:
-                    return None
-        return domains
-
-    def _ordered_options(self, i, domain):
-        stamps = self.refuted_stamp[i]
-        return sorted(domain, key=lambda o: (stamps[o], o))
+        for stamps, o in zip(self.refuted_stamp, self._point(r)):
+            stamps[o] = self.stamp
+        order = np.ix_(*(sorted(range(len(stamps)), key=stamps.__getitem__)
+                         for stamps in self.refuted_stamp))
+        members = np.arange(self.verdicts.size).reshape(self.verdicts.shape)
+        self.trial = members[order].ravel()
 
     def next_candidate(self):
-        """First unclassified constraint-satisfying assignment under DPLL with
-        unit propagation; None once the space is exhausted."""
-        domains = [set(range(len(h.options))) for h in self.holes]
-        return self._search(domains)
-
-    def _search(self, domains):
-        domains = self._propagate([set(d) for d in domains])
-        if domains is None:
+        """The first OPEN member in trial order; None once none is OPEN."""
+        is_open = self.verdicts.ravel()[self.trial] == OPEN
+        k = int(is_open.argmax())
+        if not is_open[k]:
             return None
-        branch = None
-        for i, dom in enumerate(domains):
-            if len(dom) > 1:
-                branch = i
-                break
-        if branch is None:
-            assignment = {h.name: h.options[next(iter(dom))]
-                          for h, dom in zip(self.holes, domains)}
-            if not self.fam.satisfies_constraints(assignment):
-                return None
-            return Realisation(assignment)
-        for o in self._ordered_options(branch, domains[branch]):
-            child = [set(d) for d in domains]
-            child[branch] = {o}
-            found = self._search(child)
-            if found is not None:
-                return found
-        return None
+        at = np.unravel_index(self.trial[k], self.verdicts.shape)
+        return Realisation({h.name: h.options[i]
+                            for h, i in zip(self.fam.holes, at)})
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +212,15 @@ def _threshold(fam, q, members, spec, stop_at_witness, tol):
     upper = spec.op in ("<=", "<")
     seed_budget = q.budget if stop_at_witness else None
     space = AssignmentSpace(fam, budget=seed_budget, cost_model=q.cost_model)
-    singles = {}
-    scopes = []  # (scope, sat)
     while True:
         r = space.next_candidate()
         if r is None:
             break
         stats.candidates += 1
         stats.iterations += 1
-        key = r.key(fam)
         if stop_at_witness and not within_budget(fam, q, r):
             # structural costs are only checkable per candidate
-            singles[key] = False
-            space.block_assignment(r)
+            space.block_assignment(r, False)
             continue
         sat, value = members.verdict(r, spec, tol)
         record = {"candidate": r.as_dict(), "value": value, "sat": sat}
@@ -264,37 +233,27 @@ def _threshold(fam, q, members, spec, stop_at_witness, tol):
         if upper != sat:  # a refuted upper or an established lower bound
             critical = extract_counterexample(realise(fam, r), spec, tol)
             scope = _option_scope(fam, critical, r)
-            scopes.append((scope, sat))
-            space.learn_scope(scope)
-            if not sat:
-                space.mark_refuted(r)
+            space.learn_scope(scope, sat)
             record.update(critical=sorted(critical),
                           conflict_holes=sorted(scope),
                           pruned=scope_size(fam, scope))
         else:
-            singles[key] = sat
-            space.block_assignment(r)
-            if not sat:
-                space.mark_refuted(r)
+            space.block_assignment(r, sat)
             record["pruned"] = 1
+        if not sat:
+            space.mark_refuted(r)
         stats.trace.append(record)
     if stop_at_witness:
         return SynthesisOutcome("unsat", stats=stats)
     T, F = [], []
-    for r in enumerate_realisations(fam):
-        key = r.key(fam)
-        if key in singles:
-            sat = singles[key]
-        else:
-            sat = None
-            for scope, verdict in scopes:
-                if scope_matches(scope, r):
-                    sat = verdict
-                    break
-            if sat is None:
-                raise EngineError("exhausted space left %r unclassified"
-                                  % r.as_dict())
-        (T if sat and within_budget(fam, q, r) else F).append(r)
+    # without a seed budget only the constraints put members OUT, so the
+    # other entries are the members, in lexicographic order
+    verdicts = space.verdicts[space.verdicts != OUT].tolist()
+    for r, verdict in zip(enumerate_realisations(fam), verdicts, strict=True):
+        if verdict == OPEN:
+            raise EngineError("exhausted space left %r unclassified"
+                              % r.as_dict())
+        (T if verdict and within_budget(fam, q, r) else F).append(r)
     return SynthesisOutcome("partition", T=T, F=F, stats=stats)
 
 

@@ -27,6 +27,11 @@ class FamilyError(ValueError):
     pass
 
 
+def _is_index(x, bound=math.inf) -> bool:
+    """Whether `x` is an int, not a bool, in [0, bound)."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < bound
+
+
 @dataclass(frozen=True)
 class Hole:
     """A discrete parameter: an ordered list of options with optional costs."""
@@ -44,6 +49,9 @@ class Hole:
             object.__setattr__(self, "costs", tuple(0 for _ in self.options))
         elif len(self.costs) != len(self.options):
             raise FamilyError("hole %s: costs do not match options" % self.name)
+        elif not all(map(_is_index, self.costs)):
+            raise FamilyError("hole %s: option costs must be natural numbers"
+                              % self.name)
 
     def option_index(self, label: str) -> int:
         try:
@@ -126,6 +134,8 @@ class Family:
             raise FamilyError("duplicate hole names")
         if self.cost_model not in COST_MODELS:
             raise FamilyError("unknown cost model %r" % self.cost_model)
+        if not _is_index(self.init, self.n_states):
+            raise FamilyError("initial state %r outside S" % (self.init,))
         for s, row in enumerate(self.transitions):
             total = sum(p for p, _ in row)
             if abs(total - 1.0) > PROB_SUM_TOL:
@@ -174,8 +184,8 @@ class Family:
         return tuple(rows)
 
     def _check_state(self, t, s):
-        if not (0 <= t < self.n_states):
-            raise FamilyError("state %d has successor %d outside S" % (s, t))
+        if not _is_index(t, self.n_states):
+            raise FamilyError("state %d has successor %r outside S" % (s, t))
 
     def hole(self, name: str) -> Hole:
         for h in self.holes:

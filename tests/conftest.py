@@ -96,3 +96,9 @@ R1 = {"k2": "2", "k3": "2"}
 R2 = {"k2": "2", "k3": "4"}
 R3 = {"k2": "3", "k3": "2"}
 R4 = {"k2": "3", "k3": "4"}
+
+
+def in_scope(scope, r):
+    """Whether realisation `r` lies in the product a learned scope names:
+    each hole the scope restricts takes one of its options."""
+    return all(r[h] in opts for h, opts in scope.items())

@@ -18,7 +18,7 @@ from chainsynth.model import (Specification, check, prob01_states,
 from chainsynth.randfam import (bench_family, pruning_family, random_chain,
                                 random_critical, random_family, random_goal)
 
-from conftest import R1, R2, R3, R4
+from conftest import R1, R2, R3, R4, in_scope
 
 GOAL4 = frozenset([4])
 GOAL2 = frozenset([2])
@@ -138,7 +138,7 @@ def test_criterion_08_submc_monotonicity_and_conflict_soundness():
             assert (frag <= full + 1e-7).all()
         # conflict clauses: every realisation a learned scope classifies
         # must agree with a direct model-checking run
-        from chainsynth.engines.cegis import _option_scope, scope_matches
+        from chainsynth.engines.cegis import _option_scope
         revalidated = 0
         for _ in range(25):
             fam = random_family(rng, max_states=10, max_realisations=256,
@@ -152,7 +152,7 @@ def test_criterion_08_submc_monotonicity_and_conflict_soundness():
                 scope = _option_scope(fam, frozenset(rec["critical"]),
                                       Realisation(rec["candidate"]))
                 for r in enumerate_realisations(fam):
-                    if scope_matches(scope, r):
+                    if in_scope(scope, r):
                         sat, _ = check(realise(fam, r), spec)
                         assert not sat
                         revalidated += 1

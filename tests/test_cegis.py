@@ -10,9 +10,8 @@ from chainsynth.engines import cegis
 from chainsynth.engines.base import EngineError, SynthesisQuery
 from chainsynth.engines.cegis import (AssignmentSpace, _option_scope,
                                       cegis_solve, conflict_holes,
-                                      extract_counterexample, scope_matches,
-                                      scope_size)
-from chainsynth.engines.enumeration import enum_solve
+                                      extract_counterexample, scope_size)
+from chainsynth.engines.enumeration import ENUM_BOUND, enum_solve
 from chainsynth.family import (Family, Fixed, Hole, Realisation,
                                enumerate_realisations, realise)
 from chainsynth.model import (Distribution, MarkovChain, Specification, check,
@@ -20,7 +19,7 @@ from chainsynth.model import (Distribution, MarkovChain, Specification, check,
 from chainsynth.randfam import (bench_family, pruning_family, random_chain,
                                 random_critical, random_family, random_goal)
 
-from conftest import R1, R2, R3, R4, toy_path
+from conftest import R1, R2, R3, R4, in_scope, toy_path
 
 GOAL4 = frozenset([4])
 GOAL2 = frozenset([2])
@@ -46,19 +45,19 @@ def test_block_assignment_advances(example_family):
         if r is None:
             break
         seen.append(r.assignment)
-        space.block_assignment(r)
+        space.block_assignment(r, False)
     assert seen == [R1, R2, R3, R4]
 
 
 def test_learned_scope_prunes(example_family):
     space = AssignmentSpace(example_family)
-    space.learn_scope({"k2": frozenset(["2"])})
+    space.learn_scope({"k2": frozenset(["2"])}, False)
     assert space.next_candidate().assignment == R3
 
 
 def test_empty_scope_exhausts(example_family):
     space = AssignmentSpace(example_family)
-    space.learn_scope({})
+    space.learn_scope({}, False)
     assert space.next_candidate() is None
 
 
@@ -72,7 +71,7 @@ def test_space_respects_constraints(example_family):
         if r is None:
             break
         seen.append(r.assignment)
-        space.block_assignment(r)
+        space.block_assignment(r, False)
     assert R1 not in seen and len(seen) == 3
 
 
@@ -87,16 +86,34 @@ def test_optionsum_budget_seeds_space():
         if r is None:
             break
         seen.append(tuple(sorted(r.assignment.items())))
-        space.block_assignment(r)
+        space.block_assignment(r, False)
     assert seen == [(("a", "x"), ("b", "u")), (("a", "y"), ("b", "u"))]
 
 
 def test_refuted_options_tried_last(example_family):
     space = AssignmentSpace(example_family)
     r = space.next_candidate()
-    space.block_assignment(r)
+    space.block_assignment(r, False)
     space.mark_refuted(r)
     assert space.next_candidate().assignment == R4
+
+
+def test_first_verdict_stands(example_family):
+    space = AssignmentSpace(example_family)
+    space.learn_scope({"k2": frozenset(["2"])}, False)
+    space.learn_scope({}, True)  # only R3 and R4 are still open
+    assert space.verdicts.tolist() == [[0, 0], [1, 1]]
+    assert space.next_candidate() is None
+
+
+def test_space_beyond_enum_bound_is_engine_error():
+    # 101**3 option combinations exceed ENUM_BOUND; no array is allocated
+    options = tuple("o%d" % i for i in range(101))
+    fam = Family(1, 0, tuple(Hole(h, options) for h in "abc"),
+                 (((1.0, Fixed(0)),),))
+    assert fam.size() > ENUM_BOUND
+    with pytest.raises(EngineError, match="enumeration bound"):
+        cegis_solve(fam, SynthesisQuery("max", goal=frozenset([0])))
 
 
 # --- counterexamples --------------------------------------------------------
@@ -112,8 +129,8 @@ def test_refuting_critical_set(example_family):
 def test_refute_scope_covers_r2(example_family):
     scope = _option_scope(example_family, frozenset([0]), Realisation(R1))
     assert scope == {"k2": frozenset(["2"])}
-    assert scope_matches(scope, Realisation(R2))
-    assert not scope_matches(scope, Realisation(R3))
+    assert in_scope(scope, Realisation(R2))
+    assert not in_scope(scope, Realisation(R3))
     assert scope_size(example_family, scope) == 2
 
 
@@ -152,7 +169,7 @@ def test_scope_members_share_verdict_random():
             critical = extract_counterexample(mc, spec)
             scope = _option_scope(fam, critical, r)
             for other in enumerate_realisations(fam):
-                if scope_matches(scope, other):
+                if in_scope(scope, other):
                     osat, _ = check(realise(fam, other), spec)
                     assert not osat
                     validated += 1
@@ -227,6 +244,25 @@ def test_pruning_instance_beats_enumeration():
     out = cegis_solve(fam, SynthesisQuery("feasible", spec=spec))
     assert out.kind == "witness"
     assert out.stats.checks < 0.2 * fam.size()
+
+
+@pytest.mark.parametrize("query, checks, candidates, n_true", [
+    ("bench partition", 177, 177, 175),
+    ("bench feasible", 3, 3, None),
+    ("pruning partition", 2, 2, 1),
+    ("bench-8-10-5 max", 400, 401, None),
+])
+def test_search_order_is_pinned(query, checks, candidates, n_true):
+    # the synthesiser's candidate order fixes these counts exactly
+    name, kind = query.split()
+    fam, spec = {"bench": bench_family, "pruning": pruning_family,
+                 "bench-8-10-5": lambda: bench_family(8, 10, 5)}[name]()
+    q = SynthesisQuery(kind, goal=spec.goal) if kind == "max" \
+        else SynthesisQuery(kind, spec=spec)
+    out = cegis_solve(fam, q)
+    assert (out.stats.checks, out.stats.candidates) == (checks, candidates)
+    if n_true is not None:
+        assert len(out.T) == n_true
 
 
 def test_agreement_with_oracle_random():
@@ -512,7 +548,8 @@ def test_failed_certificate_is_engine_error(monkeypatch, example_family):
 
 
 def test_unclassified_member_is_engine_error(monkeypatch, example_family):
-    monkeypatch.setattr(cegis, "scope_matches", lambda scope, r: False)
+    # a synthesiser that proposes nothing leaves every member unclassified
+    monkeypatch.setattr(AssignmentSpace, "next_candidate", lambda self: None)
     q = SynthesisQuery("partition", spec=Specification(GOAL2, "<=", 0.4))
     with pytest.raises(EngineError, match="unclassified"):
         cegis_solve(example_family, q)

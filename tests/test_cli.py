@@ -207,6 +207,37 @@ def test_bad_constraint_in_json_family_is_error(capsys, tmp_path, engine,
     assert err.startswith("error: ")
 
 
+def json_family(init=0, fixed=1, table_b=1, costs=(0, 0)):
+    return json.dumps({
+        "states": 2, "init": init,
+        "holes": [{"name": "h", "options": ["a", "b"], "costs": list(costs)}],
+        "transitions": [
+            {"from": 0, "branches": [
+                {"p": 0.5, "hole": "h", "table": {"a": 0, "b": table_b}},
+                {"p": 0.5, "fixed": fixed}]},
+            {"from": 1, "branches": [{"p": 1.0, "fixed": 1}]}]})
+
+
+@pytest.mark.parametrize("family, flags, message", [
+    (json_family(fixed=1.5), (), "successor 1.5 outside S"),
+    (json_family(table_b=0.5), (), "successor 0.5 outside S"),
+    (json_family(init=0.5), (), "initial state 0.5 outside S"),
+    (json_family(init=5), (), "initial state 5 outside S"),
+    (json_family(costs=("x", "y")), ("--budget", "1", "--cost", "optionsum"),
+     "costs must be natural numbers"),
+], ids=["fixed-float", "table-float", "init-float", "init-out-of-range",
+        "string-costs"])
+def test_malformed_json_family_values_exit_2(capsys, tmp_path, family, flags,
+                                             message):
+    path = tmp_path / "fam.json"
+    path.write_text(family)
+    code, out, err = run(capsys, "synth", "feasible", "--input", str(path),
+                         "--spec", "P>=0.5 [F s=1]", "--engine", "cegar",
+                         *flags)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("engine", ["enum", "cegis"])
 def test_singular_solve_exits_2(capsys, tmp_path, engine):
     from chainsynth import jsonio

@@ -58,6 +58,9 @@ def test_hole_validation():
         Hole("h", ("a", "a"))
     with pytest.raises(FamilyError):
         Hole("h", ("a", "b"), (1,))
+    for bad in (-1, 1.5, True, "1"):  # costs are natural numbers
+        with pytest.raises(FamilyError, match="natural"):
+            Hole("h", ("a",), (bad,))
     assert Hole("h", ("a",)).costs == (0,)
 
 
@@ -66,6 +69,13 @@ def test_family_validation():
         Family(1, 0, (), (((0.5, Fixed(0)),),))
     with pytest.raises(FamilyError):  # successor outside the state space
         Family(1, 0, (), (((1.0, Fixed(3)),),))
+    for bad in (0.0, False):  # successors and init are int state indices
+        with pytest.raises(FamilyError, match="successor"):
+            Family(1, 0, (), (((1.0, Fixed(bad)),),))
+        with pytest.raises(FamilyError, match="initial state"):
+            Family(1, bad, (), (((1.0, Fixed(0)),),))
+    with pytest.raises(FamilyError, match="initial state"):
+        Family(1, 1, (), (((1.0, Fixed(0)),),))
     with pytest.raises(FamilyError):  # table must be total
         Family(1, 0, (Hole("h", ("a", "b")),),
                (((1.0, HoleRef(("h",), {("a",): 0})),),))

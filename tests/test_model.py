@@ -403,6 +403,52 @@ def test_mdp_extremal_matches_brute_force(case, mode):
     assert attained == pytest.approx(optimum, abs=1e-6)
 
 
+
+# Two MDPs whose exits of 1e-9 to 1e-12 leave policy iteration gains of
+# rounding size.  A stop rule that switched a row only on a gain above
+# 8 * eps * max(best, current), without _keep_proper's guard, looped
+# forever on B and hit a singular solve on A.  Per state, each action is a
+# list of (successor, probability) pairs.
+ROUNDING_GAINS = {
+    "A": ({4}, [
+        [[(0, .7499999999990905), (4, 2 ** -40), (5, .25)], [(0, 1.)],
+         [(0, .999999999), (5, 1e-9)]],
+        [[(0, 1.)]],
+        [[(2, 1.)], [(0, .9999999989990905), (5, 1e-9), (1, 2 ** -40)]],
+        [[(5, .899999999999), (3, .1), (1, 1e-12)],
+         [(1, .999999998), (3, 1e-9), (2, 1e-9)],
+         [(5, .4), (4, .3), (0, .3)]],
+        [[(2, .75), (0, .25)], [(3, 1.)],
+         [(2, .999999998), (0, 1e-9), (4, 1e-9)]],
+        [[(5, 1.)], [(5, 1.)]]]),
+    "B": ({6}, [
+        [[(0, 1.)]],
+        [[(0, 1.)], [(5, 1.)], [(1, .7499999989999999), (4, .25), (2, 1e-9)]],
+        [[(1, .6999999999990001), (5, .3), (6, 1e-12)]],
+        [[(1, .999999999), (4, 1e-9)],
+         [(5, .749999999999), (2, 1e-12), (0, .25)]],
+        [[(0, .699999999), (5, 1e-9), (4, .3)]],
+        [[(5, .8999999999990905), (1, .1), (4, 2 ** -40)],
+         [(4, .749999999999), (0, .25), (5, 1e-12)],
+         [(1, .699999999), (5, .3), (4, 1e-9)]],
+        [[(4, .999999999), (5, 1e-9)], [(5, .9999999999990905), (2, 2 ** -40)],
+         [(5, .7), (4, .3)]]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDING_GAINS))
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_policy_iteration_attains_optimum_despite_rounding_gains(name, mode):
+    goal, rows = ROUNDING_GAINS[name]
+    mdp = Mdp(len(rows), 0, tuple(
+        tuple((a, Distribution.from_pairs(pairs)) for a, pairs in
+              enumerate(acts)) for acts in rows))
+    optimum = brute_force(mdp, goal)[mode]
+    value, sched = mdp_extremal(mdp, goal, mode)
+    assert value == pytest.approx(optimum[0], rel=1e-9, abs=1e-20)
+    attained = reach_probability(induced_chain(mdp, sched), goal)
+    assert attained == pytest.approx(optimum, rel=1e-9, abs=1e-20)
+
 def test_sparse_solve_on_a_long_walk():
     # 700 unknowns take the sparse branch; a fair walk between the
     # absorbing ends 0 and n - 1 reaches n - 1 with probability i / (n - 1)

@@ -24,32 +24,35 @@ from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
 from .enumeration import ENUM_BOUND, Evaluator
 
 
-def conflict_holes(fam: Family, critical) -> set:
-    """Holes referenced by the outgoing transitions of the critical states."""
-    return set().union(*(fam.rows[c].holes for c in critical))
-
-
 def extract_counterexample(mc: MarkovChain, spec: Specification,
-                           tol: float = 1e-6) -> frozenset:
+                           tol: float = 1e-6, to_goal=None,
+                           prunes=None) -> frozenset | None:
     """Greedy critical-set construction.
 
-    Reachable non-goal states are ranked once by the contribution score
-    Pr(init reaches s) * Pr(s reaches goal), the first factor of every state
-    coming from one factorisation (`ChainMatrix.first_passage`).  The
-    critical set is {init} plus the shortest prefix of that ranking whose
-    sub-MC alone decides the property.  The operator fixes what that means: an
+    The critical set is {init} if its sub-MC alone decides the property.
+    Otherwise reachable non-goal states are ranked once by the contribution
+    score Pr(init reaches s) * Pr(s reaches goal), the first factor of every
+    state coming from one factorisation (`ChainMatrix.first_passage`), and
+    the critical set is {init} plus the shortest prefix of that ranking
+    whose sub-MC decides.  The operator fixes what deciding means: an
     upper-bound spec (<=, <) must be violated and is refuted once the
     sub-value violates it; a lower-bound spec (>=, >) must be satisfied and
     is established once the sub-value clears it.  A sub-MC's value only
     grows with its critical set, so whether a prefix decides is monotone in
     its length, and bisection finds the shortest one with at most
-    ceil(log2(m + 2)) valuations for m ranked states.  Each valuation
-    (`ChainMatrix.sub_value`) values the prefix's sub-MC on the candidate's
-    arrays, compiled once with the ranking, by the qualitative pass and the
-    solve that `check(sub_mc(...))` runs, so the two agree exactly; that
-    check certifies the chosen set alone.
+    ceil(log2(m + 1)) valuations for m ranked states, after the one of
+    {init}.  Each valuation (`ChainMatrix.sub_value`) values the prefix's
+    sub-MC on the candidate's arrays, compiled once per conflict, by the
+    qualitative pass and the solve that `check(sub_mc(...))` runs, so the
+    two agree exactly; that check certifies the chosen set alone.
+
+    `to_goal`, the chain's goal vector, is solved here if not given.  After
+    each failed bisection step `prunes`, if given, is asked whether a
+    critical set containing the prefix can still generalise beyond the
+    candidate; if not, the search stops and returns None.
     """
-    to_goal = reach_probability(mc, spec.goal)
+    if to_goal is None:
+        to_goal = reach_probability(mc, spec.goal)
     verdict = compare(float(to_goal[mc.init]), spec.op, spec.threshold, tol)
     want = spec.op in (">=", ">")  # the sub-MC's verdict that decides
     if verdict != want:
@@ -58,56 +61,69 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
                           "refutation requires a violated upper-bound spec")
 
     chain = ChainMatrix(mc)
-    from_init, reached = chain.first_passage()
-    scores = {s: float(from_init[s]) * float(to_goal[s])
-              for s in reached if s != mc.init and s not in spec.goal}
-    # equal scores come out of the factorisation equal only up to rounding:
-    # a score within a relative 1e-12 of the first of its run ties with it,
-    # and ties are broken by index
-    tied, lead = {}, None
-    for s in sorted(scores, key=scores.get, reverse=True):
-        if lead is None or scores[lead] - scores[s] > 1e-12 * scores[lead]:
-            lead = s
-        tied[s] = scores[lead]
-    order = sorted(scores, key=lambda s: (-tied[s], s))
 
-    def decides(k):
-        value = chain.sub_value([mc.init, *order[:k]], spec.goal)
+    def decides(critical):
+        value = chain.sub_value(critical, spec.goal)
         return compare(value, spec.op, spec.threshold, tol) == want
 
-    lo, hi = 0, len(order) + 1  # every prefix shorter than lo fails
-    while lo < hi:  # hi decides, or is past the full reachable set
-        mid = (lo + hi) // 2
-        if decides(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    if hi > len(order):
-        raise EngineError("the full reachable set does not decide the "
-                          "property")
-    critical = frozenset([mc.init, *order[:hi]])
+    critical = [mc.init]
+    if not decides(critical):
+        from_init, reached = chain.first_passage()
+        scores = {s: float(from_init[s]) * float(to_goal[s])
+                  for s in reached if s != mc.init and s not in spec.goal}
+        # equal scores come out of the factorisation equal only up to
+        # rounding: a score within a relative 1e-12 of the first of its run
+        # ties with it, and ties are broken by index
+        tied, lead = {}, None
+        for s in sorted(scores, key=scores.get, reverse=True):
+            if lead is None or scores[lead] - scores[s] > 1e-12 * scores[lead]:
+                lead = s
+            tied[s] = scores[lead]
+        order = sorted(scores, key=lambda s: (-tied[s], s))
+
+        lo, hi = 1, len(order) + 1  # every prefix shorter than lo fails
+        while lo < hi:  # hi decides, or is past the full reachable set
+            mid = (lo + hi) // 2
+            if decides([mc.init, *order[:mid]]):
+                hi = mid
+            else:
+                lo = mid + 1
+                if prunes is not None and not prunes([mc.init, *order[:lo]]):
+                    return None
+        if hi > len(order):
+            raise EngineError("the full reachable set does not decide the "
+                              "property")
+        critical = [mc.init, *order[:hi]]
+    critical = frozenset(critical)
     if check(sub_mc(mc, critical), spec, tol)[0] != want:
         raise EngineError("the sub-MC check of the critical set does not "
                           "decide the property")
     return critical
 
 
-def _option_scope(fam: Family, critical, r: Realisation) -> dict:
-    """Per conflict hole, the options that select the same distribution as
-    the candidate's choice in every critical state, whatever the state's
-    other holes choose.  A sub-MC depends only on its critical states'
-    distributions, so every realisation in the product shares it."""
+def _option_scope(fam: Family, critical, r: Realisation, kept=None) -> dict:
+    """Per conflict hole (one that a critical state's transitions read), the
+    options that select the same distribution as the candidate's choice in
+    every critical state, whatever the state's other holes choose.  A sub-MC
+    depends only on its critical states' distributions, so every
+    realisation in the product shares it.  Those options are the
+    intersection of each critical state's own, which `kept` may carry from
+    call to call on one family."""
+    kept = {} if kept is None else kept
     scope = {}
-    for h in conflict_holes(fam, critical):
-        chosen = r[h]
-        rows = [(row, row.holes.index(h)) for row in
-                (fam.rows[c] for c in critical) if h in row.holes]
-        scope[h] = frozenset(
-            option for option in fam.hole(h).options
-            if all(dist == row.dists[combo[:pos] + (option,) + combo[pos + 1:]]
-                   for row, pos in rows
-                   for combo, dist in row.dists.items()
-                   if combo[pos] == chosen))
+    for c in critical:
+        row = fam.rows[c]
+        for pos, h in enumerate(row.holes):
+            chosen = r[h]
+            if (c, h, chosen) not in kept:
+                kept[c, h, chosen] = frozenset(
+                    option for option in fam.hole(h).options
+                    if all(dist == row.dists[combo[:pos] + (option,)
+                                             + combo[pos + 1:]]
+                           for combo, dist in row.dists.items()
+                           if combo[pos] == chosen))
+            options = kept[c, h, chosen]
+            scope[h] = scope[h] & options if h in scope else options
     return scope
 
 
@@ -154,15 +170,30 @@ class AssignmentSpace:
     def _point(self, r: Realisation) -> tuple:
         return tuple(h.option_index(r[h.name]) for h in self.fam.holes)
 
-    def learn_scope(self, scope: dict, verdict: bool):
-        """Give `verdict` to every OPEN member of the scope product."""
-        box = [range(len(h.options)) for h in self.fam.holes]
+    def _axes(self, scope: dict):
+        """Per hole the scope restricts: its axis and its options' indices."""
         for name, opts in scope.items():
             i = self.index[name]
-            box[i] = sorted(map(self.fam.holes[i].option_index, opts))
+            yield i, [k for k, option in enumerate(self.fam.holes[i].options)
+                      if option in opts]
+
+    def learn_scope(self, scope: dict, verdict: bool):
+        """Give `verdict` to every OPEN member of the scope product."""
+        box = [range(n) for n in self.verdicts.shape]
+        for axis, indices in self._axes(scope):
+            box[axis] = indices
         box = np.ix_(*box)
         part = self.verdicts[box]
         self.verdicts[box] = np.where(part == OPEN, int(verdict), part)
+
+    def would_prune(self, scope: dict) -> bool:
+        """Whether the scope product holds more than one OPEN member.  A
+        candidate is OPEN and lies in every scope learned from it, so if
+        not, `learn_scope` would classify the candidate alone."""
+        part = self.verdicts
+        for axis, indices in self._axes(scope):
+            part = part.take(indices, axis=axis)
+        return np.count_nonzero(part == OPEN) > 1
 
     def block_assignment(self, r: Realisation, verdict: bool):
         self.verdicts[self._point(r)] = verdict
@@ -212,6 +243,7 @@ def _threshold(fam, q, members, spec, stop_at_witness, tol):
     upper = spec.op in ("<=", "<")
     seed_budget = q.budget if stop_at_witness else None
     space = AssignmentSpace(fam, budget=seed_budget, cost_model=q.cost_model)
+    kept = {}  # `_option_scope`'s per-state options, for the whole search
     while True:
         r = space.next_candidate()
         if r is None:
@@ -230,16 +262,23 @@ def _threshold(fam, q, members, spec, stop_at_witness, tol):
             record["pruned"] = 1
             stats.trace.append(record)
             return witness_outcome(fam, q, r, value, stats)
-        if upper != sat:  # a refuted upper or an established lower bound
-            critical = extract_counterexample(realise(fam, r), spec, tol)
-            scope = _option_scope(fam, critical, r)
+        critical = None
+        # a refuted upper or an established lower bound generalises, where
+        # a critical set could classify more than the candidate: a set
+        # only shrinks its scope as it grows, and {init} is in every one
+        prunes = lambda c: space.would_prune(_option_scope(fam, c, r, kept))
+        if upper != sat and prunes([fam.init]):
+            mc, to_goal = members.solved or (realise(fam, r), None)
+            critical = extract_counterexample(mc, spec, tol, to_goal, prunes)
+        if critical is None:
+            space.block_assignment(r, sat)
+            record["pruned"] = 1
+        else:
+            scope = _option_scope(fam, critical, r, kept)
             space.learn_scope(scope, sat)
             record.update(critical=sorted(critical),
                           conflict_holes=sorted(scope),
                           pruned=scope_size(fam, scope))
-        else:
-            space.block_assignment(r, sat)
-            record["pruned"] = 1
         if not sat:
             space.mark_refuted(r)
         stats.trace.append(record)

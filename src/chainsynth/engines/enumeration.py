@@ -4,7 +4,8 @@ other engines; its `Evaluator` values members for every engine."""
 from __future__ import annotations
 
 from ..family import Family, Realisation, enumerate_realisations, realise
-from ..model import Specification, check, compare, reach_probability
+from ..model import Specification, compare, reach_probability
+from ..model import check  # noqa: F401 -- perfbench's tracer wraps this name
 from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
                    witness_outcome, within_budget)
 
@@ -14,22 +15,28 @@ ENUM_BOUND = 10 ** 6
 class Evaluator:
     """The one place a member is valued: it realises the member, solves its
     chain for the query's goal once and remembers the value by member key.
-    Each chain solved counts one `stats.checks`."""
+    Each chain solved counts one `stats.checks`.  `solved` holds the chain
+    and goal vector of the member the last `verdict` call solved, or None
+    if that call read the value from memory."""
 
     def __init__(self, fam: Family, q: SynthesisQuery, stats: Stats):
         self.fam, self.stats = fam, stats
         self.goal = q.goal if q.spec is None else q.spec.goal
         self.values = {}
+        self.solved = None
 
     def verdict(self, r: Realisation, spec: Specification, tol: float):
-        """(verdict, value) of `r`; `spec` names the query's goal."""
+        """(verdict, value) of `r`, as `check` gives it; `spec` names the
+        query's goal."""
         key = r.key(self.fam)
-        if key in self.values:
-            value = self.values[key]
-            return compare(value, spec.op, spec.threshold, tol), value
-        self.stats.checks += 1
-        sat, self.values[key] = check(realise(self.fam, r), spec, tol)
-        return sat, self.values[key]
+        self.solved = None
+        if key not in self.values:
+            self.stats.checks += 1
+            mc = realise(self.fam, r)
+            self.solved = mc, reach_probability(mc, spec.goal)
+            self.values[key] = float(self.solved[1][mc.init])
+        value = self.values[key]
+        return compare(value, spec.op, spec.threshold, tol), value
 
     def value(self, r: Realisation) -> float:
         """Probability that `r` reaches the query's goal."""

@@ -212,15 +212,26 @@ def _mc_predecessors(mc: MarkovChain):
     return preds
 
 
-def _prob01(n_states, preds, goal, outside=frozenset()):
+def _prob01(n_states, preds, goal, critical=None, succ=None):
     """Exact prob-0 and prob-1 state sets for reaching `goal` in the chain
-    with predecessor lists `preds`, every state in `outside` made absorbing
-    as `sub_mc` does: no path passes through an outside state."""
+    with predecessor lists `preds`.  Given a `critical` set and successor
+    lists `succ`, every state outside it is made absorbing as `sub_mc`
+    does: no path passes through an outside state."""
     states = set(range(n_states))
-    prob0 = states - _backward_reach(preds, goal, blocked=outside)
-    # value < 1 iff the state can reach prob0 without passing through goal;
-    # an outside state lies in goal or in prob0, so it is never passed
-    return prob0, states - _backward_reach(preds, prob0, blocked=goal)
+    outside = frozenset() if critical is None else states.difference(critical)
+    reach = _backward_reach(preds, goal, blocked=outside)
+    prob0 = states - reach
+    # value < 1 iff the state can reach prob0 without passing through goal
+    if critical is None:
+        bad = _backward_reach(preds, prob0, blocked=goal)
+    else:
+        # an outside state lies in goal or in prob0, so such a path runs
+        # through critical states and leaves them by a step into prob0
+        bad = _backward_reach(
+            preds, [s for s in critical
+                    if s not in goal and not reach.issuperset(succ[s])],
+            blocked=outside | goal)
+    return prob0, reach - bad
 
 
 def prob01_states(mc: MarkovChain, goal: frozenset):
@@ -464,8 +475,8 @@ class ChainMatrix:
         qualitative pass, with the states outside `critical` absorbing, and
         the same solve, on this chain's CSR rows of the unknown states."""
         n, init = self.mc.n_states, self.mc.init
-        outside = set(range(n)).difference(critical)
-        prob0, prob1 = _prob01(n, self.preds, frozenset(goal), outside)
+        prob0, prob1 = _prob01(n, self.preds, frozenset(goal), critical,
+                               self.succ)
         if init in prob0 or init in prob1:
             return float(init in prob1)
         return float(_values(n, prob0, prob1, lambda unknown: (

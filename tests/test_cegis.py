@@ -6,13 +6,13 @@ import pytest
 from chainsynth import model
 from chainsynth.cli import main
 from chainsynth.constraints import Atom, Implies, Not
-from chainsynth.engines import cegis
+from chainsynth.engines import cegis, enumeration
 from chainsynth.engines.base import EngineError, SynthesisQuery
 from chainsynth.engines.cegis import (AssignmentSpace, _option_scope,
-                                      cegis_solve, conflict_holes,
-                                      extract_counterexample, scope_size)
+                                      cegis_solve, extract_counterexample,
+                                      scope_size)
 from chainsynth.engines.enumeration import ENUM_BOUND, enum_solve
-from chainsynth.family import (Family, Fixed, Hole, Realisation,
+from chainsynth.family import (Family, Fixed, Hole, HoleRef, Realisation,
                                enumerate_realisations, realise)
 from chainsynth.model import (Distribution, MarkovChain, Specification, check,
                               compare, reach_probability, sub_mc)
@@ -123,7 +123,9 @@ def test_refuting_critical_set(example_family):
     mc = realise(example_family, Realisation(R1))
     critical = extract_counterexample(mc, spec)
     assert critical == frozenset([0])
-    assert conflict_holes(example_family, critical) == {"k2"}
+    # the conflict holes, those the critical states' transitions read
+    assert set(_option_scope(example_family, critical,
+                             Realisation(R1))) == {"k2"}
 
 
 def test_refute_scope_covers_r2(example_family):
@@ -284,9 +286,9 @@ def test_returned_witness_is_never_extracted(monkeypatch, example_family):
     calls = []
     extract = cegis.extract_counterexample
 
-    def counted(mc, spec, tol=1e-6):
+    def counted(mc, spec, tol=1e-6, *args):
         calls.append((mc, spec))
-        return extract(mc, spec, tol)
+        return extract(mc, spec, tol, *args)
 
     monkeypatch.setattr(cegis, "extract_counterexample", counted)
     pruning, _ = pruning_family(16)
@@ -307,6 +309,113 @@ def test_returned_witness_is_never_extracted(monkeypatch, example_family):
                            for spec in on_witness), on_witness
             else:
                 assert not on_witness, (q.kind, on_witness)
+
+
+def random_queries(rng, n):
+    """Seeded cegis queries of all four kinds on random families, some with
+    a two-hole constraint, an optionsum or structural budget, or an eps."""
+    for _ in range(n):
+        fam = random_family(rng, max_states=12, max_realisations=32)
+        if len(fam.holes) > 1 and rng.random() < 0.4:
+            a, b = rng.sample(fam.holes, 2)
+            fam = constrained(fam, fam.constraints + (Implies(
+                Atom(a.name, a.options[0]), Not(Atom(b.name, b.options[0]))),))
+        goal = random_goal(rng, fam.n_states)
+        kind = rng.choice(("feasible", "partition", "max", "min"))
+        budget = dict(budget=rng.randint(2, 10), cost_model=rng.choice(
+            ("optionsum", "structural"))) if rng.random() < 0.4 else {}
+        if kind in ("feasible", "partition"):
+            spec = Specification(goal, rng.choice(("<=", "<", ">=", ">")),
+                                 round(rng.random(), 3))
+            yield fam, SynthesisQuery(kind, spec=spec, **budget)
+        else:
+            yield fam, SynthesisQuery(kind, goal=goal, **budget,
+                                      epsilon=rng.choice((None, 0.1)))
+
+
+def test_conflict_cut_is_exact(monkeypatch):
+    # a conflict whose scope can classify nothing but the candidate blocks
+    # the candidate alone; extracting it in full must give the same outcome,
+    # counts and final verdict arrays
+    spaces, cut = [], []
+    space_init = AssignmentSpace.__init__
+    extract = cegis.extract_counterexample
+
+    def recording_init(self, *args, **kwargs):
+        space_init(self, *args, **kwargs)
+        spaces.append(self)
+
+    def recording_extract(*args):
+        critical = extract(*args)
+        cut.append(critical is None)
+        return critical
+
+    def run(fam, q):
+        spaces.clear()
+        out = cegis_solve(fam, q)
+        return (out.kind, out.witness and out.witness.key(fam), out.value,
+                [r.key(fam) for r in out.T or ()],
+                [r.key(fam) for r in out.F or ()], out.stats.checks,
+                out.stats.candidates, out.stats.iterations,
+                [space.verdicts.tolist() for space in spaces])
+
+    monkeypatch.setattr(AssignmentSpace, "__init__", recording_init)
+    monkeypatch.setattr(cegis, "extract_counterexample", recording_extract)
+    (bench, bench_spec), (pruning, pruning_spec) = \
+        bench_family(), pruning_family()
+    cases = [*random_queries(random.Random(59), 150),
+             (bench, SynthesisQuery("partition", spec=bench_spec)),
+             (bench, SynthesisQuery("feasible", spec=bench_spec)),
+             (pruning, SynthesisQuery("partition", spec=pruning_spec)),
+             (pruning, SynthesisQuery("max", goal=pruning_spec.goal))]
+    for fam, q in cases:
+        with_cut = run(fam, q)
+        with monkeypatch.context() as m:
+            m.setattr(AssignmentSpace, "would_prune", lambda self, scope: True)
+            assert run(fam, q) == with_cut, q
+    assert any(cut), "no bisection was cut short"
+
+
+def test_member_is_solved_once_per_check(monkeypatch):
+    # a conflict reuses the chain the member was checked on
+    realised = []
+
+    def counted(fam, r):
+        realised.append(r)
+        return realise(fam, r)
+
+    monkeypatch.setattr(cegis, "realise", counted)
+    monkeypatch.setattr(enumeration, "realise", counted)
+    fam, spec = bench_family(8, 10, 5)
+    cases = [(fam, SynthesisQuery("partition", spec=spec))] + [
+        (fam, q) for fam, q in random_queries(random.Random(61), 80)
+        if q.kind == "partition" and q.budget is None]
+    for fam, q in cases:
+        realised.clear()
+        out = cegis_solve(fam, q)
+        assert len(realised) == out.stats.checks > 0
+
+
+def test_no_extraction_where_init_fixes_every_hole(monkeypatch):
+    # the initial state reads both holes and every combination of their
+    # options gives it another distribution, so a scope holds its candidate
+    # alone and no conflict is extracted
+    fam = Family(5, 0, (Hole("h", ("a", "b", "c")), Hole("g", ("x", "y"))), (
+        ((0.5, HoleRef.single("h", {"a": 1, "b": 2, "c": 3})),
+         (0.5, HoleRef.single("g", {"x": 1, "y": 4}))),
+        *(((1.0, Fixed(s)),) for s in range(1, 5))))
+    monkeypatch.setattr(cegis, "extract_counterexample", None)
+    goal = frozenset([1])
+    for q in (SynthesisQuery("partition", spec=Specification(goal, op, 0.4))
+              for op in ("<=", ">=")):
+        out = cegis_solve(fam, q)
+        assert [r.key(fam) for r in out.T] == \
+            [r.key(fam) for r in enum_solve(fam, q).T]
+        assert all(record["pruned"] == 1 and "critical" not in record
+                   for record in out.stats.trace)
+    for kind in ("max", "min"):
+        q = SynthesisQuery(kind, goal=goal)
+        assert cegis_solve(fam, q).value == enum_solve(fam, q).value
 
 
 # --- critical sets from one factorisation ----------------------------------

@@ -168,9 +168,9 @@ def test_prob01_with_absorbing_outside_states_is_that_of_the_sub_mc():
         goal = random_goal(rng, mc.n_states)
         k = rng.randint(0, mc.n_states - 1)
         critical = {mc.init, *rng.sample(range(mc.n_states), k)}
-        outside = set(range(mc.n_states)) - critical
-        assert model._prob01(mc.n_states, model._mc_predecessors(mc), goal,
-                             outside) == \
+        chain = model.ChainMatrix(mc)
+        assert model._prob01(mc.n_states, chain.preds, goal, critical,
+                             chain.succ) == \
             prob01_states(sub_mc(mc, critical), goal), (mc.dump(), critical)
 
 

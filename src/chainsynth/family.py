@@ -140,7 +140,10 @@ class Family:
             total = sum(p for p, _ in row)
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise FamilyError("state %d probabilities sum to %r" % (s, total))
-            for _, tgt in row:
+            for p, tgt in row:
+                if not 0.0 < p <= 1.0:  # nan fails too
+                    raise FamilyError("state %d has branch probability %r "
+                                      "outside (0, 1]" % (s, p))
                 if isinstance(tgt, Fixed):
                     self._check_state(tgt.state, s)
                 else:

@@ -10,13 +10,15 @@ produces a :class:`~chainsynth.family.Family`.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
+from dataclasses import dataclass
 
 from . import constraints as cn
-from .family import Family, FamilyError, Fixed, Hole, HoleRef
+from .family import Family, Fixed, Hole, HoleRef
 
 DEFAULT_MAX_STATES = 10 ** 6
 
@@ -78,121 +80,94 @@ def _lex(text: str):
 
 # ---------------------------------------------------------------------------
 # expressions
+#
+# Each node evaluates itself under a valuation (variable -> value) and a
+# binding (hole name -> its chosen option's expression), and reports the
+# leaves it reads: its `Var` and `HoleE` nodes.
 
-BOOL_OPS = {"&", "|", "=>", "=", "!=", "<", "<=", ">", ">="}
 CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+        "&": lambda l, r: bool(l) and bool(r),
+        "|": lambda l, r: bool(l) or bool(r),
+        "=>": lambda l, r: (not l) or bool(r)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num:
-    value: float
+    value: object  # an int when the literal is integral, else a float
     text: str
+
+    def eval(self, valuation, binding):
+        return self.value
+
+    def reads(self):
+        return frozenset()
 
     def to_text(self):
         return self.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
+
+    def eval(self, valuation, binding):
+        return valuation[self.name]
+
+    def reads(self):
+        return frozenset((self,))
 
     def to_text(self):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HoleE:
     name: str
+
+    def eval(self, valuation, binding):
+        return binding[self.name].eval(valuation, binding)
+
+    def reads(self):
+        return frozenset((self,))
 
     def to_text(self):
         return "@%s@" % self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bin:
     op: str
     lhs: object
     rhs: object
 
+    def eval(self, valuation, binding):
+        return _OPS[self.op](self.lhs.eval(valuation, binding),
+                             self.rhs.eval(valuation, binding))
+
+    def reads(self):
+        return self.lhs.reads() | self.rhs.reads()
+
     def to_text(self):
         return "(%s %s %s)" % (self.lhs.to_text(), self.op, self.rhs.to_text())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Un:
     op: str
     arg: object
 
+    def eval(self, valuation, binding):
+        x = self.arg.eval(valuation, binding)
+        return (not x) if self.op == "!" else -x
+
+    def reads(self):
+        return self.arg.reads()
+
     def to_text(self):
         return "%s(%s)" % (self.op, self.arg.to_text())
-
-
-def holes_in(expr) -> set:
-    if isinstance(expr, HoleE):
-        return {expr.name}
-    if isinstance(expr, Bin):
-        return holes_in(expr.lhs) | holes_in(expr.rhs)
-    if isinstance(expr, Un):
-        return holes_in(expr.arg)
-    return set()
-
-
-def vars_in(expr) -> set:
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Bin):
-        return vars_in(expr.lhs) | vars_in(expr.rhs)
-    if isinstance(expr, Un):
-        return vars_in(expr.arg)
-    return set()
-
-
-def eval_expr(expr, valuation, assignment=None, holes_by_name=None):
-    """Evaluate an expression; hole references resolve through `assignment`
-    (hole name -> option label) to the option's expression."""
-    if isinstance(expr, Num):
-        return int(expr.value) if expr.value == int(expr.value) else expr.value
-    if isinstance(expr, Var):
-        if expr.name not in valuation:
-            raise SketchError("unknown identifier %r" % expr.name)
-        return valuation[expr.name]
-    if isinstance(expr, HoleE):
-        if not assignment or expr.name not in assignment:
-            raise SketchError("hole %s is unassigned" % expr.name)
-        decl = holes_by_name[expr.name]
-        option = decl.option(assignment[expr.name])
-        return eval_expr(option.expr, valuation, assignment, holes_by_name)
-    if isinstance(expr, Un):
-        v = eval_expr(expr.arg, valuation, assignment, holes_by_name)
-        return (not v) if expr.op == "!" else -v
-    l = eval_expr(expr.lhs, valuation, assignment, holes_by_name)
-    r = eval_expr(expr.rhs, valuation, assignment, holes_by_name)
-    op = expr.op
-    if op == "+":
-        return l + r
-    if op == "-":
-        return l - r
-    if op == "*":
-        return l * r
-    if op == "=":
-        return l == r
-    if op == "!=":
-        return l != r
-    if op == "<":
-        return l < r
-    if op == "<=":
-        return l <= r
-    if op == ">":
-        return l > r
-    if op == ">=":
-        return l >= r
-    if op == "&":
-        return bool(l) and bool(r)
-    if op == "|":
-        return bool(l) or bool(r)
-    if op == "=>":
-        return (not l) or bool(r)
-    raise SketchError("unknown operator %r" % op)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +187,6 @@ class HoleDecl:
     name: str
     options: tuple  # tuple[OptionDecl, ...]
     line: int = 0
-
-    def option(self, label: str) -> OptionDecl:
-        for o in self.options:
-            if o.label == label:
-                return o
-        raise SketchError("hole %s has no option %r" % (self.name, label))
 
 
 @dataclass(frozen=True)
@@ -342,7 +311,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.next()
-            return Num(float(tok.text), tok.text)
+            value = float(tok.text)
+            return Num(int(value) if value.is_integer() else value, tok.text)
         if tok.kind == "holeref":
             self.next()
             return HoleE(tok.text)
@@ -371,7 +341,7 @@ class _Parser:
             raise SketchError("expected module name", name_tok.line, name_tok.col)
         variables = []
         while self.peek().kind == "ident" and self.peek(1).text == ":":
-            variables.append(self.var_decl())
+            variables.append(self.var_decl(variables))
         commands = []
         while self.peek().text != "endmodule":
             if self.peek().kind == "eof":
@@ -417,14 +387,17 @@ class _Parser:
         cost = 0
         if self.accept("cost"):
             cost_expr = self.arith()
-            cost = eval_expr(cost_expr, {})
+            cost = None if cost_expr.reads() else cost_expr.eval({}, {})
             if not isinstance(cost, int) or cost < 0:
                 self.error("option cost must be a natural number")
         return OptionDecl(label if named else expr.to_text().strip("()"),
                           expr, cost, named)
 
-    def var_decl(self) -> VarDecl:
+    def var_decl(self, declared) -> VarDecl:
         name_tok = self.next()
+        if any(v.name == name_tok.text for v in declared):
+            raise SketchError("variable %s declared twice" % name_tok.text,
+                              name_tok.line, name_tok.col)
         self.expect(":")
         self.expect("[")
         lo = self._int()
@@ -463,17 +436,20 @@ class _Parser:
     def branch(self):
         prob = self.arith()
         self.expect(":")
-        update = [self.assignment()]
+        update = [self.assignment(())]
         while self.peek().text == "&" and self.peek(1).kind == "ident" \
                 and self.peek(2).text == "'":
             self.next()
-            update.append(self.assignment())
+            update.append(self.assignment(update))
         return (prob, tuple(update))
 
-    def assignment(self):
+    def assignment(self, written):
         tok = self.next()
         if tok.kind != "ident":
             raise SketchError("expected variable in update", tok.line, tok.col)
+        if any(var == tok.text for var, _ in written):
+            raise SketchError("update writes %s twice" % tok.text,
+                              tok.line, tok.col)
         self.expect("'")
         self.expect("=")
         rhs = self.arith(branch_lookahead=True)
@@ -516,27 +492,38 @@ def pretty_print(prog: SketchProgram) -> str:
 # elaboration
 
 
-def _reduce_table(hole_names, table):
-    """Drop holes whose options never change the successor."""
-    names = list(hole_names)
-    changed = True
-    while changed and names:
-        changed = False
-        for i in range(len(names)):
-            groups = {}
-            ok = True
-            for combo, succ in table.items():
-                rest = combo[:i] + combo[i + 1:]
-                if rest in groups and groups[rest] != succ:
-                    ok = False
-                    break
-                groups[rest] = succ
-            if ok:
-                names.pop(i)
-                table = groups
-                changed = True
-                break
-    return tuple(names), table
+def _conjuncts(expr):
+    """The operands of `expr`'s top-level `&` chain."""
+    if isinstance(expr, Bin) and expr.op == "&":
+        return _conjuncts(expr.lhs) + _conjuncts(expr.rhs)
+    return (expr,)
+
+
+def _stray(expr, known):
+    """The first leaf, in text order, that `expr` reads outside `known`."""
+    return min((x.to_text() for x in expr.reads() - known), default=None)
+
+
+def _reduce_table(names, table):
+    """Drop the holes whose options never change the successor.  Whether the
+    table depends on a hole does not change as others are dropped, so one
+    pass finds them all."""
+    keep = []
+    for i in range(len(names)):
+        rest = {}
+        if any(rest.setdefault(key[:i] + key[i + 1:], t) != t
+               for key, t in table.items()):
+            keep.append(i)
+    return (tuple(names[i] for i in keep),
+            {tuple(key[i] for i in keep): t for key, t in table.items()})
+
+
+# A command prepared for elaboration.  `guard_holes` are the holes its guard
+# reads, `pre` the guard's hole-free conjuncts when it reads any; per branch,
+# `updates` holds (variable position, expression) pairs and `update_holes`
+# the holes they read.  Hole names are kept in declaration order.
+_Rule = namedtuple("_Rule", "line guard guard_holes pre probs updates "
+                            "update_holes")
 
 
 def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Family:
@@ -544,11 +531,15 @@ def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Fami
 
     The state space is the union over all realisations of the valuations
     reachable from the initial valuation.  Exactly one command must be
-    enabled per state (per guard-hole option combination); commands that
-    compete under different hole options must agree on their branch
-    probabilities so the family's per-state distribution is well defined.
+    enabled per state and per combination of options of the guard holes of
+    the commands enabled there; commands that compete under different hole
+    options must agree on their branch probabilities so the family's
+    per-state distribution is well defined.  A guard is evaluated only under
+    the options of the holes it reads, and only in states where its
+    hole-free conjuncts hold.
     """
-    holes_by_name = {h.name: h for h in prog.holes}
+    holes = {h.name: h for h in prog.holes}
+    order = {name: i for i, name in enumerate(holes)}
     # option names must be unique program-wide when present
     seen_labels = {}
     for h in prog.holes:
@@ -560,111 +551,117 @@ def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Fami
     if not prog.variables:
         raise SketchError("module declares no variables")
     var_names = tuple(v.name for v in prog.variables)
-    bounds = {v.name: (v.lo, v.hi) for v in prog.variables}
-
+    position = {n: i for i, n in enumerate(var_names)}
+    known = {Var(n) for n in var_names}
     for h in prog.holes:
         for o in h.options:
-            bad = vars_in(o.expr) - set(var_names)
-            if bad:
-                raise SketchError("hole %s option uses unknown identifier %r"
-                                  % (h.name, bad.pop()), h.line, 0)
-    guard_holes = []
-    branch_probs = []
+            if x := _stray(o.expr, known):
+                raise SketchError("hole %s option reads %s, which is not a "
+                                  "variable" % (h.name, x), h.line, 0)
+    known |= {HoleE(n) for n in holes}
+
+    def in_order(names):
+        return tuple(sorted(set(names), key=order.get))
+
+    def holes_read(exprs):
+        return in_order(x.name for e in exprs for x in e.reads()
+                        if isinstance(x, HoleE))
+
+    @functools.cache
+    def bindings(names):
+        """(option labels, hole -> option expression) for each combination
+        of the options of `names`, in product order."""
+        return [(tuple(o.label for o in combo),
+                 {n: o.expr for n, o in zip(names, combo)})
+                for combo in itertools.product(
+                    *(holes[n].options for n in names))]
+
+    rules = []
     for cmd in prog.commands:
-        bad = vars_in(cmd.guard) - set(var_names)
-        if bad:
-            raise SketchError("unknown identifier %r in guard" % bad.pop(),
-                              cmd.line, 0)
-        for h in holes_in(cmd.guard) | {h for _, upd in cmd.branches
-                                        for _, e in upd for h in holes_in(e)}:
-            if h not in holes_by_name:
-                raise SketchError("unknown hole @%s@" % h, cmd.line, 0)
-        guard_holes.append(sorted(holes_in(cmd.guard),
-                                  key=lambda n: list(holes_by_name).index(n)))
+        for e in (cmd.guard, *(e for _, upd in cmd.branches for _, e in upd)):
+            if x := _stray(e, known):
+                raise SketchError("unknown %s %s" % (
+                    "hole" if x[0] == "@" else "identifier", x), cmd.line, 0)
         probs = []
         for p_expr, upd in cmd.branches:
-            if holes_in(p_expr):
-                raise SketchError("hole in probability expression", cmd.line, 0)
-            if vars_in(p_expr):
+            if p_expr.reads():
                 raise SketchError("probability expression must be constant",
                                   cmd.line, 0)
-            probs.append(float(eval_expr(p_expr, {})))
+            probs.append(float(p_expr.eval({}, {})))
+            if not 0.0 < probs[-1] <= 1.0:
+                raise SketchError("branch probability %r outside (0, 1]"
+                                  % probs[-1], cmd.line, 0)
             for var, _ in upd:
-                if var not in bounds:
+                if var not in position:
                     raise SketchError("update writes unknown variable %r" % var,
                                       cmd.line, 0)
         if abs(sum(probs) - 1.0) > 1e-9:
             raise SketchError("branch probabilities sum to %r" % sum(probs),
                               cmd.line, 0)
-        branch_probs.append(probs)
-
-    all_guard_holes = sorted({h for ghs in guard_holes for h in ghs},
-                             key=lambda n: list(holes_by_name).index(n))
-    hole_order = {name: i for i, name in enumerate(holes_by_name)}
-
-    def option_labels(name):
-        return [o.label for o in holes_by_name[name].options]
+        guard_holes = holes_read([cmd.guard])
+        rules.append(_Rule(
+            cmd.line, cmd.guard, guard_holes,
+            tuple(c for c in _conjuncts(cmd.guard) if not holes_read([c]))
+            if guard_holes else (),
+            tuple(probs),
+            tuple(tuple((position[var], e) for var, e in upd)
+                  for _, upd in cmd.branches),
+            tuple(holes_read([e for _, e in upd]) for _, upd in cmd.branches)))
 
     init_valuation = tuple(v.init for v in prog.variables)
     index = {init_valuation: 0}
     valuations = [init_valuation]
     rows = []
-    frontier = 0
-    while frontier < len(valuations):
-        vals = valuations[frontier]
-        frontier += 1
+    for vals in valuations:  # grows as successors are discovered
         v = dict(zip(var_names, vals))
-
-        def enabled_under(combo_assignment):
-            hits = [i for i, cmd in enumerate(prog.commands)
-                    if eval_expr(cmd.guard, v, combo_assignment, holes_by_name)]
+        # per enabled rule, the options of its guard holes that enable it
+        fires = {}
+        for i, r in enumerate(rules):
+            if all(c.eval(v, {}) for c in r.pre):
+                on = {key for key, b in bindings(r.guard_holes)
+                      if r.guard.eval(v, b)}
+                if on:
+                    fires[i] = on
+        names = in_order(h for i in fires for h in rules[i].guard_holes)
+        chosen = {}  # options of `names` -> the rule that fires under them
+        for key, _ in bindings(names):
+            a = dict(zip(names, key))
+            hits = [i for i, on in fires.items()
+                    if tuple(a[h] for h in rules[i].guard_holes) in on]
             if len(hits) > 1:
                 raise SketchError(
                     "commands on lines %s overlap in state %s"
-                    % (", ".join(str(prog.commands[i].line) for i in hits),
+                    % (", ".join(str(rules[i].line) for i in hits),
                        _valname(var_names, vals)))
             if not hits:
                 raise SketchError("no command enabled in state %s"
                                   % _valname(var_names, vals))
-            return hits[0]
+            chosen[key] = hits[0]
 
-        if all_guard_holes:
-            combos = list(itertools.product(
-                *(option_labels(n) for n in all_guard_holes)))
-            cmd_of = {c: enabled_under(dict(zip(all_guard_holes, c)))
-                      for c in combos}
-            cmds = sorted(set(cmd_of.values()))
-        else:
-            cmds = [enabled_under({})]
-            cmd_of = None
-
-        base = cmds[0]
-        for other in cmds[1:]:
-            if len(branch_probs[other]) != len(branch_probs[base]) or any(
+        base, *others = fires  # not empty: the check above raised
+        for other in others:
+            if len(rules[other].probs) != len(rules[base].probs) or any(
                     abs(a - b) > 1e-12
-                    for a, b in zip(branch_probs[other], branch_probs[base])):
+                    for a, b in zip(rules[other].probs, rules[base].probs)):
                 raise SketchError(
                     "commands on lines %d and %d compete under hole options in "
                     "state %s but differ in branch probabilities"
-                    % (prog.commands[base].line, prog.commands[other].line,
+                    % (rules[base].line, rules[other].line,
                        _valname(var_names, vals)))
 
-        def apply_update(cmd_idx, branch_idx, assignment):
-            _, upd = prog.commands[cmd_idx].branches[branch_idx]
-            new = dict(v)
-            for var, e in upd:
-                val = eval_expr(e, v, assignment, holes_by_name)
+        def apply_update(r, bi, binding):
+            new = list(vals)
+            for pos, e in r.updates[bi]:
+                val, var = e.eval(v, binding), prog.variables[pos]
                 if not isinstance(val, int) or isinstance(val, bool):
-                    raise SketchError("update of %s is not an integer" % var,
-                                      prog.commands[cmd_idx].line, 0)
-                lo, hi = bounds[var]
-                if not (lo <= val <= hi):
+                    raise SketchError("update of %s is not an integer"
+                                      % var.name, r.line, 0)
+                if not (var.lo <= val <= var.hi):
                     raise SketchError(
                         "update leaves bounds of %s (value %d) in state %s"
-                        % (var, val, _valname(var_names, vals)),
-                        prog.commands[cmd_idx].line, 0)
-                new[var] = val
-            succ_vals = tuple(new[n] for n in var_names)
+                        % (var.name, val, _valname(var_names, vals)), r.line, 0)
+                new[pos] = val
+            succ_vals = tuple(new)
             if succ_vals not in index:
                 if len(index) >= max_states:
                     raise SketchError("state space exceeds %d valuations"
@@ -673,36 +670,20 @@ def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Fami
                 valuations.append(succ_vals)
             return index[succ_vals]
 
+        # branch-major, product-order enumeration numbers the states
+        deciding = names if others else ()  # the guard holes that pick a rule
         row = []
-        for bi, p in enumerate(branch_probs[base]):
-            upd_holes = sorted(
-                {h for ci in cmds
-                 for _, e in prog.commands[ci].branches[bi][1]
-                 for h in holes_in(e)},
-                key=hole_order.get)
-            relevant = (all_guard_holes if len(cmds) > 1 or
-                        (cmd_of and len(set(cmd_of.values())) > 1) else [])
-            relevant = sorted(set(relevant) | set(upd_holes), key=hole_order.get)
-            if not relevant:
-                row.append((p, Fixed(apply_update(base, bi, {}))))
-                continue
+        for bi, p in enumerate(rules[base].probs):
+            relevant = in_order(deciding + tuple(
+                h for i in fires for h in rules[i].update_holes[bi]))
+            at = [relevant.index(h) for h in deciding]
             table = {}
-            for combo in itertools.product(*(option_labels(n) for n in relevant)):
-                assignment = dict(zip(relevant, combo))
-                if cmd_of:
-                    gkey = tuple(assignment.get(n, option_labels(n)[0])
-                                 for n in all_guard_holes)
-                    # guard holes outside `relevant` cannot occur: relevant
-                    # includes all guard holes whenever commands compete
-                    ci = cmd_of[gkey]
-                else:
-                    ci = base
-                table[combo] = apply_update(ci, bi, assignment)
-            names, table = _reduce_table(relevant, table)
-            if not names:
-                row.append((p, Fixed(next(iter(table.values())))))
-            else:
-                row.append((p, HoleRef(names, table)))
+            for key, b in bindings(relevant):
+                i = chosen[tuple(key[j] for j in at)] if others else base
+                table[key] = apply_update(rules[i], bi, b)
+            kept, table = _reduce_table(relevant, table)
+            row.append((p, HoleRef(kept, table) if kept
+                        else Fixed(next(iter(table.values())))))
         rows.append(tuple(row))
 
     fam_holes = tuple(Hole(h.name,
@@ -753,16 +734,14 @@ def _resolve_constraint(expr, option_names):
 def goal_states(fam: Family, expr_text: str) -> frozenset:
     """Evaluate a boolean expression over the family's variables per state."""
     expr = _Parser(_lex(expr_text)).expr()
-    if holes_in(expr):
-        raise SketchError("goal expression must not reference holes")
     if fam.variables is None:
         variables = ("s",)
         valuations = tuple((s,) for s in range(fam.n_states))
     else:
         variables = fam.variables
         valuations = fam.valuations
-    goal = set()
-    for s, vals in enumerate(valuations):
-        if eval_expr(expr, dict(zip(variables, vals))):
-            goal.add(s)
-    return frozenset(goal)
+    if x := _stray(expr, {Var(n) for n in variables}):
+        raise SketchError("goal expression reads %s, which is not a variable"
+                          % x)
+    return frozenset(s for s, vals in enumerate(valuations)
+                     if expr.eval(dict(zip(variables, vals)), {}))

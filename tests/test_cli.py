@@ -247,3 +247,35 @@ def test_singular_solve_exits_2(capsys, tmp_path, engine):
                          "--goal", "s=3", "--engine", engine)
     assert code == 2 and not out
     assert err.startswith("error: ")
+
+
+BAD_BRANCHES_SKETCH = """module m
+s : [0..2] init 0;
+s < 2 -> %s;
+s = 2 -> 1: s'=2;
+endmodule
+"""
+
+
+def json_branches(*probs):
+    return json.dumps({
+        "states": 2, "init": 0, "holes": [],
+        "transitions": [
+            {"from": 0, "branches": [{"p": p, "fixed": 1} for p in probs]},
+            {"from": 1, "branches": [{"p": 1.0, "fixed": 1}]}]})
+
+
+@pytest.mark.parametrize("name, text", [
+    ("bad.sk", BAD_BRANCHES_SKETCH % "1.5: s'=1 + -0.5: s'=1"),
+    ("bad.sk", BAD_BRANCHES_SKETCH % "0: s'=0 + 1: s'=1"),
+    ("bad.json", json_branches(1.5, -0.5)),
+    ("bad.json", json_branches(0.0, 1.0)),
+], ids=["sketch-outside", "sketch-zero", "json-outside", "json-zero"])
+def test_branch_probability_outside_unit_interval_exits_2(capsys, tmp_path,
+                                                          name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "synth", "feasible", "--input", str(path),
+                         "--spec", "P>=0.5 [F s=1]")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "outside (0, 1]" in err

@@ -69,6 +69,9 @@ def test_family_validation():
         Family(1, 0, (), (((0.5, Fixed(0)),),))
     with pytest.raises(FamilyError):  # successor outside the state space
         Family(1, 0, (), (((1.0, Fixed(3)),),))
+    for probs in ((1.5, -0.5), (0.0, 1.0)):  # every branch lies in (0, 1]
+        with pytest.raises(FamilyError, match=r"outside \(0, 1\]"):
+            Family(1, 0, (), (tuple((p, Fixed(0)) for p in probs),))
     for bad in (0.0, False):  # successors and init are int state indices
         with pytest.raises(FamilyError, match="successor"):
             Family(1, 0, (), (((1.0, Fixed(bad)),),))

@@ -1,8 +1,9 @@
 import pytest
 
-from chainsynth.family import Fixed, HoleRef, Realisation, realise
-from chainsynth.sketch import (SketchError, elaborate, goal_states, parse,
-                               pretty_print)
+from chainsynth.family import (Family, Fixed, Hole, HoleRef, Realisation,
+                               realise)
+from chainsynth.sketch import (HoleE, SketchError, elaborate, goal_states,
+                               parse, pretty_print)
 
 from conftest import SKETCHES
 
@@ -135,6 +136,25 @@ def test_probability_sum_checked():
         elaborate(parse(MINI % "s <= 1 -> 0.5: s'=0 + 0.4: s'=1;"))
 
 
+@pytest.mark.parametrize("branches", ["1.5: s'=1 + -0.5: s'=1",
+                                      "0: s'=0 + 1: s'=1"])
+def test_branch_probability_outside_unit_interval_rejected(branches):
+    with pytest.raises(SketchError, match=r"^5:0: branch probability .* "
+                                          r"outside \(0, 1\]"):
+        elaborate(parse(MINI % ("s <= 1 -> %s;" % branches)))
+
+
+def test_duplicate_variable_rejected():
+    with pytest.raises(SketchError, match="^3:1: variable s declared twice"):
+        parse("module m\ns : [0..1] init 0;\ns : [0..2] init 1;\n"
+              "s <= 2 -> 1: s'=0;\nendmodule")
+
+
+def test_update_writing_a_variable_twice_rejected():
+    with pytest.raises(SketchError, match="^5:21: update writes s twice"):
+        parse(MINI % "s <= 1 -> 1: s'=1 & s'=0;")
+
+
 def test_hole_in_probability_rejected():
     with pytest.raises(SketchError, match="probability"):
         elaborate(parse(MINI % "s <= 1 -> @k@: s'=0 + 1-@k@: s'=1;"))
@@ -177,3 +197,49 @@ def test_state_bound_enforced():
 def test_parse_error_has_position():
     with pytest.raises(SketchError, match=r"\d+:\d+"):
         parse("module m\ns : [0..1] init 0\nendmodule")
+
+
+def guard_chain(k):
+    """States s = 0..k; in each state i < k the guard hole @gi@ picks which
+    of two commands fires, and the last state loops."""
+    lines = ["hole @g%d@ either { 0, 1 }" % i for i in range(k)]
+    lines += ["module chain", "s : [0..%d] init 0;" % k]
+    for i in range(k):
+        lines.append("s = %d & @g%d@ = 0 -> 0.5: s'=%d + 0.5: s'=%d;"
+                     % (i, i, i + 1, i))
+        lines.append("s = %d & @g%d@ = 1 -> 0.5: s'=%d + 0.5: s'=0;"
+                     % (i, i, i + 1))
+    lines += ["s = %d -> 1: s'=%d;" % (k, k), "endmodule"]
+    return "\n".join(lines)
+
+
+def test_guard_holes_are_read_linearly(monkeypatch):
+    # a guard is evaluated under the options of its own holes only, and only
+    # where its hole-free conjuncts hold: not under every combination of all
+    # k guard holes in every state
+    reads = []
+    hole_eval = HoleE.eval
+
+    def counted(self, valuation, binding):
+        reads.append(self.name)
+        return hole_eval(self, valuation, binding)
+
+    monkeypatch.setattr(HoleE, "eval", counted)
+    counts = {}
+    for k in (1, 2, 8, 24):
+        reads.clear()
+        assert elaborate(parse(guard_chain(k))).n_states == k + 1
+        counts[k] = len(reads)
+    assert counts[1] > 0
+    assert all(n == k * counts[1] for k, n in counts.items())
+
+
+def test_guard_chain_family():
+    g = lambda i: Hole("g%d" % i, ("0", "1"))
+    assert elaborate(parse(guard_chain(3))) == Family(
+        4, 0, (g(0), g(1), g(2)),
+        (((0.5, Fixed(1)), (0.5, Fixed(0))),
+         ((0.5, Fixed(2)), (0.5, HoleRef(("g1",), {("0",): 1, ("1",): 0}))),
+         ((0.5, Fixed(3)), (0.5, HoleRef(("g2",), {("0",): 2, ("1",): 0}))),
+         ((1.0, Fixed(3)),)),
+        variables=("s",), valuations=((0,), (1,), (2,), (3,)))

@@ -163,9 +163,7 @@ class AssignmentSpace:
         if budget is not None and (cost_model or fam.cost_model) == "optionsum":
             out |= sum(np.ix_(*(h.costs for h in fam.holes))) > budget
         self.verdicts = np.where(out, OUT, OPEN).astype(np.int8)
-        self.trial = np.arange(self.verdicts.size)  # members, in trial order
-        self.refuted_stamp = [[0] * n for n in shape]
-        self.stamp = 0
+        self.orders = [list(range(n)) for n in shape]  # per hole, trial order
 
     def _point(self, r: Realisation) -> tuple:
         return tuple(h.option_index(r[h.name]) for h in self.fam.holes)
@@ -200,25 +198,22 @@ class AssignmentSpace:
 
     def mark_refuted(self, r: Realisation):
         """Try `r`'s options last: members are tried in the product order
-        of each hole's options sorted unrefuted first, then least recently
-        refuted, ties by index."""
-        self.stamp += 1
-        for stamps, o in zip(self.refuted_stamp, self._point(r)):
-            stamps[o] = self.stamp
-        order = np.ix_(*(sorted(range(len(stamps)), key=stamps.__getitem__)
-                         for stamps in self.refuted_stamp))
-        members = np.arange(self.verdicts.size).reshape(self.verdicts.shape)
-        self.trial = members[order].ravel()
+        of each hole's options ordered unrefuted first, by index, then least
+        recently refuted."""
+        for order, o in zip(self.orders, self._point(r)):
+            order.remove(o)
+            order.append(o)
 
     def next_candidate(self):
         """The first OPEN member in trial order; None once none is OPEN."""
-        is_open = self.verdicts.ravel()[self.trial] == OPEN
+        trial = self.verdicts[np.ix_(*self.orders)]
+        is_open = (trial == OPEN).ravel()
         k = int(is_open.argmax())
         if not is_open[k]:
             return None
-        at = np.unravel_index(self.trial[k], self.verdicts.shape)
-        return Realisation({h.name: h.options[i]
-                            for h, i in zip(self.fam.holes, at)})
+        at = np.unravel_index(k, trial.shape)
+        return Realisation({h.name: h.options[order[i]] for h, order, i
+                            in zip(self.fam.holes, self.orders, at)})
 
 
 # ---------------------------------------------------------------------------

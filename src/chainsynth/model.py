@@ -7,7 +7,7 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate
 from typing import Iterable, Mapping
 
@@ -66,7 +66,9 @@ class Distribution:
 
 @dataclass(frozen=True)
 class MarkovChain:
-    """Finite MC with a contiguous state index set and one distribution per state."""
+    """Finite MC with a contiguous state index set and one distribution per
+    state.  The walk that checks the successors also lists each state's
+    predecessors, in state order, as `preds`; it is not a compared field."""
 
     n_states: int
     init: int
@@ -78,10 +80,13 @@ class MarkovChain:
                              % (self.n_states, len(self.transitions)))
         if not (0 <= self.init < self.n_states):
             raise ModelError("initial state %d out of range" % self.init)
+        preds = [[] for _ in range(self.n_states)]
         for s, dist in enumerate(self.transitions):
             for t, _ in dist.entries:
                 if not (0 <= t < self.n_states):
                     raise ModelError("state %d has successor %d outside S" % (s, t))
+                preds[t].append(s)
+        object.__setattr__(self, "preds", preds)
 
     def reachable(self) -> set:
         """States reachable from the initial state."""
@@ -106,33 +111,72 @@ class MarkovChain:
 
 @dataclass(frozen=True)
 class Mdp:
-    """Finite MDP; every state carries a nonempty list of labeled distributions."""
+    """Finite MDP; every state carries a nonempty list of labeled distributions.
+
+    The walk that checks the actions also compiles the MDP into a
+    row-grouped choice matrix, none of it a compared field: one CSR row
+    (`indptr`, `indices`, `data`) per action, labelled `labels[r]`, the rows
+    of state s at first[s]:first[s + 1], `state[r]` owning row r.  For the
+    graph searches, `row_preds[t]` lists in row order the pairs
+    (r, state[r]) of the rows r that have t as a successor.  For policy
+    iteration, `leave` is each entry's probability unless it is its row's
+    self-loop, and `exits` each row's sum of them, 1 where that is 0 and
+    `movable` false."""
 
     n_states: int
     init: int
     actions: tuple  # tuple[tuple[(label, Distribution), ...], ...]
 
     def __post_init__(self):
-        if len(self.actions) != self.n_states:
+        n = self.n_states
+        if len(self.actions) != n:
             raise ModelError("expected %d action lists, got %d"
-                             % (self.n_states, len(self.actions)))
-        if not (0 <= self.init < self.n_states):
+                             % (n, len(self.actions)))
+        if not (0 <= self.init < n):
             raise ModelError("initial state %d out of range" % self.init)
+        labels, dists, first = [], [], [0]
+        row_preds = [[] for _ in range(n)]
         for s, acts in enumerate(self.actions):
             if not acts:
                 raise ModelError("state %d has no actions" % s)
-            labels = [a for a, _ in acts]
-            if len(set(labels)) != len(labels):
+            own = [a for a, _ in acts]
+            if len(set(own)) != len(own):
                 raise ModelError("state %d has duplicate action labels" % s)
+            labels += own
             for _, dist in acts:
+                edge = (len(dists), s)
+                dists.append(dist)
                 for t, _ in dist.entries:
-                    if not (0 <= t < self.n_states):
-                        raise ModelError("state %d has successor %d outside S" % (s, t))
+                    if not (0 <= t < n):
+                        raise ModelError("state %d has successor %d outside S"
+                                         % (s, t))
+                    row_preds[t].append(edge)
+            first.append(len(dists))
+        indptr, indices, data = _csr_rows(dists)
+        first = np.array(first, dtype=np.intp)
+        state = np.repeat(np.arange(n), np.diff(first))
+        leave = np.where(indices == np.repeat(state, np.diff(indptr)), 0.0,
+                         data)
+        exits = np.add.reduceat(leave, indptr[:-1])
+        movable = exits > 0.0
+        exits[~movable] = 1.0
+        vars(self).update(labels=labels, indptr=indptr, indices=indices,
+                          data=data, first=first, state=state,
+                          row_preds=row_preds, leave=leave, exits=exits,
+                          movable=movable)
 
-    @cached_property
-    def _matrix(self) -> "_ChoiceMatrix":
-        """The row-grouped choice matrix, compiled once for every analysis."""
-        return _ChoiceMatrix(self)
+    def all_succ(self, mask):
+        """Per row: every successor lies in `mask`."""
+        return np.logical_and.reduceat(mask[self.indices], self.indptr[:-1])
+
+    def some_row(self, rows):
+        """Per state: some of its rows is set in `rows`."""
+        return np.logical_or.reduceat(rows, self.first[:-1])
+
+    def first_row(self, rows):
+        """Per state: the first of its rows set in `rows` (len(rows) if none)."""
+        return np.minimum.reduceat(
+            np.where(rows, np.arange(len(rows)), len(rows)), self.first[:-1])
 
     def dist(self, s: int, label) -> Distribution:
         for a, dist in self.actions[s]:
@@ -204,14 +248,6 @@ def _backward_reach(predecessors, seeds, blocked=frozenset()):
     return seen
 
 
-def _mc_predecessors(mc: MarkovChain):
-    preds = [[] for _ in range(mc.n_states)]
-    for s, dist in enumerate(mc.transitions):
-        for t, _ in dist.entries:
-            preds[t].append(s)
-    return preds
-
-
 def _prob01(n_states, preds, goal, critical=None, succ=None):
     """Exact prob-0 and prob-1 state sets for reaching `goal` in the chain
     with predecessor lists `preds`.  Given a `critical` set and successor
@@ -236,7 +272,7 @@ def _prob01(n_states, preds, goal, critical=None, succ=None):
 
 def prob01_states(mc: MarkovChain, goal: frozenset):
     """Exact prob-0 and prob-1 state sets for reaching `goal` in an MC."""
-    return _prob01(mc.n_states, _mc_predecessors(mc), goal)
+    return _prob01(mc.n_states, mc.preds, goal)
 
 
 def _goal_states(goal, n_states) -> frozenset:
@@ -426,14 +462,15 @@ def _bottom_sccs(init, succ):
 
 
 class ChainMatrix:
-    """A chain compiled once for repeated analyses: one CSR row per state,
-    and each state's successor and predecessor lists."""
+    """A chain compiled once for repeated analyses: one CSR row per state
+    and each state's successor list; the predecessor lists are the
+    chain's own."""
 
     def __init__(self, mc: MarkovChain):
         self.mc = mc
         self.indptr, self.indices, self.data = _csr_rows(mc.transitions)
         self.succ = [d.support() for d in mc.transitions]
-        self.preds = _mc_predecessors(mc)
+        self.preds = mc.preds
 
     def first_passage(self):
         """Probability of ever visiting each state from the initial state (1
@@ -511,49 +548,7 @@ def sub_mc(mc: MarkovChain, critical) -> MarkovChain:
 # MDP analysis
 
 
-class _ChoiceMatrix:
-    """An MDP as a row-grouped choice matrix: one CSR row per action, the
-    rows of state s at first[s]:first[s + 1], `state[r]` owning row r.
-    For the graph searches, `row_preds[t]` lists in row order the pairs
-    (r, state[r]) of the rows r that have t as a successor.
-    For policy iteration, `leave` is each entry's probability unless it is
-    its row's self-loop, and `exits` each row's sum of them, 1 where that
-    is 0 and `movable` false."""
-
-    def __init__(self, mdp: Mdp):
-        dists = [d for acts in mdp.actions for _, d in acts]
-        self.labels = [a for acts in mdp.actions for a, _ in acts]
-        self.indptr, self.indices, self.data = _csr_rows(dists)
-        counts = [len(acts) for acts in mdp.actions]
-        self.first = np.fromiter(accumulate(counts, initial=0), np.intp,
-                                 mdp.n_states + 1)
-        self.state = np.repeat(np.arange(mdp.n_states), counts)
-        self.row_preds = preds = [[] for _ in range(mdp.n_states)]
-        for edge, d in zip(enumerate(self.state.tolist()), dists):
-            for t, _ in d.entries:
-                preds[t].append(edge)
-        row_of = np.repeat(np.arange(len(dists)), np.diff(self.indptr))
-        self.leave = np.where(self.indices == self.state[row_of], 0.0,
-                              self.data)
-        self.exits = np.add.reduceat(self.leave, self.indptr[:-1])
-        self.movable = self.exits > 0.0
-        self.exits[~self.movable] = 1.0
-
-    def all_succ(self, mask):
-        """Per row: every successor lies in `mask`."""
-        return np.logical_and.reduceat(mask[self.indices], self.indptr[:-1])
-
-    def some_row(self, rows):
-        """Per state: some of its rows is set in `rows`."""
-        return np.logical_or.reduceat(rows, self.first[:-1])
-
-    def first_row(self, rows):
-        """Per state: the first of its rows set in `rows` (len(rows) if none)."""
-        return np.minimum.reduceat(
-            np.where(rows, np.arange(len(rows)), len(rows)), self.first[:-1])
-
-
-def _attract(cm: _ChoiceMatrix, seeds, rows_ok, policy=None):
+def _attract(mdp: Mdp, seeds, rows_ok, policy=None):
     """States from which some path of `rows_ok` rows reaches `seeds`: a
     backward search, frontier by frontier, over the predecessor rows, that
     looks at each (row, state) edge once.  With `policy`, each added state
@@ -561,8 +556,8 @@ def _attract(cm: _ChoiceMatrix, seeds, rows_ok, policy=None):
     row of it reaches an earlier frontier, or it would have joined then."""
     reached = seeds.tolist()
     ok = rows_ok.tolist() if isinstance(rows_ok, np.ndarray) \
-        else [rows_ok] * len(cm.labels)
-    row_preds = cm.row_preds
+        else [rows_ok] * len(mdp.labels)
+    row_preds = mdp.row_preds
     frontier = np.flatnonzero(seeds).tolist()
     rows = {}  # each added state's row
     while frontier:
@@ -580,46 +575,46 @@ def _attract(cm: _ChoiceMatrix, seeds, rows_ok, policy=None):
     return np.array(reached)
 
 
-def _prob1e(cm: _ChoiceMatrix, goal, stay, policy):
+def _prob1e(mdp: Mdp, goal, stay, policy):
     """States where some scheduler reaches `goal` almost surely; `stay`
     holds the states that can reach it at all.  Each round's attractor
     writes `policy`, so the last one leaves every returned state outside
     `goal` a row that stays in the set and moves towards `goal`."""
     while True:
-        nxt = _attract(cm, goal, cm.all_succ(stay), policy)
+        nxt = _attract(mdp, goal, mdp.all_succ(stay), policy)
         if np.array_equal(nxt, stay):
             return stay
         stay = nxt
 
 
-def _prob0e(cm: _ChoiceMatrix, goal):
+def _prob0e(mdp: Mdp, goal):
     """States where some scheduler avoids `goal` surely."""
     avoid = ~goal
     while True:
-        nxt = avoid & cm.some_row(cm.all_succ(avoid))
+        nxt = avoid & mdp.some_row(mdp.all_succ(avoid))
         if np.array_equal(nxt, avoid):
             return avoid
         avoid = nxt
 
 
-def _evaluate(cm: _ChoiceMatrix, rows, states, known):
+def _evaluate(mdp: Mdp, rows, states, known):
     """Values of the policy `rows` (one row per state of `states`), which
     must leave `states` almost surely; `known` fixes the other states."""
-    sys_rows, cols, vals, exits, b = _system(cm.indptr, cm.indices, cm.data,
-                                             rows, states, known)
+    sys_rows, cols, vals, exits, b = _system(
+        mdp.indptr, mdp.indices, mdp.data, rows, states, known)
     return np.clip(_linear_solve(sys_rows, cols, vals, exits, b), 0.0, 1.0)
 
 
-def _keep_proper(cm: _ChoiceMatrix, nxt, policy, unknown, gain):
+def _keep_proper(mdp: Mdp, nxt, policy, unknown, gain):
     """Undo switches of `nxt` away from the proper policy `policy`, the
     smallest `gain` first, until every unknown state leaves the unknown
     states almost surely.  A strict gain never closes a cycle inside them;
     a gain at rounding level on a tie can."""
     states = np.flatnonzero(unknown)
     while True:
-        chosen = np.zeros(len(cm.labels), dtype=bool)
+        chosen = np.zeros(len(mdp.labels), dtype=bool)
         chosen[nxt[states]] = True
-        stuck = unknown & ~_attract(cm, ~unknown, chosen)
+        stuck = unknown & ~_attract(mdp, ~unknown, chosen)
         if not stuck.any():
             return
         undo = np.flatnonzero(stuck & (nxt != policy))
@@ -627,7 +622,7 @@ def _keep_proper(cm: _ChoiceMatrix, nxt, policy, unknown, gain):
         nxt[s] = policy[s]
 
 
-def _policy_iteration(cm: _ChoiceMatrix, known, unknown, mode, policy):
+def _policy_iteration(mdp: Mdp, known, unknown, mode, policy):
     """Optimal values on the `unknown` states, `known` fixing the others,
     and `policy` (one row per state) improved there until it attains them;
     its rows for the other states are kept.
@@ -644,27 +639,27 @@ def _policy_iteration(cm: _ChoiceMatrix, known, unknown, mode, policy):
     states = np.flatnonzero(unknown)
     maximise = mode == "max"
     if maximise:
-        _attract(cm, known == 1.0, unknown[cm.state], policy)
+        _attract(mdp, known == 1.0, unknown[mdp.state], policy)
     x = known.copy()
     seen = {policy[states].tobytes()}
     while True:
-        x[states] = _evaluate(cm, policy[states], states, known)
+        x[states] = _evaluate(mdp, policy[states], states, known)
         # the value each row gives its state with the self-loop unrolled
-        onward = np.add.reduceat(cm.leave * x[cm.indices], cm.indptr[:-1])
-        unrolled = np.where(cm.movable, onward / cm.exits, x[cm.state])
+        onward = np.add.reduceat(mdp.leave * x[mdp.indices], mdp.indptr[:-1])
+        unrolled = np.where(mdp.movable, onward / mdp.exits, x[mdp.state])
         if maximise:
-            best = np.maximum.reduceat(unrolled, cm.first[:-1])
+            best = np.maximum.reduceat(unrolled, mdp.first[:-1])
             gain = best - unrolled[policy]
         else:
-            best = np.minimum.reduceat(unrolled, cm.first[:-1])
+            best = np.minimum.reduceat(unrolled, mdp.first[:-1])
             gain = unrolled[policy] - best
         switch = unknown & (gain > 0.0)
         if not switch.any():
             return x, policy
         nxt = policy.copy()
-        nxt[switch] = cm.first_row(unrolled == best[cm.state])[switch]
+        nxt[switch] = mdp.first_row(unrolled == best[mdp.state])[switch]
         if maximise:
-            _keep_proper(cm, nxt, policy, unknown, gain)
+            _keep_proper(mdp, nxt, policy, unknown, gain)
         key = nxt[states].tobytes()
         if key in seen:  # rounding made a gain reappear: nothing left to win
             return x, policy
@@ -676,8 +671,8 @@ def mdp_extremal(mdp: Mdp, goal, mode: str):
     """Optimal reachability probability at the initial state plus a
     memoryless scheduler that attains the optimal value from every state.
 
-    The MDP is compiled once into a row-grouped choice matrix.  Qualitative
-    prob-0/prob-1 sets are graph fixpoints on it, and their states get their
+    Qualitative prob-0/prob-1 sets are graph fixpoints on the MDP's
+    row-grouped choice matrix, and their states get their
     rows on the way: for max a prob-1 state takes a row that stays in prob-1
     and moves towards the goal, for min a prob-0 state its first row that
     stays in prob-0.  Policy iteration computes the remaining values
@@ -687,24 +682,22 @@ def mdp_extremal(mdp: Mdp, goal, mode: str):
     goal = _goal_states(goal, mdp.n_states)
     if mode not in ("min", "max"):
         raise ModelError("mode must be 'min' or 'max'")
-    cm = mdp._matrix
     is_goal = np.zeros(mdp.n_states, dtype=bool)
     is_goal[list(goal)] = True
-    policy = cm.first[:-1].copy()
+    policy = mdp.first[:-1].copy()
     if mode == "max":
-        reach = _attract(cm, is_goal, True)
+        reach = _attract(mdp, is_goal, True)
         prob0 = ~reach
-        prob1 = _prob1e(cm, is_goal, reach, policy)
+        prob1 = _prob1e(mdp, is_goal, reach, policy)
     else:
-        prob0 = _prob0e(cm, is_goal)
-        prob1 = ~_attract(cm, prob0, ~is_goal[cm.state])
-        policy[prob0] = cm.first_row(cm.all_succ(prob0))[prob0]
+        prob0 = _prob0e(mdp, is_goal)
+        prob1 = ~_attract(mdp, prob0, ~is_goal[mdp.state])
+        policy[prob0] = mdp.first_row(mdp.all_succ(prob0))[prob0]
     x = prob1.astype(float)
     unknown = ~(prob0 | prob1)
     if unknown.any():
-        x, policy = _policy_iteration(cm, x, unknown, mode, policy)
-    labels = cm.labels
-    choice = {s: labels[r] for s, r in enumerate(policy.tolist())}
+        x, policy = _policy_iteration(mdp, x, unknown, mode, policy)
+    choice = {s: mdp.labels[r] for s, r in enumerate(policy.tolist())}
     return float(x[mdp.init]), MemorylessScheduler(choice)
 
 

@@ -733,7 +733,10 @@ def _resolve_constraint(expr, option_names):
 
 def goal_states(fam: Family, expr_text: str) -> frozenset:
     """Evaluate a boolean expression over the family's variables per state."""
-    expr = _Parser(_lex(expr_text)).expr()
+    parser = _Parser(_lex(expr_text))
+    expr = parser.expr()
+    if parser.peek().kind != "eof":
+        parser.error("trailing input after goal expression")
     if fam.variables is None:
         variables = ("s",)
         valuations = tuple((s,) for s in range(fam.n_states))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -96,6 +97,25 @@ def test_refuted_options_tried_last(example_family):
     space.block_assignment(r, False)
     space.mark_refuted(r)
     assert space.next_candidate().assignment == R4
+    # a run of refutations against the order they define: each hole's
+    # options unrefuted first, by index, then least recently refuted
+    opts = ("o0", "o1", "o2")
+    fam = Family(1, 0, (Hole("a", opts), Hole("b", opts)),
+                 (((1.0, Fixed(0)),),))
+    space = AssignmentSpace(fam)
+    stamps = {"a": [0, 0, 0], "b": [0, 0, 0]}
+    tried = []
+    for step in range(1, 10):
+        order = [sorted(range(3), key=stamps[h].__getitem__) for h in "ab"]
+        want = next(m for m in itertools.product(*order) if m not in tried)
+        r = space.next_candidate()
+        assert (r["a"], r["b"]) == (opts[want[0]], opts[want[1]]), step
+        tried.append(want)
+        space.block_assignment(r, False)
+        space.mark_refuted(r)
+        stamps["a"][want[0]] = stamps["b"][want[1]] = step
+    assert tried[:5] == [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)]
+    assert space.next_candidate() is None
 
 
 def test_first_verdict_stands(example_family):

@@ -52,6 +52,17 @@ def test_goal_matching_nothing_is_error(capsys):
     assert code == 2 and "matches no state" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("max", "--goal", "s=4 s=0"),
+    ("max", "--goal", "s=4 )"),
+    ("feasible", "--spec", "P>=0.1 [F s=4 s=0]"),
+])
+def test_goal_with_trailing_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, "synth", *argv, "--input", toy_path())
+    assert code == 2 and not out
+    assert err.startswith("error: 1:5: trailing input")
+
+
 def test_threshold_out_of_range_is_error(capsys):
     code, _, err = run(capsys, "synth", "feasible", "--input", toy_path(),
                        "--spec", "P>=2 [F s=4]")

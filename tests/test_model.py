@@ -50,6 +50,57 @@ def test_chain_reachable_and_dump():
     assert "state 0" in mc.dump()
 
 
+D0, D1 = Distribution.dirac(0), Distribution.dirac(1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MarkovChain(2, 0, (D0,)), "expected 2 distributions, got 1"),
+    (lambda: MarkovChain(1, 1, (D0,)), "initial state 1 out of range"),
+    (lambda: MarkovChain(1, -1, (D0,)), "initial state -1 out of range"),
+    (lambda: MarkovChain(2, 0, (D0, Distribution.dirac(2))),
+     "state 1 has successor 2 outside S"),
+    (lambda: MarkovChain(1, 0, (Distribution.dirac(-1),)),
+     "state 0 has successor -1 outside S"),
+    (lambda: Mdp(2, 0, ((("a", D0),),)), "expected 2 action lists, got 1"),
+    (lambda: Mdp(1, 3, ((("a", D0),),)), "initial state 3 out of range"),
+    (lambda: Mdp(2, 0, ((("a", D0),), ())), "state 1 has no actions"),
+    (lambda: Mdp(1, 0, ((("a", D0), ("a", D0)),)),
+     "state 0 has duplicate action labels"),
+    (lambda: Mdp(2, 0, ((("a", D0),),
+                        (("a", D0), ("b", Distribution.dirac(5))))),
+     "state 1 has successor 5 outside S"),
+    (lambda: Mdp(1, 0, ((("a", Distribution.dirac(-1)),),)),
+     "state 0 has successor -1 outside S"),
+    # checked state by state, labels before successors
+    (lambda: Mdp(2, 0, ((("a", Distribution.dirac(2)), ("a", D0)),
+                        (("a", D0), ("a", D1)))),
+     "state 0 has duplicate action labels"),
+    (lambda: Mdp(2, 0, ((("a", Distribution.dirac(2)),),
+                        (("a", D0), ("a", D1)))),
+     "state 0 has successor 2 outside S"),
+])
+def test_model_constructors_refuse(build, message):
+    with pytest.raises(ModelError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_compiled_models_compare_by_their_fields():
+    def chain():
+        return MarkovChain(2, 0, (Distribution(((0, 0.5), (1, 0.5))),
+                                  Distribution.dirac(1)))
+
+    a, b = chain(), chain()
+    assert a == b and hash(a) == hash(b) and a.preds == [[0], [0, 1]]
+    assert model.ChainMatrix(a).preds is a.preds
+    assert repr(a) == ("MarkovChain(n_states=2, init=0, transitions=(%r, %r))"
+                       % a.transitions)
+    mdp = Mdp(2, 0, ((("a", D0), ("b", D1)), (("c", D1),)))
+    assert mdp == Mdp(2, 0, ((("a", D0), ("b", D1)), (("c", D1),)))
+    assert hash(mdp) == hash(Mdp(2, 0, mdp.actions))
+    assert repr(mdp) == "Mdp(n_states=2, init=0, actions=%r)" % (mdp.actions,)
+
+
 # --- comparisons ------------------------------------------------------------
 
 def test_compare_tolerance_band():
@@ -241,14 +292,15 @@ def test_schedulers_attain_extremal_values():
 
 
 def test_mdp_compiles_its_choice_matrix_once(monkeypatch, example_family):
-    built = []
-    compile_matrix = model._ChoiceMatrix
-    monkeypatch.setattr(model, "_ChoiceMatrix",
-                        lambda mdp: built.append(mdp) or compile_matrix(mdp))
+    calls = []
+    csr_rows = model._csr_rows
+    monkeypatch.setattr(model, "_csr_rows",
+                        lambda dists: calls.append(dists) or csr_rows(dists))
     mdp, _ = quotient_mdp(example_family)
+    assert len(calls) == 1
     assert mdp_extremal(mdp, {4}, "min")[0] == pytest.approx(0.0)
     assert mdp_extremal(mdp, {4}, "max")[0] == pytest.approx(1.0)
-    assert len(built) == 1
+    assert len(calls) == 1
 
 
 def test_induced_chain_missing_choice():
@@ -562,23 +614,23 @@ def test_graph_fixpoints_equal_the_layered_reference():
     rng = random.Random(2024)
     for _ in range(250):
         mdp = random_mdp(rng)
-        cm = mdp._matrix
-        n, n_rows = mdp.n_states, len(cm.labels)
+        n, n_rows = mdp.n_states, len(mdp.labels)
         goal = np.array([rng.random() < 0.3 for _ in range(n)])
         rows_ok = np.array([rng.random() < 0.7 for _ in range(n_rows)])
         for ok in (True, rows_ok):
-            got, want = cm.first[:-1].copy(), cm.first[:-1].copy()
-            reached = model._attract(cm, goal, ok, got)
-            assert np.array_equal(reached, layered_attract(cm, goal, ok, want))
+            got, want = mdp.first[:-1].copy(), mdp.first[:-1].copy()
+            reached = model._attract(mdp, goal, ok, got)
+            assert np.array_equal(reached,
+                                  layered_attract(mdp, goal, ok, want))
             assert np.array_equal(got, want)
-        reach = layered_attract(cm, goal, True)
-        got, want = cm.first[:-1].copy(), cm.first[:-1].copy()
-        prob1 = model._prob1e(cm, goal, reach, got)
-        assert np.array_equal(prob1, layered_prob1e(cm, goal, reach))
-        layered_attract(cm, goal, _all_succ(cm, prob1), want)
+        reach = layered_attract(mdp, goal, True)
+        got, want = mdp.first[:-1].copy(), mdp.first[:-1].copy()
+        prob1 = model._prob1e(mdp, goal, reach, got)
+        assert np.array_equal(prob1, layered_prob1e(mdp, goal, reach))
+        layered_attract(mdp, goal, _all_succ(mdp, prob1), want)
         assert np.array_equal(got[prob1], want[prob1])
-        assert np.array_equal(model._prob0e(cm, goal),
-                              layered_prob0e(cm, goal))
+        assert np.array_equal(model._prob0e(mdp, goal),
+                              layered_prob0e(mdp, goal))
 
 
 @pytest.mark.parametrize("dense_limit", [model.DENSE_SOLVE_LIMIT, 0])

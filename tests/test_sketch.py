@@ -83,6 +83,10 @@ def test_goal_states():
     assert goal_states(fam, "s=0 | s=4") == frozenset([0, 4])
     with pytest.raises(SketchError):
         goal_states(fam, "s=@k2@")
+    for text in ("s=4 s=0", "s=4 )", "s=4 & s=0 1"):
+        with pytest.raises(SketchError, match="trailing input") as exc:
+            goal_states(fam, text)
+        assert exc.value.line == 1 and exc.value.col == text.rindex(" ") + 2
     pw = elaborated("power.sk")
     assert goal_states(pw, "on=1 & q=0") == frozenset(
         [pw.valuations.index((0, 1))])

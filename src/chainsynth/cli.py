@@ -40,6 +40,9 @@ def load_family(path: str, fmt: str = None):
     except ValueError:
         raise CliError("CHAINSYNTH_MAX_STATES must be an integer, got %r"
                        % bound)
+    if bound < 1:
+        raise CliError("CHAINSYNTH_MAX_STATES must be positive, got %d"
+                       % bound)
     return sketch.elaborate(sketch.parse(text), max_states=bound)
 
 
@@ -55,16 +58,21 @@ def parse_spec(text: str, fam) -> Specification:
 
 
 def parse_assignment(text: str, fam) -> Realisation:
+    holes = {h.name: h for h in fam.holes}
     assignment = {}
     for part in text.split(","):
         if "=" not in part:
             raise CliError("--assign expects hole=option pairs")
-        hole, option = part.split("=", 1)
-        assignment[hole.strip()] = option.strip()
-    for h in fam.holes:
-        if h.name not in assignment:
-            raise CliError("--assign misses hole %s" % h.name)
-        h.option_index(assignment[h.name])  # validates the label
+        hole, option = (s.strip() for s in part.split("=", 1))
+        if hole not in holes:
+            raise CliError("--assign names unknown hole %s" % hole)
+        if hole in assignment:
+            raise CliError("--assign sets hole %s twice" % hole)
+        holes[hole].option_index(option)  # validates the label
+        assignment[hole] = option
+    for name in holes:
+        if name not in assignment:
+            raise CliError("--assign misses hole %s" % name)
     return Realisation(assignment)
 
 

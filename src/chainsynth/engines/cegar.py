@@ -122,13 +122,16 @@ def _lex_sorted(fam, realisations):
 
 def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
     """One refinement loop for every query kind: take the oldest subfamily
-    and count its members, check a lone member directly, else check the
-    quotient and let the query kind classify the subfamily from its bounds,
-    listing members only where the verdict emits them.  Failing that, split
-    along the scheduler that attains them: around its realisation (checked
-    once) when it chooses every hole consistently, else along the hole it
-    disagrees on most.  Worklist entries carry the members already checked
-    and the parent quotient's bound."""
+    and count its members.  Check one or two members directly, as a
+    quotient would save one member check at most, and stop early when a
+    member ends the search.  Else check the quotient and let the query kind
+    classify the subfamily from its bounds, listing members only where the
+    verdict emits them.  Failing that, split along the scheduler that
+    attains them: around its realisation (checked once) when it chooses
+    every hole consistently, else along the hole it disagrees on most.
+    Worklist entries carry the members already checked and the parent
+    quotient's bound, which still covers the members of a subfamily being
+    checked directly."""
     stats = Stats()
     search = (_Threshold if q.spec is not None else _Optimum)(fam, q, stats)
     linked = _linked(fam)
@@ -143,8 +146,12 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
                 continue
             stats.iterations += 1
             members = _members(fam, sub, excluded)
-            if size == 1:
-                search.single(next(members))
+            if size <= 2:  # a quotient would save one member check at most
+                pending = [(sub, excluded, inherited)] + worklist
+                for r in members:
+                    search.single(r)
+                    if search.finished(pending):
+                        break
                 continue
             mdp, meta = quotient_mdp(fam, sub)
             stats.checks += 1
@@ -201,7 +208,10 @@ class _Search:
 class _Threshold(_Search):
     """feasible/partition: conclusive min/max bounds put the whole
     subfamily into T or F; otherwise the scheduler attaining the bound that
-    blocks a verdict is analysed."""
+    blocks a verdict is analysed.  The bound least favourable to the spec
+    (min for > and >=, max for < and <=) is solved first.  The other is
+    solved only when the first is not all-sat, and a trace record keeps it
+    as None when it was not."""
 
     def __init__(self, fam, q, stats):
         super().__init__(fam, q, stats)
@@ -235,18 +245,18 @@ class _Threshold(_Search):
 
     def bounds(self, mdp, members, record):
         spec, tol = self.q.spec, self.q.tolerance
-        vmin, smin = mdp_extremal(mdp, spec.goal, "min")
-        vmax, smax = mdp_extremal(mdp, spec.goal, "max")
-        record.update(min=vmin, max=vmax)
-        # the bound least favourable to the specification, then the other
-        (worst, sched), best = ((vmin, smin), vmax) if self.lower \
-            else ((vmax, smax), vmin)
+        worst_mode, best_mode = ("min", "max") if self.lower \
+            else ("max", "min")
+        record.update(min=None, max=None)
+        worst, sched = mdp_extremal(mdp, spec.goal, worst_mode)
+        record[worst_mode] = worst
         if compare(worst, spec.op, spec.threshold, tol):
             record["verdict"] = "all-sat"
             for r in members:  # under a budget, each member's cost decides
                 if self._take(r, within_budget(self.fam, self.q, r)):
                     break
             return None, None
+        best = record[best_mode] = mdp_extremal(mdp, spec.goal, best_mode)[0]
         if not compare(best, spec.op, spec.threshold, tol):
             if self.q.kind == "partition":  # feasible has no use for F
                 self.F.extend(members)

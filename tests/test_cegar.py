@@ -5,6 +5,7 @@ import pytest
 from chainsynth.constraints import And, Atom, Implies, Not
 from chainsynth.engines.base import EngineError, SynthesisQuery
 from chainsynth import sketch
+from chainsynth.engines import cegar
 from chainsynth.engines.cegar import (_count, _linked, _split_off,
                                       cegar_solve, initial_subfamily, split)
 from chainsynth.engines.cegis import cegis_solve
@@ -13,7 +14,8 @@ from chainsynth.family import (ConsistencyVerdict, Family, Fixed, Hole,
                                HoleRef, Realisation, Subfamily,
                                enumerate_realisations, realise)
 from chainsynth.model import Specification, check
-from chainsynth.randfam import pruning_family, random_family, random_goal
+from chainsynth.randfam import (bench_family, pruning_family, random_family,
+                                random_goal)
 
 from conftest import R1, R2, R3, R4, cycle_exit_family, tiny_exit_family
 from test_family import two_hole_family
@@ -184,6 +186,112 @@ def test_singleton_degenerates_to_direct_check():
         "partition", spec=Specification(frozenset([1]), ">=", 0.5)))
     assert len(out.T) == 1 and not out.F
     assert out.stats.trace == [{"size": 1, "verdict": "direct", "sat": True}]
+
+
+def quotient_records(out):
+    return [rec for rec in out.stats.trace if "min" in rec or "bound" in rec]
+
+
+@pytest.mark.parametrize("stop_goal", [0.3, 0.7])
+def test_two_members_are_checked_directly(stop_goal):
+    # a quotient of two members would save one member check at most
+    fam = cycle_exit_family(stop_goal)
+    out = cegar_solve(fam, SynthesisQuery(
+        "partition", spec=Specification(frozenset([2]), ">=", 0.4)))
+    assert out.stats.checks == 2
+    assert [rec["verdict"] for rec in out.stats.trace] == ["direct"] * 2
+    assert not quotient_records(out)
+
+
+@pytest.mark.parametrize("stop_goal, checks, witness",
+                         [(0.3, 2, "cycle"), (0.7, 1, "stop")])
+def test_two_member_feasible_stops_at_first_sat(stop_goal, checks, witness):
+    out = cegar_solve(cycle_exit_family(stop_goal), SynthesisQuery(
+        "feasible", spec=Specification(frozenset([2]), ">=", 0.4)))
+    assert (out.witness["h"], out.stats.checks) == (witness, checks)
+
+
+def solved_modes(monkeypatch):
+    """The modes of the bounds cegar solves, in order."""
+    solve, modes = cegar.mdp_extremal, []
+
+    def counted(mdp, goal, mode):
+        modes.append(mode)
+        return solve(mdp, goal, mode)
+
+    monkeypatch.setattr(cegar, "mdp_extremal", counted)
+    return modes
+
+
+@pytest.mark.parametrize("op, threshold, worst, other",
+                         [(">=", 0.0, "min", "max"), ("<=", 1.0, "max", "min")])
+def test_all_sat_quotient_solves_only_its_worst_bound(
+        monkeypatch, example_family, op, threshold, worst, other):
+    modes = solved_modes(monkeypatch)
+    out = cegar_solve(example_family, SynthesisQuery(
+        "partition", spec=Specification(GOAL4, op, threshold)))
+    assert (len(out.T), modes) == (4, [worst])
+    [rec] = quotient_records(out)
+    assert rec["verdict"] == "all-sat" and rec[other] is None
+    assert rec[worst] == threshold  # the family's min is 0, its max 1
+
+
+def test_inconclusive_quotient_solves_both_bounds(monkeypatch,
+                                                  example_family):
+    modes = solved_modes(monkeypatch)
+    out = cegar_solve(example_family, SynthesisQuery(
+        "partition", spec=Specification(GOAL4, ">=", 0.1)))
+    first = quotient_records(out)[0]
+    assert first["verdict"] not in ("all-sat", "all-violate")
+    assert (first["min"], first["max"]) == (0.0, 1.0)
+    assert modes[:2] == ["min", "max"]
+
+
+@pytest.mark.parametrize("query, checks, iterations, candidates", [
+    ("bench partition", 19, 13, 6),
+    ("bench feasible", 20, 13, 6),
+    ("pruning partition", 20, 13, 9),
+])
+def test_search_order_is_pinned(query, checks, iterations, candidates):
+    # the split rule and the direct checks of one or two members fix these
+    # counts exactly; acceptance criterion 11 bounds them more loosely
+    name, kind = query.split()
+    fam, spec = {"bench": bench_family,
+                 "pruning": lambda: pruning_family(128)}[name]()
+    stats = cegar_solve(fam, SynthesisQuery(kind, spec=spec)).stats
+    assert (stats.checks, stats.iterations, stats.candidates) == \
+        (checks, iterations, candidates)
+
+
+def eps_trap_family():
+    """Six members; only h0=v2, h1=v0 reaches the goal 5, with probability
+    1, and the others never do.  cegar splits the family on h1, the h1=v0
+    half on h0 into one member and two, and checks the h1=v1 half's
+    quotient (bound 0) before the two-member part, whose bound is 1."""
+    def h0(targets):
+        return HoleRef.single("h0", dict(zip(("v0", "v1", "v2"), targets)))
+
+    def h1(targets):
+        return HoleRef.single("h1", dict(zip(("v0", "v1"), targets)))
+
+    return Family(
+        6, 0, (Hole("h0", ("v0", "v1", "v2")), Hole("h1", ("v0", "v1"))),
+        (((4 / 7, h1((3, 0))), (3 / 7, Fixed(0))),
+         ((0.75, Fixed(1)), (0.25, Fixed(3))),
+         ((0.2, Fixed(1)), (0.2, Fixed(3)), (0.6, h0((1, 2, 5)))),
+         ((0.3, h1((2, 5))), (0.5, Fixed(3)), (0.2, h1((2, 3)))),
+         ((5 / 12, Fixed(1)), (1 / 3, h0((2, 1, 0))), (0.25, Fixed(2))),
+         ((2 / 3, h0((0, 4, 1))), (1 / 6, Fixed(5)), (1 / 6, h1((0, 3))))))
+
+
+def test_eps_stop_counts_the_unchecked_member():
+    # once the two-member part's first member (value 0) is checked, every
+    # bound left on the worklist is 0, but the part's own bound still
+    # covers its second member (value 1): an eps stop must not ignore it
+    out = cegar_solve(eps_trap_family(), SynthesisQuery(
+        "max", goal=frozenset([5]), epsilon=0.5))
+    assert (out.value, out.witness.assignment) == (1.0, {"h0": "v2",
+                                                         "h1": "v0"})
 
 
 def test_feasible(example_family):

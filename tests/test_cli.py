@@ -148,6 +148,28 @@ def test_max_states_env_must_be_an_integer(capsys, monkeypatch):
     assert "CHAINSYNTH_MAX_STATES" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_max_states_env_must_be_positive(capsys, monkeypatch, bound):
+    # not "state space exceeds 0 valuations": the bound itself is refused
+    monkeypatch.setenv("CHAINSYNTH_MAX_STATES", bound)
+    code, out, err = run(capsys, "check", "--input", toy_path(),
+                         "--assign", "k2=2,k3=4", "--spec", "P>=0.1 [F s=4]")
+    assert (code, out) == (2, "")
+    assert "CHAINSYNTH_MAX_STATES" in err and "exceeds" not in err
+
+
+@pytest.mark.parametrize("assign, hole", [
+    ("k2=2,k3=4,zz=1", "zz"),  # a hole the family does not have
+    ("k2=2,k3=4,k2=3", "k2"),  # the same hole twice
+    ("k2=2,k3=4,k2=2", "k2"),
+])
+def test_check_refuses_a_malformed_assignment(capsys, assign, hole):
+    code, out, err = run(capsys, "check", "--input", toy_path(), "--json",
+                         "--assign", assign, "--spec", "P>=0.1 [F s=4]")
+    assert (code, out) == (2, "")
+    assert "hole %s" % hole in err
+
+
 def test_malformed_json_family_is_error(capsys, tmp_path):
     path = tmp_path / "fam.json"
     path.write_text('{"states": 2,')

@@ -4,36 +4,16 @@ the hole an inconsistent optimising scheduler disagrees on."""
 
 from __future__ import annotations
 
-import itertools
-import math
-
 from ..family import (ConsistencyVerdict, Family, Realisation, Subfamily,
-                      enumerate_realisations, quotient_mdp,
-                      scheduler_consistency)
+                      count_members, enumerate_realisations,
+                      initial_subfamily, quotient_mdp, scheduler_consistency)
 from ..model import compare, induced_chain, mdp_extremal
 from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
                    witness_outcome, within_budget)
 from .enumeration import Evaluator
 
-
-def initial_subfamily(fam: Family) -> Subfamily:
-    """Fold single-hole constraints into the starting subfamily.
-
-    Constraints over several holes stay out of the box: its quotient
-    over-approximates the members that satisfy them, and the members
-    themselves are filtered by every constraint.  A hole left with no
-    option leaves the subfamily without members.
-    """
-    remaining = [list(h.options) for h in fam.holes]
-    names = [h.name for h in fam.holes]
-    for c in fam.constraints:
-        holes = {a.hole for a in c.atoms()}
-        if len(holes) != 1:
-            continue
-        name = next(iter(holes))
-        idx = names.index(name)
-        remaining[idx] = [o for o in remaining[idx] if c.eval({name: o})]
-    return Subfamily(tuple(tuple(r) for r in remaining))
+# a quotient is checked only where it is expected to settle more members
+QUOTIENT_COST = 1.5
 
 
 def split(sub: Subfamily, verdict: ConsistencyVerdict, fam: Family):
@@ -62,32 +42,6 @@ def _split_off(sub: Subfamily, r: Realisation, fam: Family):
     if r[fam.holes[idx].name] in upper:
         lower, upper = upper, lower
     return sub.replace(idx, lower), sub.replace(idx, upper)
-
-
-def _linked(fam):
-    """The holes that multi-hole constraints read, in declaration order,
-    and those constraints: single-hole ones are folded into the box."""
-    constraints = [c for c in fam.constraints
-                   if len({a.hole for a in c.atoms()}) > 1]
-    names = {a.hole for c in constraints for a in c.atoms()}
-    return [i for i, h in enumerate(fam.holes) if h.name in names], constraints
-
-
-def _count(fam, sub, excluded, linked):
-    """Members of `sub` outside `excluded`: the product of the option counts
-    of the holes no multi-hole constraint reads, times the combinations of
-    the other holes that satisfy those constraints.  `excluded` holds
-    members only."""
-    idxs, constraints = linked
-    n = math.prod(len(opts) for i, opts in enumerate(sub.remaining)
-                  if i not in idxs)
-    if idxs and n:
-        names = [fam.holes[i].name for i in idxs]
-        n *= sum(all(c.eval(dict(zip(names, combo))) for c in constraints)
-                 for combo in itertools.product(
-                     *(sub.remaining[i] for i in idxs)))
-    return n - sum(all(o in opts for o, opts in zip(key, sub.remaining))
-                   for key in excluded)
 
 
 def _members(fam, sub, excluded):
@@ -120,33 +74,48 @@ def _lex_sorted(fam, realisations):
                                       for h in fam.holes))
 
 
+def _direct(size, quotients, conclusive, blind):
+    """Whether to check a subfamily's `size` members one by one instead of
+    its quotient.  Always at two members or fewer, never for the query's
+    first subfamily, else when size * p <= QUOTIENT_COST: a conclusive
+    quotient settles all `size` members, any other only splits them.  p is
+    the smoothed share (conclusive + 1) / (quotients + 1) of conclusive
+    quotients among those checked after the first, which was inconclusive,
+    or no subfamily would be left.  A `blind` quotient (max/min before any
+    member value, so it cannot be pruned) counts as one more inconclusive
+    check."""
+    if size <= 2:
+        return True
+    return quotients > 0 and \
+        size * (conclusive + 1) <= QUOTIENT_COST * (quotients + 1 + blind)
+
+
 def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
-    """One refinement loop for every query kind: take the oldest subfamily
-    and count its members.  Check one or two members directly, as a
-    quotient would save one member check at most, and stop early when a
-    member ends the search.  Else check the quotient and let the query kind
-    classify the subfamily from its bounds, listing members only where the
-    verdict emits them.  Failing that, split along the scheduler that
-    attains them: around its realisation (checked once) when it chooses
-    every hole consistently, else along the hole it disagrees on most.
-    Worklist entries carry the members already checked and the parent
-    quotient's bound, which still covers the members of a subfamily being
-    checked directly."""
+    """One refinement loop for every query kind: take the oldest subfamily and
+    count its members.  Check them directly where `_direct` says a quotient
+    is not expected to pay for itself, stopping early when a member ends the
+    search.  Else check the quotient and let the query kind classify the
+    subfamily from its bounds, listing members only where the verdict emits
+    them.  Failing that, split along the scheduler that attains them: around
+    its realisation (checked once) when it chooses every hole consistently,
+    else along the hole it disagrees on most.  Worklist entries carry the
+    members already checked and the parent quotient's bound, which still
+    covers the members of a subfamily being checked directly."""
     stats = Stats()
     search = (_Threshold if q.spec is not None else _Optimum)(fam, q, stats)
-    linked = _linked(fam)
     worklist = [(initial_subfamily(fam), frozenset(), None)]
+    quotients = conclusive = 0
     try:
         while worklist and not search.finished(worklist):
             sub, excluded, inherited = worklist.pop(0)
             if search.prunes(sub, inherited):
                 continue
-            size = _count(fam, sub, excluded, linked)
+            size = count_members(fam, sub, excluded)
             if not size:
                 continue
             stats.iterations += 1
             members = _members(fam, sub, excluded)
-            if size <= 2:  # a quotient would save one member check at most
+            if _direct(size, quotients, conclusive, search.blind()):
                 pending = [(sub, excluded, inherited)] + worklist
                 for r in members:
                     search.single(r)
@@ -155,10 +124,12 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
                 continue
             mdp, meta = quotient_mdp(fam, sub)
             stats.checks += 1
+            quotients += 1
             record = {"size": size}
             stats.trace.append(record)
             sched, bound = search.bounds(mdp, members, record)
-            if sched is None:
+            if sched is None:  # all-sat, all-violate or pruned
+                conclusive += 1
                 continue
             verdict = scheduler_consistency(meta, sched,
                                             induced_chain(mdp, sched).reachable())
@@ -199,6 +170,10 @@ class _Search:
         self.members = Evaluator(fam, q, stats)
 
     def prunes(self, sub, bound):
+        return False
+
+    def blind(self):
+        """Whether a quotient checked now cannot be conclusive."""
         return False
 
     def single(self, r):
@@ -309,6 +284,9 @@ class _Optimum(_Search):
         if self.maximise:
             return bound <= self.incumbent[1] + 1e-9
         return bound >= self.incumbent[1] - 1e-9
+
+    def blind(self):
+        return self.incumbent is None
 
     def prunes(self, sub, bound):
         if self._beaten(bound):

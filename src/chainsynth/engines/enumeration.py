@@ -3,7 +3,8 @@ other engines; its `Evaluator` values members for every engine."""
 
 from __future__ import annotations
 
-from ..family import Family, Realisation, enumerate_realisations, realise
+from ..family import (Family, Realisation, count_members,
+                      enumerate_realisations, initial_subfamily, realise)
 from ..model import Specification, compare, reach_probability
 from ..model import check  # noqa: F401 -- perfbench's tracer wraps this name
 from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
@@ -52,18 +53,20 @@ def _values(fam: Family, q: SynthesisQuery, stats: Stats):
     """Yield (realisation, verdict, value) in lexicographic candidate order;
     the verdict against the specification is None for max/min queries."""
     members = Evaluator(fam, q, stats)
-    for count, r in enumerate(enumerate_realisations(fam), 1):
-        if count > ENUM_BOUND:
-            raise EngineError("family exceeds enumeration bound %d" % ENUM_BOUND)
+    for r in enumerate_realisations(fam):
         stats.candidates += 1
         yield (r, None, members.value(r)) if q.spec is None \
             else (r, *members.verdict(r, q.spec, q.tolerance))
 
 
 def enum_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
-    """Solve any synthesis query by checking every realisation."""
+    """Solve any synthesis query by checking every realisation.  A family
+    of more than `ENUM_BOUND` members is refused before any is checked."""
     stats = Stats()
     try:
+        if count_members(fam, initial_subfamily(fam)) > ENUM_BOUND:
+            raise EngineError("family exceeds enumeration bound %d"
+                              % ENUM_BOUND)
         if q.kind == "feasible":
             return _feasible(fam, q, stats)
         if q.kind == "partition":

@@ -186,6 +186,16 @@ class Family:
             rows.append(StateRows(local, dists))
         return tuple(rows)
 
+    @cached_property
+    def linked(self) -> tuple:
+        """(holes, constraints): the indices of the holes that multi-hole
+        constraints read, in declaration order, and those constraints."""
+        constraints = tuple(c for c in self.constraints
+                            if len({a.hole for a in c.atoms()}) > 1)
+        names = {a.hole for c in constraints for a in c.atoms()}
+        return tuple(i for i, h in enumerate(self.holes)
+                     if h.name in names), constraints
+
     def _check_state(self, t, s):
         if not _is_index(t, self.n_states):
             raise FamilyError("state %d has successor %r outside S" % (s, t))
@@ -263,6 +273,45 @@ def enumerate_realisations(fam: Family, sub: Subfamily = None):
         assignment = dict(zip(names, combo))
         if fam.satisfies_constraints(assignment):
             yield Realisation(assignment)
+
+
+def initial_subfamily(fam: Family) -> Subfamily:
+    """Fold single-hole constraints into the starting subfamily.
+
+    Constraints over several holes stay out of the box: its quotient
+    over-approximates the members that satisfy them, and the members
+    themselves are filtered by every constraint.  A hole left with no
+    option leaves the subfamily without members.
+    """
+    remaining = [list(h.options) for h in fam.holes]
+    names = [h.name for h in fam.holes]
+    for c in fam.constraints:
+        holes = {a.hole for a in c.atoms()}
+        if len(holes) != 1:
+            continue
+        name = next(iter(holes))
+        idx = names.index(name)
+        remaining[idx] = [o for o in remaining[idx] if c.eval({name: o})]
+    return Subfamily(tuple(tuple(r) for r in remaining))
+
+
+def count_members(fam: Family, sub: Subfamily,
+                  excluded: frozenset = frozenset()) -> int:
+    """Members of `sub` outside `excluded`, counted without listing them:
+    the product of the option counts of the holes no multi-hole constraint
+    reads, times the combinations of the other holes that satisfy those
+    constraints.  `sub` must satisfy the single-hole constraints, as
+    `initial_subfamily` and its parts do; `excluded` holds members only."""
+    idxs, constraints = fam.linked
+    n = math.prod(len(opts) for i, opts in enumerate(sub.remaining)
+                  if i not in idxs)
+    if idxs and n:
+        names = [fam.holes[i].name for i in idxs]
+        n *= sum(all(c.eval(dict(zip(names, combo))) for c in constraints)
+                 for combo in itertools.product(
+                     *(sub.remaining[i] for i in idxs)))
+    return n - sum(all(o in opts for o, opts in zip(key, sub.remaining))
+                   for key in excluded)
 
 
 def cost(fam: Family, r: Realisation, model: str = None) -> int:

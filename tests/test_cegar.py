@@ -1,23 +1,28 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chainsynth.constraints import And, Atom, Implies, Not
+from chainsynth.constraints import And, Atom, Implies, Not, Or
 from chainsynth.engines.base import EngineError, SynthesisQuery
 from chainsynth import sketch
 from chainsynth.engines import cegar
-from chainsynth.engines.cegar import (_count, _linked, _split_off,
-                                      cegar_solve, initial_subfamily, split)
+from chainsynth.engines.cegar import (_direct, _split_off, cegar_solve,
+                                      split)
 from chainsynth.engines.cegis import cegis_solve
 from chainsynth.engines.enumeration import enum_solve
 from chainsynth.family import (ConsistencyVerdict, Family, Fixed, Hole,
-                               HoleRef, Realisation, Subfamily,
-                               enumerate_realisations, realise)
+                               HoleRef, Realisation, Subfamily, cost,
+                               count_members, enumerate_realisations,
+                               initial_subfamily, realise)
 from chainsynth.model import Specification, check
 from chainsynth.randfam import (bench_family, pruning_family, random_family,
                                 random_goal)
 
 from conftest import R1, R2, R3, R4, cycle_exit_family, tiny_exit_family
+from test_differential import _agrees
 from test_family import two_hole_family
 
 GOAL4 = frozenset([4])
@@ -142,7 +147,7 @@ def assert_count_matches_listing(rng, fam, n_boxes=20):
                                         rng.randint(0, min(3, len(members)))))
         listed = sum(r.key(fam) not in excluded
                      for r in enumerate_realisations(fam, sub))
-        assert _count(fam, sub, excluded, _linked(fam)) == listed, sub
+        assert count_members(fam, sub, excluded) == listed, sub
 
 
 def test_count_matches_listing_with_multi_hole_constraints(sensors_family):
@@ -152,7 +157,7 @@ def test_count_matches_listing_with_multi_hole_constraints(sensors_family):
     assert_count_matches_listing(rng, fam)
     fam = constrained(fam, fam.constraints + (
         Not(And((Atom("a", "x"), Atom("b", "u")))),))
-    assert _count(fam, initial_subfamily(fam), frozenset(), _linked(fam)) == 2
+    assert count_members(fam, initial_subfamily(fam)) == 2
     assert_count_matches_listing(rng, fam)
 
 
@@ -250,10 +255,10 @@ def test_inconclusive_quotient_solves_both_bounds(monkeypatch,
 @pytest.mark.parametrize("query, checks, iterations, candidates", [
     ("bench partition", 19, 13, 6),
     ("bench feasible", 20, 13, 6),
-    ("pruning partition", 20, 13, 9),
+    ("pruning partition", 22, 13, 12),
 ])
 def test_search_order_is_pinned(query, checks, iterations, candidates):
-    # the split rule and the direct checks of one or two members fix these
+    # the split rule and the rule that sends members direct fix these
     # counts exactly; acceptance criterion 11 bounds them more loosely
     name, kind = query.split()
     fam, spec = {"bench": bench_family,
@@ -265,9 +270,8 @@ def test_search_order_is_pinned(query, checks, iterations, candidates):
 
 def eps_trap_family():
     """Six members; only h0=v2, h1=v0 reaches the goal 5, with probability
-    1, and the others never do.  cegar splits the family on h1, the h1=v0
-    half on h0 into one member and two, and checks the h1=v1 half's
-    quotient (bound 0) before the two-member part, whose bound is 1."""
+    1, and the others never do.  cegar splits the family on h1 and checks
+    the h1=v0 half's three members directly, the optimum last."""
     def h0(targets):
         return HoleRef.single("h0", dict(zip(("v0", "v1", "v2"), targets)))
 
@@ -284,14 +288,108 @@ def eps_trap_family():
          ((2 / 3, h0((0, 4, 1))), (1 / 6, Fixed(5)), (1 / 6, h1((0, 3))))))
 
 
+def direct_group_family():
+    """Nine members over g (x, y) and p (p0 to p4), without g=y, p=p4;
+    only g=y, p=p3 reaches the goal 4, with probability 0.9, and the others
+    never do.  State 2 reads g again, so the quotient's max scheduler
+    (bound 1) takes g=y at state 0 and g=x at state 2.  Under `max` cegar
+    splits the family on g, checks the g=x half's quotient (bound 0, which
+    its parts inherit, and its member p0) and then the g=y half's four
+    members directly, the optimum last."""
+    ps = tuple("p%d" % i for i in range(5))
+
+    def g(x, y):
+        return HoleRef.single("g", {"x": x, "y": y})
+
+    return Family(
+        6, 0, (Hole("g", ("x", "y")), Hole("p", ps)),
+        (((1.0, g(1, 2)),),
+         ((1.0, HoleRef.single("p", dict.fromkeys(ps, 5))),),
+         ((1.0, g(4, 3)),),
+         ((0.9, HoleRef.single("p", {p: 4 if p == "p3" else 5
+                                     for p in ps})), (0.1, Fixed(5))),
+         ((1.0, Fixed(4)),),
+         ((1.0, Fixed(5)),)),
+        constraints=(Not(And((Atom("g", "y"), Atom("p", "p4")))),))
+
+
 def test_eps_stop_counts_the_unchecked_member():
-    # once the two-member part's first member (value 0) is checked, every
-    # bound left on the worklist is 0, but the part's own bound still
-    # covers its second member (value 1): an eps stop must not ignore it
+    # while a subfamily's members are checked directly, every bound left on
+    # the worklist can lie below the value of a member not yet checked; only
+    # the subfamily's own inherited bound still covers it, and an eps stop
+    # must not ignore it.  Both families check a group of three or more
+    # directly, the optimum last; in eps_trap_family the other half's bound
+    # of 1 is still on the worklist beside it, in direct_group_family only
+    # bounds of 0 are
+    max_query = SynthesisQuery("max", goal=frozenset([5]), epsilon=0.5)
+    out = cegar_solve(eps_trap_family(), max_query)
+    assert out.value == 1.0
+    assert out.witness.assignment == {"h0": "v2", "h1": "v0"}
+    out = cegar_solve(direct_group_family(), SynthesisQuery(
+        "max", goal=frozenset([4]), epsilon=0.5))
+    assert out.value == pytest.approx(0.9)
+    assert out.witness.assignment == {"g": "y", "p": "p3"}
+    # two quotients, the g=x member their scheduler chose, four direct checks
+    assert [rec["size"] for rec in quotient_records(out)] == [9, 5]
+    assert out.stats.checks == 7
+
+
+def test_direct_rule():
+    # (size, quotients, conclusive, blind): two members or fewer always go
+    # direct, the first subfamily never; after one inconclusive quotient
+    # p = 1/2, so three members go direct and four get a quotient, unless
+    # the quotient could not be conclusive
+    assert _direct(2, 0, 0, False) and _direct(1, 5, 5, False)
+    assert not _direct(3, 0, 0, False) and not _direct(4, 0, 0, True)
+    assert _direct(3, 1, 0, False) and not _direct(4, 1, 0, False)
+    assert _direct(4, 1, 0, True) and not _direct(5, 1, 0, True)
+    assert _direct(4, 2, 0, False) and not _direct(4, 2, 1, False)
+    assert not _direct(3, 2, 2, False) and _direct(6, 3, 0, False)
+
+
+def test_max_quotient_is_blind_until_a_member_is_checked(monkeypatch):
+    calls, rule = [], cegar._direct
+
+    def recorded(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(cegar, "_direct", recorded)
+    cegar_solve(direct_group_family(), SynthesisQuery(
+        "max", goal=frozenset([4])))
+    # the g=x half's parts, bound 0, are pruned once p3 is checked
+    assert calls == [(9, 0, 0, True), (5, 1, 0, True), (4, 2, 0, False)]
+    calls.clear()
+    cegar_solve(direct_group_family(), SynthesisQuery(
+        "partition", spec=Specification(frozenset([4]), ">=", 0.5)))
+    assert calls and not any(blind for *_, blind in calls)
+
+
+def test_three_members_go_direct_after_an_inconclusive_quotient():
+    # the first quotient is inconclusive, so p = 1/2: eps_trap_family's
+    # halves of three are checked directly, direct_group_family's parts of
+    # four get a quotient each
     out = cegar_solve(eps_trap_family(), SynthesisQuery(
-        "max", goal=frozenset([5]), epsilon=0.5))
-    assert (out.value, out.witness.assignment) == (1.0, {"h0": "v2",
-                                                         "h1": "v0"})
+        "partition", spec=Specification(frozenset([5]), "<=", 0.5)))
+    assert quotient_records(out)[0]["verdict"] == "inconsistent"
+    assert [rec["size"] for rec in quotient_records(out)] == [6]
+    assert [rec["verdict"] for rec in out.stats.trace[1:]] == ["direct"] * 6
+    assert [r.assignment for r in out.F] == [{"h0": "v2", "h1": "v0"}]
+    out = cegar_solve(direct_group_family(), SynthesisQuery(
+        "partition", spec=Specification(frozenset([4]), ">=", 0.5)))
+    assert [rec["size"] for rec in quotient_records(out)] == [9, 4, 4]
+    assert [r.assignment for r in out.T] == [{"g": "y", "p": "p3"}]
+
+
+def test_first_subfamily_of_four_members_gets_a_quotient(example_family):
+    spec = Specification(GOAL4, ">=", 0.1)
+    for q in (SynthesisQuery("feasible", spec=spec),
+              SynthesisQuery("partition", spec=spec),
+              SynthesisQuery("max", goal=GOAL4),
+              SynthesisQuery("min", goal=GOAL4)):
+        first = cegar_solve(example_family, q).stats.trace[0]
+        assert ("min" in first or "bound" in first) and first["size"] == 4, \
+            q.kind
 
 
 def test_feasible(example_family):
@@ -375,3 +473,67 @@ def test_cycle_exits_partition_is_exact(stop_goal, threshold, sat):
         out = solve(fam, q)
         assert [r["h"] for r in out.T] == [sat], solve.__name__
         assert len(out.F) == 1, solve.__name__
+
+
+@st.composite
+def fuzzed_problems(draw):
+    """A family whose option product is 3 to 64, with targets that read one
+    or two holes and up to two constraints over two holes, and a query of
+    any kind, with eps and with a budget under either cost model."""
+    n = draw(st.integers(3, 8))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3).filter(
+        lambda ks: 3 <= math.prod(ks) <= 64))
+    holes = tuple(Hole("h%d" % i, tuple("o%d" % j for j in range(k)),
+                       tuple(draw(st.lists(st.integers(0, 4), min_size=k,
+                                           max_size=k))))
+                  for i, k in enumerate(sizes))
+    atoms = st.sampled_from(holes).flatmap(
+        lambda h: st.sampled_from(h.options).map(lambda o: Atom(h.name, o)))
+
+    def target():
+        hs = draw(st.lists(st.sampled_from(holes), max_size=2, unique=True))
+        if not hs:
+            return Fixed(draw(st.integers(0, n - 1)))
+        combos = itertools.product(*(h.options for h in hs))
+        return HoleRef(tuple(h.name for h in hs), {
+            c: draw(st.integers(0, n - 1)) for c in combos})
+
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        rows.append(tuple((w / sum(weights), target()) for w in weights))
+    constraints = []
+    if len(holes) > 1:
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(atoms), draw(atoms)
+            if a.hole != b.hole:
+                constraints.append(draw(st.sampled_from(
+                    (Not(And((a, b))), Implies(a, b), Or((a, b))))))
+    fam = Family(n, 0, holes, tuple(rows), constraints=tuple(constraints),
+                 cost_model="optionsum")
+    goal = frozenset(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=2)))
+    kind = draw(st.sampled_from(("feasible", "partition", "max", "min")))
+    budget = model = None
+    members = list(enumerate_realisations(fam))
+    if members and draw(st.booleans()):
+        model = draw(st.sampled_from(("structural", "optionsum")))
+        costs = sorted({cost(fam, r, model) for r in members})
+        budget = draw(st.sampled_from(costs + [costs[0] - 1]))
+    if kind in ("feasible", "partition"):
+        spec = Specification(goal, draw(st.sampled_from(
+            ("<=", "<", ">=", ">"))), draw(st.sampled_from(
+                (0.0, 0.25, 0.5, 0.75, 1.0))) if draw(st.booleans())
+            else round(draw(st.floats(0.0, 1.0)), 3))
+        return fam, SynthesisQuery(kind, spec=spec, budget=budget,
+                                   cost_model=model)
+    eps = draw(st.sampled_from((None, 0.05, 0.5)))
+    return fam, SynthesisQuery(kind, goal=goal, epsilon=eps, budget=budget,
+                               cost_model=model)
+
+
+@settings(max_examples=200)
+@given(fuzzed_problems())
+def test_cegar_agrees_with_enum_on_fuzzed_families(problem):
+    fam, q = problem
+    _agrees(fam, q, enum_solve(fam, q), cegar_solve(fam, q))

@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+from chainsynth.constraints import And, Atom, Not
+from chainsynth.engines import enumeration
 from chainsynth.engines.base import EngineError, SynthesisQuery
-from chainsynth.engines.enumeration import enum_solve
+from chainsynth.engines.enumeration import ENUM_BOUND, enum_solve
+from chainsynth.family import Family, Fixed, Hole
 from chainsynth.model import Specification
 
 from conftest import R1, R2, R3, R4
@@ -96,3 +99,26 @@ def test_partition_with_budget(example_family):
         "partition", spec=spec, budget=10, cost_model="structural"))
     assert [r.assignment for r in out.T] == [R2]  # r4 satisfies but costs 11
     assert len(out.F) == 3
+
+
+def test_family_beyond_enum_bound_is_refused_before_any_check(monkeypatch):
+    # 101**3 members, or 101 fewer under a constraint over two holes: both
+    # exceed ENUM_BOUND, so no query kind realises a single member, even a
+    # feasible query that the first member would satisfy
+    options = tuple("o%d" % i for i in range(101))
+    holes = tuple(Hole(h, options) for h in "abc")
+    rows = (((1.0, Fixed(0)),),)
+    realised = []
+    monkeypatch.setattr(enumeration, "realise",
+                        lambda fam, r: realised.append(r))
+    spec = Specification(frozenset([0]), ">=", 0.5)
+    for constraints in ((), (Not(And((Atom("a", "o0"), Atom("b", "o0")))),)):
+        fam = Family(1, 0, holes, rows, constraints=constraints)
+        for q in (SynthesisQuery("feasible", spec=spec),
+                  SynthesisQuery("partition", spec=spec),
+                  SynthesisQuery("max", goal=spec.goal),
+                  SynthesisQuery("min", goal=spec.goal)):
+            with pytest.raises(EngineError,
+                               match="enumeration bound %d" % ENUM_BOUND):
+                enum_solve(fam, q)
+    assert realised == []

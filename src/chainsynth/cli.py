@@ -13,7 +13,7 @@ import sys
 from . import ENGINES, jsonio, sketch
 from .engines.base import EngineError, SynthesisQuery
 from .family import COST_MODELS, FamilyError, Realisation, realise
-from .model import ModelError, Specification, check
+from .model import COMPARISON_TOL, ModelError, Specification, check
 from .sketch import SketchError
 
 SPEC_RE = re.compile(
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="sketch or JSON family")
         p.add_argument("--format", choices=("sketch", "json"),
                        help="default: inferred from the file extension")
-        p.add_argument("--tolerance", type=float, default=1e-6,
+        p.add_argument("--tolerance", type=float, default=COMPARISON_TOL,
                        help="comparison tolerance for thresholds")
         p.add_argument("--json", action="store_true", help="machine output")
 

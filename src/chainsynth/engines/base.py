@@ -46,6 +46,9 @@ class SynthesisQuery:
             raise EngineError("epsilon must lie in (0, 1)")
         if not 0.0 <= self.tolerance < math.inf:  # nan fails too
             raise EngineError("tolerance must be finite and non-negative")
+        if not threshold and self.tolerance != COMPARISON_TOL:
+            raise EngineError("%s query takes no tolerance; it compares no "
+                              "threshold" % self.kind)
         if self.cost_model not in (None,) + COST_MODELS:
             raise EngineError("unknown cost model %r" % self.cost_model)
         if self.cost_model is not None and self.budget is None:

@@ -122,7 +122,7 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
                     if search.finished(pending):
                         break
                 continue
-            mdp, meta = quotient_mdp(fam, sub)
+            mdp = quotient_mdp(fam, sub)
             stats.checks += 1
             quotients += 1
             record = {"size": size}
@@ -131,8 +131,8 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
             if sched is None:  # all-sat, all-violate or pruned
                 conclusive += 1
                 continue
-            verdict = scheduler_consistency(meta, sched,
-                                            induced_chain(mdp, sched).reachable())
+            verdict = scheduler_consistency(
+                fam, sub, sched, induced_chain(mdp, sched).reachable())
             if not verdict.consistent:
                 parts = split(sub, verdict, fam)
                 record.update(verdict="inconsistent", inconsistent={
@@ -140,9 +140,8 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
                 search.note_split(record, sub, parts[0])
             else:
                 r = verdict.realisation
-                member = sub.contains(fam, r) \
-                    and fam.satisfies_constraints(r.assignment)
-                if member and r.key(fam) not in excluded:
+                if fam.satisfies_constraints(r.assignment) \
+                        and r.key(fam) not in excluded:
                     record.update(verdict="consistent",
                                   realisation=r.as_dict())
                     if search.member(r):

@@ -233,10 +233,6 @@ class Subfamily:
             n *= len(opts)
         return n
 
-    def contains(self, fam: Family, r: Realisation) -> bool:
-        return all(r[h.name] in opts
-                   for h, opts in zip(fam.holes, self.remaining))
-
     def replace(self, hole_idx: int, options) -> "Subfamily":
         options = tuple(options)
         if not options:
@@ -327,64 +323,26 @@ def cost(fam: Family, r: Realisation, model: str = None) -> int:
     raise FamilyError("unknown cost model %r" % model)
 
 
-@dataclass(frozen=True)
-class QuotientMeta:
-    """Per-state action metadata of a quotient MDP.
-
-    Action `label` of state s commits to the label-th combination, in
-    product order, of the remaining options of the holes its row reads;
-    `decode` names it.  `digits[s]` holds those holes, the last first, each
-    with its remaining options (empty for hole-free states and for the
-    fresh initial state).
-    """
-
-    fam: Family
-    sub: Subfamily
-    init_index: int  # index of the fresh initial state
-    digits: tuple  # tuple[tuple[(hole name, options), ...], ...]
-
-    def decode(self, s: int, label: int):
-        """The (hole, option) pairs that action `label` of state s commits
-        to, one per hole its row reads, the last hole first."""
-        for hole, opts in self.digits[s]:
-            label, i = divmod(label, len(opts))
-            yield hole, opts[i]
-
-    @cached_property
-    def choices(self) -> tuple:
-        """Per state, `decode` of each of its actions, built on first use."""
-        return tuple(tuple(dict(self.decode(s, label))
-                           for label in range(math.prod(
-                               len(opts) for _, opts in digits)))
-                     for s, digits in enumerate(self.digits))
-
-
-def quotient_mdp(fam: Family, sub: Subfamily = None):
+def quotient_mdp(fam: Family, sub: Subfamily = None) -> Mdp:
     """Quotient MDP forgetting which realisation a state belongs to.
 
-    States are the family states plus a fresh initial state; per state one
-    action exists for every combination of remaining options of exactly the
-    holes occurring in that state's outgoing distribution.
+    It lives on the family's own states and initial state.  Per state one
+    action exists for every combination, in product order, of the remaining
+    options of exactly the holes its row reads (`Family.rows`); the action
+    is labelled with that option tuple, which keys its distribution in the
+    row's `dists`.
     """
     if sub is None:
         sub = Subfamily.full(fam)
     remaining = {h.name: opts for h, opts in zip(fam.holes, sub.remaining)}
-    init_index = fam.n_states
     combos = {}  # states that read the same holes share their combinations
     actions = []
-    digits = []
     for row in fam.rows:
         if row.holes not in combos:
-            combos[row.holes] = (
-                list(itertools.product(*(remaining[h] for h in row.holes))),
-                tuple((h, remaining[h]) for h in reversed(row.holes)))
-        keys, local = combos[row.holes]
-        actions.append(tuple(enumerate(row.dists[c] for c in keys)))
-        digits.append(local)
-    actions.append(((0, Distribution.dirac(fam.init)),))
-    digits.append(())
-    mdp = Mdp(fam.n_states + 1, init_index, tuple(actions))
-    return mdp, QuotientMeta(fam, sub, init_index, tuple(digits))
+            combos[row.holes] = list(itertools.product(
+                *(remaining[h] for h in row.holes)))
+        actions.append(tuple((c, row.dists[c]) for c in combos[row.holes]))
+    return Mdp(fam.n_states, fam.init, tuple(actions))
 
 
 @dataclass(frozen=True)
@@ -406,21 +364,18 @@ class ConsistencyVerdict:
         return self.realisation is not None
 
 
-def scheduler_consistency(meta: QuotientMeta, sched: MemorylessScheduler,
+def scheduler_consistency(fam: Family, sub: Subfamily,
+                          sched: MemorylessScheduler,
                           reachable) -> ConsistencyVerdict:
-    """Classify a quotient scheduler as consistent (a realisation) or not.
-    Each reachable state's action is decoded as `QuotientMeta.decode` does,
-    inlined: a generator per state would cost more than the counting."""
-    fam, sub = meta.fam, meta.sub
+    """Classify a scheduler of `quotient_mdp(fam, sub)` as consistent (a
+    realisation) or not.  The label a reachable state's action carries
+    names the option of each hole its row reads, in `Family.rows` order."""
     freqs = {h.name: {} for h in fam.holes}
-    digits, choice = meta.digits, sched.choice
+    rows, choice = fam.rows, sched.choice
     for s in reachable:
-        if digits[s]:  # not hole-free, nor the fresh initial state
-            label = choice[s]
-            for hole, opts in digits[s]:
-                label, i = divmod(label, len(opts))
-                counts = freqs[hole]
-                counts[opts[i]] = counts.get(opts[i], 0) + 1
+        for hole, option in zip(rows[s].holes, choice[s]):
+            counts = freqs[hole]
+            counts[option] = counts.get(option, 0) + 1
     multi = {h: set(c) for h, c in freqs.items() if len(c) > 1}
     if multi:
         return ConsistencyVerdict(None, multi, freqs)

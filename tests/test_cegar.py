@@ -537,3 +537,45 @@ def fuzzed_problems(draw):
 def test_cegar_agrees_with_enum_on_fuzzed_families(problem):
     fam, q = problem
     _agrees(fam, q, enum_solve(fam, q), cegar_solve(fam, q))
+
+
+@st.composite
+def zero_valued_max_problems(draw):
+    """A max query with eps 0.5 over nine members, most of them worth 0:
+    g (x, y) and p (p0 to p4), without g=y and one p option.  State 0 falls
+    into the sink under g=x and moves to state 1 under g=y; state 1 reads g
+    again, the states after it read p, and every hole target draws the sink
+    twice as often as the goal.  The shape of `direct_group_family`, with
+    random tables: cegar's first quotient often splits on g, the g=x half
+    is worth 0, and the g=y half's four members are checked directly."""
+    n = draw(st.integers(5, 7))
+    sink, goal = n - 2, n - 1
+    g, p = Hole("g", ("x", "y")), Hole("p", tuple("p%d" % i for i in range(5)))
+    succ = st.sampled_from((sink, sink, goal) + tuple(range(2, sink)))
+
+    def target(hole):
+        return HoleRef.single(hole.name, {o: draw(succ) for o in hole.options})
+
+    rows = [((1.0, HoleRef.single("g", {"x": sink, "y": 1})),)]
+    for s in range(1, sink):
+        weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        rows.append(tuple(
+            (w / sum(weights), target(g if s == 1 else p)
+             if i == 0 or draw(st.booleans())
+             else Fixed(draw(st.integers(0, goal))))
+            for i, w in enumerate(weights)))
+    rows += [((1.0, Fixed(sink)),), ((1.0, Fixed(goal)),)]
+    excluded = Atom("p", draw(st.sampled_from(p.options)))
+    fam = Family(n, 0, (g, p), tuple(rows),
+                 constraints=(Not(And((Atom("g", "y"), excluded))),))
+    return fam, SynthesisQuery("max", goal=frozenset([goal]), epsilon=0.5)
+
+
+@settings(max_examples=100)
+@given(zero_valued_max_problems())
+def test_cegar_eps_stop_on_zero_valued_families(problem):
+    # an eps stop that reads only the worklist, not the bound of the
+    # subfamily being checked member by member, returns a member that is not
+    # eps-optimal on some of these families
+    fam, q = problem
+    _agrees(fam, q, enum_solve(fam, q), cegar_solve(fam, q))

@@ -108,6 +108,36 @@ def test_synth_budgeted_max(capsys):
     assert doc["outcome"]["cost"] == 8
 
 
+@pytest.mark.parametrize("engine", ["enum", "cegar", "cegis"])
+def test_synth_partition_text(capsys, engine):
+    code, out, _ = run(capsys, "synth", "partition", "--input", toy_path(),
+                       "--spec", "P>=0.1 [F s=4]", "--engine", engine)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:5] == ["outcome   partition (|T|=2, |F|=2)",
+                         "  T  k2=2,k3=4", "  T  k2=3,k3=4",
+                         "  F  k2=2,k3=2", "  F  k2=3,k3=2"]
+    assert lines[5].startswith("stats     candidates=4 ") and len(lines) == 6
+
+
+def test_synth_budgeted_max_text(capsys):
+    code, out, _ = run(capsys, "synth", "max", "--input", toy_path(),
+                       "--goal", "s=4", "--cost", "structural",
+                       "--budget", "9")
+    assert code == 0
+    assert out.splitlines()[:4] == ["outcome   witness",
+                                    "witness   k2=2,k3=2", "value     0",
+                                    "cost      8"]
+
+
+def test_check_json(capsys):
+    code, out, _ = run(capsys, "check", "--input", toy_path(), "--assign",
+                       "k2=2,k3=4", "--spec", "P>=0.1 [F s=4]", "--json")
+    assert code == 0
+    assert json.loads(out) == {"assignment": {"k2": "2", "k3": "4"},
+                               "value": pytest.approx(1.0), "sat": True}
+
+
 def test_synth_unsat_exit_code(capsys):
     code, out, _ = run(capsys, "synth", "feasible", "--input", toy_path(),
                        "--spec", "P<=0.1 [F s=1]")
@@ -197,6 +227,7 @@ def test_wrongly_shaped_json_family_is_error(capsys, tmp_path, text):
     ("partition", "--spec", "P>=0.1 [F s=4]", "--epsilon", "0.5"),
     ("max", "--goal", "s=4", "--spec", "P>=0.1 [F s=4]"),
     ("max", "--goal", "s=4", "--cost", "structural"),
+    ("max", "--goal", "s=4", "--tolerance", "0.1"),
 ])
 def test_refused_query_flags_exit_2(capsys, argv):
     code, out, err = run(capsys, "synth", *argv, "--input", toy_path())

@@ -7,7 +7,7 @@ from chainsynth.engines import enumeration
 from chainsynth.engines.base import EngineError, SynthesisQuery
 from chainsynth.engines.enumeration import ENUM_BOUND, enum_solve
 from chainsynth.family import Family, Fixed, Hole
-from chainsynth.model import Specification
+from chainsynth.model import COMPARISON_TOL, Specification
 
 from conftest import R1, R2, R3, R4
 
@@ -33,10 +33,14 @@ def test_query_validation():
             # a tolerance must be finite and non-negative
             ("partition", {"spec": spec, "tolerance": -1e-9}),
             ("partition", {"spec": spec, "tolerance": math.nan}),
-            ("max", {"goal": GOAL4, "tolerance": math.inf})]:
+            ("max", {"goal": GOAL4, "tolerance": math.inf}),
+            # max/min compare no threshold, so no tolerance but the default
+            ("max", {"goal": GOAL4, "tolerance": 0.1}),
+            ("min", {"goal": GOAL4, "tolerance": 0.0})]:
         with pytest.raises(EngineError):
             SynthesisQuery(kind, **kw)
     assert SynthesisQuery("partition", spec=spec, tolerance=0.0).tolerance == 0
+    assert SynthesisQuery("max", goal=GOAL4).tolerance == COMPARISON_TOL
 
 
 def test_feasible_first_witness(example_family):

@@ -153,27 +153,32 @@ def test_multi_hole_target_resolution():
 def test_subfamily_ops(example_family):
     sub = Subfamily.full(example_family)
     assert sub.size() == 4
-    assert sub.contains(example_family, Realisation(R3))
     pinned = sub.replace(1, ("4",))
     assert pinned.size() == 2
-    assert not pinned.contains(example_family, Realisation(R1))
+    assert pinned.remaining == (("2", "3"), ("4",))
+    assert [r.key(example_family) for r in
+            enumerate_realisations(example_family, pinned)] == \
+        [("2", "4"), ("3", "4")]
     with pytest.raises(FamilyError):
         sub.replace(0, ())
 
 
 def test_quotient_structure(example_family):
-    mdp, meta = quotient_mdp(example_family)
-    assert mdp.n_states == 6
-    assert mdp.init == meta.init_index == 5
-    # one action per option combination of the holes in each state's row
-    assert [len(a) for a in mdp.actions] == [2, 1, 2, 2, 1, 1]
-    assert meta.choices[0] == ({"k2": "2"}, {"k2": "3"})
+    mdp = quotient_mdp(example_family)
+    # the family's own states and initial state
+    assert (mdp.n_states, mdp.init) == (5, 0)
+    # one action per option combination of the holes in each state's row,
+    # labelled with that combination
+    assert [len(a) for a in mdp.actions] == [2, 1, 2, 2, 1]
+    assert [label for label, _ in mdp.actions[0]] == [("2",), ("3",)]
+    assert [label for label, _ in mdp.actions[1]] == [()]
 
 
 def test_quotient_respects_subfamily(example_family):
     sub = Subfamily.full(example_family).replace(1, ("4",))
-    mdp, _ = quotient_mdp(example_family, sub)
-    assert [len(a) for a in mdp.actions] == [2, 1, 1, 1, 1, 1]
+    mdp = quotient_mdp(example_family, sub)
+    assert [len(a) for a in mdp.actions] == [2, 1, 1, 1, 1]
+    assert [label for label, _ in mdp.actions[3]] == [("4",)]
 
 
 def _subfamilies(fam, rng):
@@ -193,17 +198,17 @@ def _matches_resolution(fam, rng):
     order = [h.name for h in fam.holes]
     for sub in _subfamilies(fam, rng):
         remaining = dict(zip(order, sub.remaining))
-        mdp, meta = quotient_mdp(fam, sub)
+        mdp = quotient_mdp(fam, sub)
+        assert (mdp.n_states, mdp.init) == (fam.n_states, fam.init)
         for s, row in enumerate(fam.transitions):
             local = sorted({h for _, tgt in row for h in tgt.holes()},
                            key=order.index)
-            choices = [dict(zip(local, combo)) for combo in
-                       itertools.product(*(remaining[h] for h in local))]
-            assert list(meta.choices[s]) == choices
-            assert [label for label, _ in mdp.actions[s]] == \
-                list(range(len(choices)))
+            combos = list(itertools.product(*(remaining[h] for h in local)))
+            # labels: the remaining options' combinations in product order
+            assert [label for label, _ in mdp.actions[s]] == combos
             assert [d for _, d in mdp.actions[s]] == \
-                [resolved(row, c) for c in choices]
+                [resolved(row, dict(zip(local, c))) for c in combos] == \
+                [fam.rows[s].dists[c] for c in combos]
 
 
 def test_compiled_rows_match_per_call_resolution(sensors_family):
@@ -217,44 +222,51 @@ def test_compiled_rows_match_per_call_resolution(sensors_family):
 
 
 def test_scheduler_consistency(example_family):
-    _, meta = quotient_mdp(example_family)
+    sub = Subfamily.full(example_family)
     # state 2 picks k3=2, state 3 picks k3=4: inconsistent on k3
-    sched = MemorylessScheduler({0: 0, 1: 0, 2: 0, 3: 1, 4: 0, 5: 0})
-    verdict = scheduler_consistency(meta, sched, {0, 1, 2, 3, 4, 5})
+    sched = MemorylessScheduler({0: ("2",), 1: (), 2: ("2",), 3: ("4",),
+                                 4: ()})
+    verdict = scheduler_consistency(example_family, sub, sched,
+                                    {0, 1, 2, 3, 4})
     assert not verdict.consistent
     assert verdict.inconsistent == {"k3": {"2", "4"}}
     assert verdict.frequencies["k3"] == {"2": 1, "4": 1}
     # restricting attention to reachable states can make it consistent
-    verdict = scheduler_consistency(meta, sched, {0, 1, 2, 5})
+    verdict = scheduler_consistency(example_family, sub, sched, {0, 1, 2})
     assert verdict.consistent
     assert verdict.realisation.assignment == {"k2": "2", "k3": "2"}
 
 
 def test_consistency_counts_the_decoded_choices(sensors_family):
     """scheduler_consistency counts, per hole and option, the reachable
-    states whose action commits to it, as `QuotientMeta.choices` names it."""
+    states whose action commits to it, as its label names it."""
     rng = random.Random(41)
     fams = [random_family(rng, max_states=12, max_realisations=64)
             for _ in range(20)]
     for fam in fams + [two_hole_family(), sensors_family]:
+        order = [h.name for h in fam.holes]
         for sub in _subfamilies(fam, rng):
-            mdp, meta = quotient_mdp(fam, sub)
-            sched = MemorylessScheduler({s: rng.randrange(len(acts))
+            mdp = quotient_mdp(fam, sub)
+            sched = MemorylessScheduler({s: rng.choice(acts)[0]
                                          for s, acts in enumerate(mdp.actions)})
             reachable = rng.sample(range(mdp.n_states),
                                    rng.randint(1, mdp.n_states))
             freqs = {h.name: {} for h in fam.holes}
             for s in reachable:
-                for hole, option in meta.choices[s][sched[s]].items():
+                holes = sorted({h for _, tgt in fam.transitions[s]
+                                for h in tgt.holes()}, key=order.index)
+                for hole, option in zip(holes, sched[s]):
                     freqs[hole][option] = freqs[hole].get(option, 0) + 1
-            verdict = scheduler_consistency(meta, sched, reachable)
+            verdict = scheduler_consistency(fam, sub, sched, reachable)
             assert verdict.frequencies == freqs
 
 
 def test_consistent_scheduler_defaults_unconstrained(example_family):
-    _, meta = quotient_mdp(example_family)
-    sched = MemorylessScheduler({0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0})
-    verdict = scheduler_consistency(meta, sched, {5, 0, 1})
+    sched = MemorylessScheduler({0: ("3",), 1: (), 2: ("2",), 3: ("2",),
+                                 4: ()})
+    verdict = scheduler_consistency(example_family,
+                                    Subfamily.full(example_family), sched,
+                                    {0, 1})
     assert verdict.consistent
     # no reachable state constrains either hole's table except k2
     assert verdict.realisation.assignment == {"k2": "3", "k3": "2"}

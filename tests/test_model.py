@@ -250,7 +250,7 @@ def test_sub_mc_monotone_random():
 # --- MDP analysis -----------------------------------------------------------
 
 def test_quotient_extremal_bounds(example_family):
-    mdp, _ = quotient_mdp(example_family)
+    mdp = quotient_mdp(example_family)
     vmax, _ = mdp_extremal(mdp, frozenset([4]), "max")
     vmin, _ = mdp_extremal(mdp, frozenset([4]), "min")
     assert vmax == pytest.approx(1.0, abs=1e-9)
@@ -296,7 +296,7 @@ def test_mdp_compiles_its_choice_matrix_once(monkeypatch, example_family):
     csr_rows = model._csr_rows
     monkeypatch.setattr(model, "_csr_rows",
                         lambda dists: calls.append(dists) or csr_rows(dists))
-    mdp, _ = quotient_mdp(example_family)
+    mdp = quotient_mdp(example_family)
     assert len(calls) == 1
     assert mdp_extremal(mdp, {4}, "min")[0] == pytest.approx(0.0)
     assert mdp_extremal(mdp, {4}, "max")[0] == pytest.approx(1.0)
@@ -341,7 +341,7 @@ def test_tiny_exits_never_yield_a_wrong_value(monkeypatch):
 
 
 def test_mdp_extremal_exact_with_tiny_exits():
-    mdp, _ = quotient_mdp(tiny_exit_family())
+    mdp = quotient_mdp(tiny_exit_family())
     for mode in ("min", "max"):
         value, sched = mdp_extremal(mdp, frozenset([1]), mode)
         assert value == pytest.approx(0.5, abs=1e-9)

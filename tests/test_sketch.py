@@ -1,7 +1,7 @@
 import pytest
 
 from chainsynth.family import (Family, Fixed, Hole, HoleRef, Realisation,
-                               realise)
+                               enumerate_realisations, realise)
 from chainsynth.sketch import (HoleE, SketchError, elaborate, goal_states,
                                parse, pretty_print)
 
@@ -117,6 +117,78 @@ s : [0..1] init 0;
 %s
 endmodule
 """
+
+
+STEPS = """
+module m
+s : [0..3] init 2;
+%s
+endmodule
+"""
+
+
+@pytest.mark.parametrize("commands, steps", [
+    # `*` binds tighter than binary `-`: 2*2 - 1
+    ("s = 2 -> 1: s'=2*s - 1;\ns != 2 -> 1: s'=s;", {2: 3, 3: 3}),
+    # unary `-` of a parenthesised difference
+    ("s = 2 -> 1: s'=-(s - 3);\ns != 2 -> 1: s'=s;", {2: 1, 1: 1}),
+    # `!` negates a guard
+    ("!(s = 2) -> 1: s'=s;\ns = 2 -> 1: s'=0;", {2: 0, 0: 0}),
+    # `=>` in a guard; unary `-` binds tighter than `*`
+    ("s = 2 => s < 2 -> 1: s'=s;\ns = 2 -> 1: s'=-s * -1 - 1;",
+     {2: 1, 1: 1}),
+])
+def test_expression_operators(commands, steps):
+    fam = elaborate(parse(STEPS % commands))
+    values = [v for (v,) in fam.valuations]
+    assert all(len(row) == 1 for row in fam.transitions)
+    assert {values[s]: values[row[0][1].state]
+            for s, row in enumerate(fam.transitions)} == steps
+
+
+CONSTRAINED = """
+hole @a@ either { a0 is 0, a1 is 1 }
+hole @b@ either { b0 is 0, b1 is 1 }
+constraint %s
+module m
+s : [0..1] init 0;
+s >= 0 -> 1: s'=@a@;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("constraint, members", [
+    ("a1 => b1", [("a0", "b0"), ("a0", "b1"), ("a1", "b1")]),
+    ("!a1", [("a0", "b0"), ("a0", "b1")]),
+    ("a1 & b1", [("a1", "b1")]),
+    ("!(a1 & b0) => b1", [("a0", "b1"), ("a1", "b0"), ("a1", "b1")]),
+])
+def test_constraint_operators(constraint, members):
+    fam = elaborate(parse(CONSTRAINED % constraint))
+    assert [r.key(fam) for r in enumerate_realisations(fam)] == members
+
+
+@pytest.mark.parametrize("constraint, message", [
+    ("c1", "^constraint references unknown option 'c1'$"),
+    ("s < 3", "^constraints must be propositional over option names$"),
+])
+def test_constraint_refusals(constraint, message):
+    with pytest.raises(SketchError, match=message):
+        elaborate(parse(CONSTRAINED % constraint))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("module m\nendmodule", "^module declares no variables$"),
+    ("hole @k@ either { t }\nmodule m\ns : [0..1] init 0;\n"
+     "s <= 1 -> 1: s'=@k@;\nendmodule",
+     "^1:0: hole k option reads t, which is not a variable$"),
+    (MINI % "s <= 1 -> 1: t'=0;",
+     "^5:0: update writes unknown variable 't'$"),
+    (MINI % "s <= 1 -> 1: s'=(s = 0);", "^5:0: update of s is not an integer$"),
+])
+def test_elaborate_refusals(text, message):
+    with pytest.raises(SketchError, match=message):
+        elaborate(parse(text))
 
 
 def test_overlapping_guards_rejected():

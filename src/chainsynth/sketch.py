@@ -25,14 +25,17 @@ DEFAULT_MAX_STATES = 10 ** 6
 KEYWORDS = {"hole", "either", "is", "cost", "constraint",
             "module", "endmodule", "init"}
 
+# One match per token: whitespace and comments are skipped inside the match.
+# Every position matches, since `bad` takes any character no token starts
+# with, so the skip never backtracks into a comment.
 _TOKEN_RE = re.compile(r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>//[^\n]*)
-    | (?P<nl>\n)
-    | (?P<holeref>@[A-Za-z_][A-Za-z0-9_]*@)
-    | (?P<number>\d+\.\d+|\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>->|=>|\.\.|<=|>=|!=|[{}\[\],;:'&|!+\-*=<>()])
+    [ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+    (?: (?P<op>->|=>|\.\.|<=|>=|!=|[{}\[\],;:'&|!+\-*=<>()])
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<number>\d+\.\d+|\d+)
+      | (?P<holeref>@[A-Za-z_][A-Za-z0-9_]*@)
+      | (?P<eof>\Z)
+      | (?P<bad>.))
 """, re.VERBOSE)
 
 
@@ -45,37 +48,29 @@ class SketchError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "number" | "ident" | "holeref" | "op" | "eof"
-    text: str
-    line: int
-    col: int
+# kind is "number" | "ident" | "holeref" | "op" | "eof"; pos is the offset of
+# the token's first character in the text
+Token = namedtuple("Token", "kind text pos")
+
+
+def _where(text, pos):
+    """The 1-based line and column of offset `pos` in `text`."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _lex(text: str):
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise SketchError("unexpected character %r" % text[pos], line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(tok)
-        else:
-            if kind == "holeref":
-                tokens.append(Token("holeref", tok[1:-1], line, col))
-            else:
-                tokens.append(Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+        tok, pos = m.group(kind), m.start(kind)
+        if kind == "holeref":
+            tok = tok[1:-1]
+        elif kind == "bad":
+            raise SketchError("unexpected character %r" % tok,
+                              *_where(text, pos))
+        tokens.append(Token(kind, tok, pos))
+        if kind == "eof":
+            return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +83,7 @@ def _lex(text: str):
 CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "=": operator.eq, "!=": operator.ne, "<": operator.lt,
-        "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-        "&": lambda l, r: bool(l) and bool(r),
-        "|": lambda l, r: bool(l) or bool(r),
-        "=>": lambda l, r: (not l) or bool(r)}
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,8 +136,16 @@ class Bin:
     rhs: object
 
     def eval(self, valuation, binding):
-        return _OPS[self.op](self.lhs.eval(valuation, binding),
-                             self.rhs.eval(valuation, binding))
+        # `&`, `|` and `=>` skip the right operand when the left decides:
+        # evaluation has no side effects, so only the work changes
+        lhs, op = self.lhs.eval(valuation, binding), self.op
+        if op == "&":
+            return bool(lhs) and bool(self.rhs.eval(valuation, binding))
+        if op == "|":
+            return bool(lhs) or bool(self.rhs.eval(valuation, binding))
+        if op == "=>":
+            return not lhs or bool(self.rhs.eval(valuation, binding))
+        return _OPS[op](lhs, self.rhs.eval(valuation, binding))
 
     def reads(self):
         return self.lhs.reads() | self.rhs.reads()
@@ -215,35 +215,43 @@ class SketchProgram:
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _lex(text)
+        self.seek(0)
 
-    def peek(self, ahead=0) -> Token:
+    def seek(self, pos):
+        self.pos = pos
+        self.tok = self.tokens[pos]  # the current token
+
+    def peek(self, ahead) -> Token:
+        """The token `ahead` places after the current one."""
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
+    def line(self, tok) -> int:
+        return _where(self.text, tok.pos)[0]
+
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok.kind != "eof":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
     def expect(self, text) -> Token:
         tok = self.next()
         if tok.text != text:
-            raise SketchError("expected %r, got %r" % (text, tok.text or "<eof>"),
-                              tok.line, tok.col)
+            self.error("expected %r, got %r" % (text, tok.text or "<eof>"), tok)
         return tok
 
     def accept(self, text) -> bool:
-        if self.peek().text == text and self.peek().kind != "eof":
-            self.pos += 1
+        if self.tok.text == text:
+            self.next()
             return True
         return False
 
-    def error(self, msg):
-        tok = self.peek()
-        raise SketchError(msg, tok.line, tok.col)
+    def error(self, msg, tok=None):
+        raise SketchError(msg, *_where(self.text, (tok or self.tok).pos))
 
     # expressions; precedence: => | & ! cmp additive multiplicative unary
     def expr(self):
@@ -269,32 +277,28 @@ class _Parser:
             return Un("!", self.not_expr())
         return self.cmp_expr()
 
+    # only "op" tokens have these texts, so their kind is not checked
     def cmp_expr(self):
         lhs = self.arith()
-        if self.peek().text in CMP_OPS and self.peek().kind == "op":
+        if self.tok.text in CMP_OPS:
             op = self.next().text
             return Bin(op, lhs, self.arith())
         return lhs
 
-    def arith(self, branch_lookahead=False):
+    def arith(self, in_update=False):
         lhs = self.term()
-        while self.peek().text in ("+", "-") and self.peek().kind == "op":
-            if branch_lookahead and self.peek().text == "+" \
-                    and self._plus_starts_branch():
-                break
+        last_plus = None
+        while self.tok.text in ("+", "-"):
+            if in_update and self.tok.text == "+":
+                last_plus = (self.pos, lhs)
             op = self.next().text
             lhs = Bin(op, lhs, self.term())
+        if last_plus and self.tok.text == ":":
+            # in an update the last `+` before a `:` starts the next branch:
+            # `s'=s+1 + 0.5: s'=0`
+            pos, lhs = last_plus
+            self.seek(pos)
         return lhs
-
-    def _plus_starts_branch(self):
-        # inside an update the `+` may separate branches: `... + 0.5: s'=...`
-        save = self.pos
-        try:
-            self.next()  # '+'
-            self.arith(branch_lookahead=True)
-            return self.peek().text == ":"
-        finally:
-            self.pos = save
 
     def term(self):
         lhs = self.unary()
@@ -308,7 +312,7 @@ class _Parser:
         return self.atom()
 
     def atom(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "number":
             self.next()
             value = float(tok.text)
@@ -329,26 +333,26 @@ class _Parser:
     def program(self) -> SketchProgram:
         holes = []
         seen_names = set()
-        while self.peek().text == "hole":
+        while self.tok.text == "hole":
             holes.append(self.hole_decl(seen_names))
         constraints = []
-        while self.peek().text == "constraint":
+        while self.tok.text == "constraint":
             self.next()
             constraints.append(self.expr())
         self.expect("module")
         name_tok = self.next()
         if name_tok.kind != "ident":
-            raise SketchError("expected module name", name_tok.line, name_tok.col)
+            self.error("expected module name", name_tok)
         variables = []
-        while self.peek().kind == "ident" and self.peek(1).text == ":":
+        while self.tok.kind == "ident" and self.peek(1).text == ":":
             variables.append(self.var_decl(variables))
         commands = []
-        while self.peek().text != "endmodule":
-            if self.peek().kind == "eof":
+        while self.tok.text != "endmodule":
+            if self.tok.kind == "eof":
                 self.error("missing endmodule")
             commands.append(self.command())
         self.expect("endmodule")
-        if self.peek().kind != "eof":
+        if self.tok.kind != "eof":
             self.error("trailing input after endmodule")
         return SketchProgram(tuple(holes), tuple(constraints), name_tok.text,
                              tuple(variables), tuple(commands))
@@ -357,10 +361,10 @@ class _Parser:
         start = self.expect("hole")
         tok = self.next()
         if tok.kind not in ("ident", "holeref"):
-            raise SketchError("expected hole name", tok.line, tok.col)
+            self.error("expected hole name", tok)
         name = tok.text
         if name in seen_names:
-            raise SketchError("duplicate hole name %r" % name, tok.line, tok.col)
+            self.error("duplicate hole name %r" % name, tok)
         seen_names.add(name)
         self.expect("either")
         self.expect("{")
@@ -372,14 +376,12 @@ class _Parser:
         self.expect("}")
         labels = [o.label for o in options]
         if len(set(labels)) != len(labels):
-            raise SketchError("hole %s has duplicate option labels" % name,
-                              start.line, start.col)
-        return HoleDecl(name, tuple(options), start.line)
+            self.error("hole %s has duplicate option labels" % name, start)
+        return HoleDecl(name, tuple(options), self.line(start))
 
     def option_decl(self) -> OptionDecl:
-        named = self.peek().kind == "ident" and self.peek().text not in KEYWORDS \
+        named = self.tok.kind == "ident" and self.tok.text not in KEYWORDS \
             and self.peek(1).text == "is"
-        label = None
         if named:
             label = self.next().text
             self.expect("is")
@@ -390,14 +392,17 @@ class _Parser:
             cost = None if cost_expr.reads() else cost_expr.eval({}, {})
             if not isinstance(cost, int) or cost < 0:
                 self.error("option cost must be a natural number")
-        return OptionDecl(label if named else expr.to_text().strip("()"),
-                          expr, cost, named)
+        if not named:
+            # the expression's text, less the one pair of brackets
+            # `Bin.to_text` puts round the whole
+            label = expr.to_text()[1:-1] if isinstance(expr, Bin) \
+                else expr.to_text()
+        return OptionDecl(label, expr, cost, named)
 
     def var_decl(self, declared) -> VarDecl:
         name_tok = self.next()
         if any(v.name == name_tok.text for v in declared):
-            raise SketchError("variable %s declared twice" % name_tok.text,
-                              name_tok.line, name_tok.col)
+            self.error("variable %s declared twice" % name_tok.text, name_tok)
         self.expect(":")
         self.expect("[")
         lo = self._int()
@@ -408,36 +413,34 @@ class _Parser:
         init = self._int()
         self.expect(";")
         if hi < lo:
-            raise SketchError("variable %s has empty bounds" % name_tok.text,
-                              name_tok.line, name_tok.col)
+            self.error("variable %s has empty bounds" % name_tok.text, name_tok)
         if not (lo <= init <= hi):
-            raise SketchError("initial value of %s outside bounds" % name_tok.text,
-                              name_tok.line, name_tok.col)
-        return VarDecl(name_tok.text, lo, hi, init, name_tok.line)
+            self.error("initial value of %s outside bounds" % name_tok.text,
+                       name_tok)
+        return VarDecl(name_tok.text, lo, hi, init, self.line(name_tok))
 
     def _int(self) -> int:
         neg = self.accept("-")
         tok = self.next()
         if tok.kind != "number" or "." in tok.text:
-            raise SketchError("expected integer, got %r" % tok.text,
-                              tok.line, tok.col)
+            self.error("expected integer, got %r" % tok.text, tok)
         return -int(tok.text) if neg else int(tok.text)
 
     def command(self) -> Command:
-        start = self.peek()
+        start = self.tok
         guard = self.expr()
         self.expect("->")
         branches = [self.branch()]
         while self.accept("+"):
             branches.append(self.branch())
         self.expect(";")
-        return Command(guard, tuple(branches), start.line)
+        return Command(guard, tuple(branches), self.line(start))
 
     def branch(self):
         prob = self.arith()
         self.expect(":")
         update = [self.assignment(())]
-        while self.peek().text == "&" and self.peek(1).kind == "ident" \
+        while self.tok.text == "&" and self.peek(1).kind == "ident" \
                 and self.peek(2).text == "'":
             self.next()
             update.append(self.assignment(update))
@@ -446,19 +449,18 @@ class _Parser:
     def assignment(self, written):
         tok = self.next()
         if tok.kind != "ident":
-            raise SketchError("expected variable in update", tok.line, tok.col)
+            self.error("expected variable in update", tok)
         if any(var == tok.text for var, _ in written):
-            raise SketchError("update writes %s twice" % tok.text,
-                              tok.line, tok.col)
+            self.error("update writes %s twice" % tok.text, tok)
         self.expect("'")
         self.expect("=")
-        rhs = self.arith(branch_lookahead=True)
+        rhs = self.arith(in_update=True)
         return (tok.text, rhs)
 
 
 def parse(text: str) -> SketchProgram:
     """Parse sketch text into an AST; raises SketchError with line/column."""
-    return _Parser(_lex(text)).program()
+    return _Parser(text).program()
 
 
 def pretty_print(prog: SketchProgram) -> str:
@@ -524,6 +526,8 @@ def _reduce_table(names, table):
 # the holes they read.  Hole names are kept in declaration order.
 _Rule = namedtuple("_Rule", "line guard guard_holes pre probs updates "
                             "update_holes")
+# the options under which a rule with no guard holes is enabled
+_UNDER_ANY_OPTIONS = frozenset({()})
 
 
 def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Family:
@@ -608,6 +612,7 @@ def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Fami
                   for _, upd in cmd.branches),
             tuple(holes_read([e for _, e in upd]) for _, upd in cmd.branches)))
 
+    unbound = {}  # the binding of a hole-free expression
     init_valuation = tuple(v.init for v in prog.variables)
     index = {init_valuation: 0}
     valuations = [init_valuation]
@@ -617,7 +622,10 @@ def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Fami
         # per enabled rule, the options of its guard holes that enable it
         fires = {}
         for i, r in enumerate(rules):
-            if all(c.eval(v, {}) for c in r.pre):
+            if not r.guard_holes:
+                if r.guard.eval(v, unbound):
+                    fires[i] = _UNDER_ANY_OPTIONS
+            elif all(c.eval(v, unbound) for c in r.pre):
                 on = {key for key, b in bindings(r.guard_holes)
                       if r.guard.eval(v, b)}
                 if on:
@@ -733,9 +741,9 @@ def _resolve_constraint(expr, option_names):
 
 def goal_states(fam: Family, expr_text: str) -> frozenset:
     """Evaluate a boolean expression over the family's variables per state."""
-    parser = _Parser(_lex(expr_text))
+    parser = _Parser(expr_text)
     expr = parser.expr()
-    if parser.peek().kind != "eof":
+    if parser.tok.kind != "eof":
         parser.error("trailing input after goal expression")
     if fam.variables is None:
         variables = ("s",)

@@ -15,6 +15,18 @@ settings.register_profile("deterministic", derandomize=True, deadline=None,
 settings.load_profile("deterministic")
 
 
+# a hole whose unnamed options are labelled by expressions with brackets;
+# option k steps state 0 to k + 1, so state 4 is reached under "(1 + 2) * 1"
+UNNAMED_OPTIONS = """
+hole @k@ either { -1, 1+2*0, (1+2)*1 }
+module m
+s : [0..4] init 0;
+s = 0 -> 1: s'=@k@ + 1;
+s > 0 -> 1: s'=s;
+endmodule
+"""
+
+
 def toy_path():
     return os.path.join(SKETCHES, "toy.sk")
 

@@ -4,7 +4,7 @@ import pytest
 
 from chainsynth.cli import main
 
-from conftest import singular_cycle_family, toy_path
+from conftest import UNNAMED_OPTIONS, singular_cycle_family, toy_path
 
 
 def run(capsys, *argv):
@@ -136,6 +136,18 @@ def test_check_json(capsys):
     assert code == 0
     assert json.loads(out) == {"assignment": {"k2": "2", "k3": "4"},
                                "value": pytest.approx(1.0), "sat": True}
+
+
+@pytest.mark.parametrize("label, value", [
+    ("-(1)", 0.0), ("1 + (2 * 0)", 0.0), ("(1 + 2) * 1", 1.0)])
+def test_check_accepts_unnamed_option_labels(capsys, tmp_path, label, value):
+    path = tmp_path / "options.sk"
+    path.write_text(UNNAMED_OPTIONS)
+    code, out, _ = run(capsys, "check", "--input", str(path), "--assign",
+                       "k=" + label, "--spec", "P>=0 [F s=4]", "--json")
+    assert code == 0
+    assert json.loads(out) == {"assignment": {"k": label},
+                               "value": pytest.approx(value), "sat": True}
 
 
 def test_synth_unsat_exit_code(capsys):

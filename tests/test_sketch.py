@@ -1,11 +1,13 @@
+import functools
+
 import pytest
 
 from chainsynth.family import (Family, Fixed, Hole, HoleRef, Realisation,
                                enumerate_realisations, realise)
-from chainsynth.sketch import (HoleE, SketchError, elaborate, goal_states,
-                               parse, pretty_print)
+from chainsynth.sketch import (Bin, HoleE, Num, SketchError, Var, elaborate,
+                               goal_states, parse, pretty_print)
 
-from conftest import SKETCHES
+from conftest import SKETCHES, UNNAMED_OPTIONS
 
 
 def load(name):
@@ -108,6 +110,67 @@ def test_plus_ambiguity_in_updates():
     """))
     assert fam.transitions[0] == ((0.5, Fixed(1)), (0.5, Fixed(0)))
     assert fam.transitions[1] == ((0.5, Fixed(2)), (0.5, Fixed(0)))
+
+
+def test_long_update_parses():
+    # the `+` that starts the second branch is found in one pass over the
+    # update, not by re-parsing the rest of it at every `+`
+    prog = parse("module m\ns : [0..1] init 0;\n"
+                 "s >= 0 -> 0.5: s'=s%s + 0.5: s'=0;\nendmodule"
+                 % ("+0" * 63))
+    (p1, upd1), (p2, upd2) = prog.commands[0].branches
+    total = functools.reduce(lambda e, _: Bin("+", e, Num(0, "0")),
+                             range(63), Var("s"))
+    assert p1 == p2 == Num(0.5, "0.5")
+    assert upd1 == (("s", total),) and upd2 == (("s", Num(0, "0")),)
+
+
+def test_unnamed_option_labels_are_balanced():
+    # a label is the option's text less the one pair of brackets
+    # `Bin.to_text` puts round the whole expression
+    labels = [o.label for o in parse(UNNAMED_OPTIONS).holes[0].options]
+    assert labels == ["-(1)", "1 + (2 * 0)", "(1 + 2) * 1"]
+    for label in labels:
+        depth = 0
+        for ch in label:
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            assert depth >= 0
+        assert depth == 0
+    fam = elaborate(parse(UNNAMED_OPTIONS))
+    assert fam.hole("k").options == tuple(labels)
+
+
+@pytest.mark.parametrize("op, left, value", [
+    ("&", 0, False), ("|", 1, True), ("=>", 0, True)])
+def test_logical_operators_short_circuit(op, left, value):
+    # reading the right operand would raise: `nope` has no value
+    assert Bin(op, Num(left, str(left)), Var("nope")).eval({}, {}) is value
+
+
+@pytest.mark.parametrize("text, message", [
+    # after a `//` comment
+    ("module m // the module\ns : [0..1] init 0 // no semicolon\nendmodule",
+     "3:1: expected ';', got 'endmodule'"),
+    ("// a comment\n  $", "2:3: unexpected character '$'"),
+    # after a tab, which is one column
+    ("module m\n\ts : [0..1] init 0;\n\ts = 0 -> 1: s'=0 $;\nendmodule",
+     "3:19: unexpected character '$'"),
+    ("module m\n\ts : [0..1] init 0;\n\t\ts = 0 -> 1 s'=0;\nendmodule",
+     "3:14: expected ':', got 's'"),
+    # on the last line
+    ("module m\ns : [0..1] init 0;\ns = 0 -> 1: s'=0;",
+     "3:18: missing endmodule"),
+    ("module m\ns : [0..1] init 0;\ns = 0 -> 1: s'=0;\nendmodule x",
+     "4:11: trailing input after endmodule"),
+    ("module m\ns : [0..1] init 0;\ns = 0 -> 1: s'=0; // last\nendmodule\n#",
+     "5:1: unexpected character '#'"),
+])
+def test_error_positions(text, message):
+    with pytest.raises(SketchError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+    line, col = message.split(":")[:2]
+    assert (exc.value.line, exc.value.col) == (int(line), int(col))
 
 
 MINI = """

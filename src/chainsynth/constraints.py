@@ -127,7 +127,10 @@ def _parse(tokens, pos):
 
 def parse_sexpr(text: str):
     tokens = _tokenize(text)
-    node, pos = _parse(tokens, 0)
+    try:
+        node, pos = _parse(tokens, 0)
+    except RecursionError:
+        raise ConstraintError("constraint nests too deeply") from None
     if pos != len(tokens):
         raise ConstraintError("trailing tokens in constraint: %r" % tokens[pos:])
     return node

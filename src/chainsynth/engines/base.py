@@ -11,6 +11,8 @@ from ..family import COST_MODELS, Family, Realisation, cost as realisation_cost
 from ..model import COMPARISON_TOL, Specification
 
 KINDS = ("feasible", "partition", "max", "min")
+# a value beats another, and a bound can beat an incumbent, only by more
+STRICT_GAIN = 1e-12
 
 
 class EngineError(ValueError):
@@ -92,6 +94,11 @@ class SynthesisOutcome:
 
 def query_cost(fam: Family, q: SynthesisQuery, r: Realisation) -> int:
     return realisation_cost(fam, r, q.cost_model)
+
+
+def beats(q: SynthesisQuery, v: float, b: float) -> bool:
+    """Whether `v` is strictly better than `b` for the max/min query `q`."""
+    return v > b + STRICT_GAIN if q.kind == "max" else v < b - STRICT_GAIN
 
 
 def within_budget(fam: Family, q: SynthesisQuery, r: Realisation) -> bool:

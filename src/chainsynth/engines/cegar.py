@@ -9,7 +9,7 @@ from ..family import (ConsistencyVerdict, Family, Realisation, Subfamily,
                       initial_subfamily, quotient_mdp, scheduler_consistency)
 from ..model import compare, induced_chain, mdp_extremal
 from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
-                   witness_outcome, within_budget)
+                   beats, witness_outcome, within_budget)
 from .enumeration import Evaluator
 
 # a quotient is checked only where it is expected to settle more members
@@ -204,8 +204,9 @@ class _Threshold(_Search):
 
     def _check(self, r):
         self.stats.candidates += 1
-        sat, value = self.members.verdict(r, self.q.spec, self.q.tolerance)
-        sat = sat and within_budget(self.fam, self.q, r)
+        spec, value = self.q.spec, self.members.value(r)
+        sat = compare(value, spec.op, spec.threshold, self.q.tolerance) \
+            and within_budget(self.fam, self.q, r)
         self._take(r, sat, value)
         return sat
 
@@ -272,17 +273,13 @@ class _Optimum(_Search):
         bounds = [b for _, _, b in worklist if b is not None]
         if not bounds:
             return False
-        v = self.incumbent[1]
-        if self.maximise:
-            return v >= (1.0 - self.eps) * max(bounds) - 1e-12
-        return v <= min(bounds) / (1.0 - self.eps) + 1e-12
+        # the incumbent is eps-optimal once no bound left beats it by eps
+        return self._beaten((1.0 - self.eps) * max(bounds) if self.maximise
+                            else min(bounds) / (1.0 - self.eps))
 
     def _beaten(self, bound):
-        if self.incumbent is None or bound is None:
-            return False
-        if self.maximise:
-            return bound <= self.incumbent[1] + 1e-9
-        return bound >= self.incumbent[1] - 1e-9
+        return self.incumbent is not None and bound is not None \
+            and not beats(self.q, bound, self.incumbent[1])
 
     def blind(self):
         return self.incumbent is None
@@ -300,8 +297,7 @@ class _Optimum(_Search):
             self.stats.candidates += 1
             v = self.members.value(r)
             best = self.incumbent
-            if best is None or (v > best[1] + 1e-12 if self.maximise
-                                else v < best[1] - 1e-12):
+            if best is None or beats(self.q, v, best[1]):
                 self.incumbent = (r, v)
         return False
 

@@ -6,7 +6,8 @@ A refuting (or establishing) critical set C fixes the chain's behaviour on C;
 every realisation inducing the same transitions on C shares the verdict, so
 one model-checker call can prune many family members.  The design space is
 one verdict array over every combination of options, so a family with more
-than `ENUM_BOUND` combinations is refused, as enum refuses it.
+than `ENUM_BOUND` combinations is refused, as enum refuses it.  Max/min
+search that one space too, under a spec that tightens past each witness.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import math
 
 import numpy as np
 
-from ..family import Family, Realisation, enumerate_realisations, realise
+from ..family import Family, Realisation, enumerate_realisations
 from ..model import (ChainMatrix, MarkovChain, Specification, check,
                      compare, reach_probability, sub_mc)
-from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
-                   witness_outcome, within_budget)
+from .base import (STRICT_GAIN, EngineError, Stats, SynthesisOutcome,
+                   SynthesisQuery, beats, witness_outcome, within_budget)
 from .enumeration import ENUM_BOUND, Evaluator
 
 
@@ -221,98 +222,86 @@ class AssignmentSpace:
 
 
 def cegis_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
+    """One search over one design space for every query kind.  A threshold
+    query checks its spec.  Max/min start from the spec every member meets;
+    each member that meets it becomes the witness, the spec tightens
+    strictly past the witness's value (`_beyond`), and the witness is then
+    handled as a member the new spec refutes.  A member is proposed once,
+    so each check solves a new member."""
     stats = Stats()
     members = Evaluator(fam, q, stats)
+    spec, tol = q.spec, q.tolerance
+    if spec is None:  # max/min: every member meets the first spec
+        op, bound = (">=", 0.0) if q.kind == "max" else ("<=", 1.0)
+        spec, tol = Specification(q.goal, op, bound), STRICT_GAIN
+    partition = q.kind == "partition"
+    upper = spec.op in ("<=", "<")  # a tightened spec keeps its direction
+    # a partition lists members over budget in F: they stay in the space
+    space = AssignmentSpace(fam, budget=None if partition else q.budget,
+                            cost_model=q.cost_model)
+    kept = {}  # `_option_scope`'s per-state options, for the whole search
+    best = None  # (witness, value)
     try:
-        if q.kind in ("feasible", "partition"):
-            return _threshold(fam, q, members, q.spec,
-                              stop_at_witness=q.kind == "feasible",
-                              tol=q.tolerance)
-        return _optimise(fam, q, members)
+        while (r := space.next_candidate()) is not None:
+            stats.candidates += 1
+            stats.iterations += 1
+            if not partition and not within_budget(fam, q, r):
+                # structural costs are only checkable per candidate
+                space.block_assignment(r, False)
+                continue
+            mc, to_goal = members.solve(r)
+            value = float(to_goal[mc.init])
+            sat = compare(value, spec.op, spec.threshold, tol)
+            record = {"candidate": r.as_dict(), "value": value, "sat": sat,
+                      "pruned": 1}
+            stats.trace.append(record)
+            if sat and not partition:
+                best, spec = (r, value), _beyond(q, value)
+                if spec is None:  # no scope is learned from the last witness
+                    break
+                sat = False  # the tightened spec refutes the witness
+            # a refuted upper or an established lower bound generalises,
+            # where a critical set could classify more than the candidate: a
+            # set only shrinks its scope as it grows, and {init} is in every
+            # one
+            prunes = lambda c: space.would_prune(_option_scope(fam, c, r, kept))
+            critical = extract_counterexample(mc, spec, tol, to_goal, prunes) \
+                if upper != sat and prunes([fam.init]) else None
+            if critical is None:
+                space.block_assignment(r, sat)
+            else:
+                scope = _option_scope(fam, critical, r, kept)
+                space.learn_scope(scope, sat)
+                record.update(critical=sorted(critical),
+                              conflict_holes=sorted(scope),
+                              pruned=scope_size(fam, scope))
+            if not sat:
+                space.mark_refuted(r)
+        if not partition:
+            return SynthesisOutcome("unsat", stats=stats) if best is None \
+                else witness_outcome(fam, q, *best, stats)
+        T, F = [], []
+        # without a seed budget only the constraints put members OUT, so the
+        # other entries are the members, in lexicographic order
+        verdicts = space.verdicts[space.verdicts != OUT].tolist()
+        for r, verdict in zip(enumerate_realisations(fam), verdicts,
+                              strict=True):
+            if verdict == OPEN:
+                raise EngineError("exhausted space left %r unclassified"
+                                  % r.as_dict())
+            (T if verdict and within_budget(fam, q, r) else F).append(r)
+        return SynthesisOutcome("partition", T=T, F=F, stats=stats)
     finally:
         stats.stop()
 
 
-def _threshold(fam, q, members, spec, stop_at_witness, tol):
-    stats = members.stats
-    upper = spec.op in ("<=", "<")
-    seed_budget = q.budget if stop_at_witness else None
-    space = AssignmentSpace(fam, budget=seed_budget, cost_model=q.cost_model)
-    kept = {}  # `_option_scope`'s per-state options, for the whole search
-    while True:
-        r = space.next_candidate()
-        if r is None:
-            break
-        stats.candidates += 1
-        stats.iterations += 1
-        if stop_at_witness and not within_budget(fam, q, r):
-            # structural costs are only checkable per candidate
-            space.block_assignment(r, False)
-            continue
-        sat, value = members.verdict(r, spec, tol)
-        record = {"candidate": r.as_dict(), "value": value, "sat": sat}
-        if sat and stop_at_witness:  # within budget, checked above
-            # the witness ends this search: a scope learned from it would
-            # be discarded, so none is extracted
-            record["pruned"] = 1
-            stats.trace.append(record)
-            return witness_outcome(fam, q, r, value, stats)
-        critical = None
-        # a refuted upper or an established lower bound generalises, where
-        # a critical set could classify more than the candidate: a set
-        # only shrinks its scope as it grows, and {init} is in every one
-        prunes = lambda c: space.would_prune(_option_scope(fam, c, r, kept))
-        if upper != sat and prunes([fam.init]):
-            mc, to_goal = members.solved or (realise(fam, r), None)
-            critical = extract_counterexample(mc, spec, tol, to_goal, prunes)
-        if critical is None:
-            space.block_assignment(r, sat)
-            record["pruned"] = 1
-        else:
-            scope = _option_scope(fam, critical, r, kept)
-            space.learn_scope(scope, sat)
-            record.update(critical=sorted(critical),
-                          conflict_holes=sorted(scope),
-                          pruned=scope_size(fam, scope))
-        if not sat:
-            space.mark_refuted(r)
-        stats.trace.append(record)
-    if stop_at_witness:
-        return SynthesisOutcome("unsat", stats=stats)
-    T, F = [], []
-    # without a seed budget only the constraints put members OUT, so the
-    # other entries are the members, in lexicographic order
-    verdicts = space.verdicts[space.verdicts != OUT].tolist()
-    for r, verdict in zip(enumerate_realisations(fam), verdicts, strict=True):
-        if verdict == OPEN:
-            raise EngineError("exhausted space left %r unclassified"
-                              % r.as_dict())
-        (T if verdict and within_budget(fam, q, r) else F).append(r)
-    return SynthesisOutcome("partition", T=T, F=F, stats=stats)
-
-
-def _optimise(fam, q, members):
-    """Max/min synthesis as iterated feasibility: tighten the threshold to
-    the incumbent value with a strict operator until unsatisfiable."""
-    maximise = q.kind == "max"
+def _beyond(q: SynthesisQuery, value: float):
+    """The spec a member must meet to beat a witness worth `value` by the
+    query's eps; None where none can: a feasible query wants one witness,
+    and max/min stop once 1 (for min 0) does not beat the new threshold."""
     eps = q.epsilon or 0.0
-    spec = Specification(q.goal, ">=" if maximise else "<=",
-                         0.0 if maximise else 1.0)
-    best = None
-    while True:
-        # strict internal comparisons keep the optimum tight
-        out = _threshold(fam, q, members, spec, stop_at_witness=True,
-                         tol=1e-9)
-        if out.kind == "unsat":
-            return out if best is None else best
-        best = out
-        if maximise:
-            lam = out.value / (1.0 - eps)
-            if lam > 1.0:
-                return best
-            spec = Specification(q.goal, ">", lam)
-        else:
-            lam = out.value * (1.0 - eps)
-            if lam < 0.0:
-                return best
-            spec = Specification(q.goal, "<", lam)
+    if q.kind == "max" and beats(q, 1.0, value / (1.0 - eps)):
+        return Specification(q.goal, ">", value / (1.0 - eps))
+    if q.kind == "min" and beats(q, 0.0, value * (1.0 - eps)):
+        return Specification(q.goal, "<", value * (1.0 - eps))
+    return None

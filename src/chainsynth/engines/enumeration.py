@@ -5,58 +5,51 @@ from __future__ import annotations
 
 from ..family import (Family, Realisation, count_members,
                       enumerate_realisations, initial_subfamily, realise)
-from ..model import Specification, compare, reach_probability
+from ..model import compare, reach_probability
 from ..model import check  # noqa: F401 -- perfbench's tracer wraps this name
 from .base import (EngineError, Stats, SynthesisOutcome, SynthesisQuery,
-                   witness_outcome, within_budget)
+                   beats, witness_outcome, within_budget)
 
 ENUM_BOUND = 10 ** 6
 
 
 class Evaluator:
-    """The one place a member is valued: it realises the member, solves its
-    chain for the query's goal once and remembers the value by member key.
-    Each chain solved counts one `stats.checks`.  `solved` holds the chain
-    and goal vector of the member the last `verdict` call solved, or None
-    if that call read the value from memory."""
+    """The one place a member is valued: it realises the member and solves
+    its chain for the query's goal.  Each chain solved counts one
+    `stats.checks`; `value` remembers the result by member key."""
 
     def __init__(self, fam: Family, q: SynthesisQuery, stats: Stats):
         self.fam, self.stats = fam, stats
         self.goal = q.goal if q.spec is None else q.spec.goal
         self.values = {}
-        self.solved = None
 
-    def verdict(self, r: Realisation, spec: Specification, tol: float):
-        """(verdict, value) of `r`, as `check` gives it; `spec` names the
-        query's goal."""
-        key = r.key(self.fam)
-        self.solved = None
-        if key not in self.values:
-            self.stats.checks += 1
-            mc = realise(self.fam, r)
-            self.solved = mc, reach_probability(mc, spec.goal)
-            self.values[key] = float(self.solved[1][mc.init])
-        value = self.values[key]
-        return compare(value, spec.op, spec.threshold, tol), value
+    def solve(self, r: Realisation):
+        """`r`'s chain and its goal vector, solved afresh."""
+        self.stats.checks += 1
+        mc = realise(self.fam, r)
+        return mc, reach_probability(mc, self.goal)
 
     def value(self, r: Realisation) -> float:
         """Probability that `r` reaches the query's goal."""
         key = r.key(self.fam)
         if key not in self.values:
-            self.stats.checks += 1
-            mc = realise(self.fam, r)
-            self.values[key] = float(reach_probability(mc, self.goal)[mc.init])
+            mc, to_goal = self.solve(r)
+            self.values[key] = float(to_goal[mc.init])
         return self.values[key]
 
 
 def _values(fam: Family, q: SynthesisQuery, stats: Stats):
-    """Yield (realisation, verdict, value) in lexicographic candidate order;
-    the verdict against the specification is None for max/min queries."""
+    """Yield (realisation, value, ok) in lexicographic candidate order: ok
+    when the member meets the specification, if the query has one, and the
+    budget."""
     members = Evaluator(fam, q, stats)
     for r in enumerate_realisations(fam):
         stats.candidates += 1
-        yield (r, None, members.value(r)) if q.spec is None \
-            else (r, *members.verdict(r, q.spec, q.tolerance))
+        stats.iterations += 1
+        value = members.value(r)
+        ok = q.spec is None or \
+            compare(value, q.spec.op, q.spec.threshold, q.tolerance)
+        yield r, value, ok and within_budget(fam, q, r)
 
 
 def enum_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
@@ -77,43 +70,32 @@ def enum_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
 
 
 def _feasible(fam, q, stats):
-    for r, sat, value in _values(fam, q, stats):
-        stats.iterations += 1
-        if sat and within_budget(fam, q, r):
+    for r, value, ok in _values(fam, q, stats):
+        if ok:
             return witness_outcome(fam, q, r, value, stats)
     return SynthesisOutcome("unsat", stats=stats)
 
 
 def _partition(fam, q, stats):
     T, F = [], []
-    for r, sat, value in _values(fam, q, stats):
-        stats.iterations += 1
-        (T if sat and within_budget(fam, q, r) else F).append(r)
+    for r, _, ok in _values(fam, q, stats):
+        (T if ok else F).append(r)
     return SynthesisOutcome("partition", T=T, F=F, stats=stats)
 
 
 def _optimise(fam, q, stats):
     best = None  # (realisation, value)
-    better = (lambda v, b: v > b + 1e-12) if q.kind == "max" \
-        else (lambda v, b: v < b - 1e-12)
-    entries = []
-    for r, _, value in _values(fam, q, stats):
-        stats.iterations += 1
-        if not within_budget(fam, q, r):
-            continue
-        entries.append((r, value))
-        if best is None or better(value, best[1]):
+    entries = [(r, value) for r, value, ok in _values(fam, q, stats) if ok]
+    for r, value in entries:
+        if best is None or beats(q, value, best[1]):
             best = (r, value)
     if best is None:
         return SynthesisOutcome("unsat", stats=stats)
     r, value = best
     if q.epsilon is not None:
-        # eps-optimal: lexicographically first realisation close enough
+        # eps-optimal: the lexicographically first realisation that the
+        # optimum's eps bound does not beat
         bound = (1.0 - q.epsilon) * value if q.kind == "max" else \
             value / (1.0 - q.epsilon)
-        for r2, v2 in entries:
-            ok = v2 >= bound - 1e-12 if q.kind == "max" else v2 <= bound + 1e-12
-            if ok:
-                r, value = r2, v2
-                break
+        r, value = next(e for e in entries if not beats(q, bound, e[1]))
     return witness_outcome(fam, q, r, value, stats)

@@ -141,7 +141,7 @@ class Family:
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise FamilyError("state %d probabilities sum to %r" % (s, total))
             for p, tgt in row:
-                if not 0.0 < p <= 1.0:  # nan fails too
+                if isinstance(p, bool) or not 0.0 < p <= 1.0:  # nan too
                     raise FamilyError("state %d has branch probability %r "
                                       "outside (0, 1]" % (s, p))
                 if isinstance(tgt, Fixed):
@@ -151,6 +151,10 @@ class Family:
                             if h in by_name]
                     if len(opts) != len(tgt.hole_names):
                         raise FamilyError("state %d references unknown hole" % s)
+                    if len(tgt.table) > math.prod(map(len, opts)):
+                        raise FamilyError("state %d: successor table has keys "
+                                          "that name no option combination"
+                                          % s)
                     for combo in itertools.product(*opts):
                         if combo not in tgt.table:
                             raise FamilyError(
@@ -226,12 +230,6 @@ class Subfamily:
     @staticmethod
     def full(fam: Family) -> "Subfamily":
         return Subfamily(tuple(h.options for h in fam.holes))
-
-    def size(self) -> int:
-        n = 1
-        for opts in self.remaining:
-            n *= len(opts)
-        return n
 
     def replace(self, hole_idx: int, options) -> "Subfamily":
         options = tuple(options)

@@ -75,6 +75,9 @@ def family_from_dict(data: dict) -> Family:
                     names = tuple(b["holes"])
                     table = {tuple(k.split("|")): v for k, v in b["table"].items()}
                     branches.append((b["p"], HoleRef(names, table)))
+            if entry["from"] in rows:
+                raise FamilyError("state %r has two transition entries"
+                                  % (entry["from"],))
             rows[entry["from"]] = tuple(branches)
         n = data["states"]
         if len(rows) != n or set(rows) != set(range(n)):

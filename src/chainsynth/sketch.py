@@ -48,6 +48,20 @@ class SketchError(ValueError):
         self.col = col
 
 
+def _refuses_deep(what):
+    """Decorate a function whose recursion follows its input's nesting, so
+    that input nested past the recursion limit raises a SketchError."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except RecursionError:
+                raise SketchError("%s nests too deeply" % what) from None
+        return guarded
+    return decorate
+
+
 # kind is "number" | "ident" | "holeref" | "op" | "eof"; pos is the offset of
 # the token's first character in the text
 Token = namedtuple("Token", "kind text pos")
@@ -458,6 +472,7 @@ class _Parser:
         return (tok.text, rhs)
 
 
+@_refuses_deep("sketch")
 def parse(text: str) -> SketchProgram:
     """Parse sketch text into an AST; raises SketchError with line/column."""
     return _Parser(text).program()
@@ -530,6 +545,7 @@ _Rule = namedtuple("_Rule", "line guard guard_holes pre probs updates "
 _UNDER_ANY_OPTIONS = frozenset({()})
 
 
+@_refuses_deep("sketch expression")
 def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Family:
     """Build the family of MCs described by a sketch.
 
@@ -739,6 +755,7 @@ def _resolve_constraint(expr, option_names):
     raise SketchError("constraints must be propositional over option names")
 
 
+@_refuses_deep("goal expression")
 def goal_states(fam: Family, expr_text: str) -> frozenset:
     """Evaluate a boolean expression over the family's variables per state."""
     parser = _Parser(expr_text)

@@ -268,23 +268,40 @@ def test_pruning_instance_beats_enumeration():
     assert out.stats.checks < 0.2 * fam.size()
 
 
-@pytest.mark.parametrize("query, checks, candidates, n_true", [
+def seeded_family(seed):
+    """A random family and a goal on it, drawn from `seed`."""
+    rng = random.Random(seed)
+    fam = random_family(rng, max_states=20, max_realisations=256)
+    return fam, Specification(random_goal(rng, fam.n_states), ">=", 0.5)
+
+
+@pytest.mark.parametrize("query, checks, candidates, n", [
     ("bench partition", 177, 177, 175),
     ("bench feasible", 3, 3, None),
     ("pruning partition", 2, 2, 1),
-    ("bench-8-10-5 max", 400, 401, None),
+    ("bench-8-10-5 max", 1, 1, 1),
+    # optima strictly inside (0, 1), reached through several witnesses
+    ("seed-290 max", 16, 16, 4),
+    ("seed-71 min", 21, 21, 6),
 ])
-def test_search_order_is_pinned(query, checks, candidates, n_true):
-    # the synthesiser's candidate order fixes these counts exactly
+def test_search_order_is_pinned(query, checks, candidates, n):
+    # the synthesiser's candidate order fixes these counts exactly; n is
+    # the size of a partition's T, or the witnesses a max/min search finds
     name, kind = query.split()
     fam, spec = {"bench": bench_family, "pruning": pruning_family,
-                 "bench-8-10-5": lambda: bench_family(8, 10, 5)}[name]()
-    q = SynthesisQuery(kind, goal=spec.goal) if kind == "max" \
+                 "bench-8-10-5": lambda: bench_family(8, 10, 5),
+                 "seed-290": lambda: seeded_family(290),
+                 "seed-71": lambda: seeded_family(71)}[name]()
+    q = SynthesisQuery(kind, goal=spec.goal) if kind in ("max", "min") \
         else SynthesisQuery(kind, spec=spec)
     out = cegis_solve(fam, q)
     assert (out.stats.checks, out.stats.candidates) == (checks, candidates)
-    if n_true is not None:
-        assert len(out.T) == n_true
+    if kind == "partition":
+        assert len(out.T) == n
+    elif kind in ("max", "min"):
+        assert out.value == enum_solve(fam, q).value
+        assert name == "bench-8-10-5" or 0.0 < out.value < 1.0
+        assert sum(record["sat"] for record in out.stats.trace) == n
 
 
 def test_agreement_with_oracle_random():
@@ -300,9 +317,9 @@ def test_agreement_with_oracle_random():
 
 
 def test_returned_witness_is_never_extracted(monkeypatch, example_family):
-    # a witness ends its search, so no critical set is extracted for it:
-    # feasible >= and max never extract from the member they return, and
-    # min only refutes it in a later round
+    # no critical set is extracted for a witness as one: feasible >= and
+    # max never extract from the member they return, and min extracts only
+    # the conflict of the tightened spec, which refutes the witness
     calls = []
     extract = cegis.extract_counterexample
 
@@ -397,23 +414,47 @@ def test_conflict_cut_is_exact(monkeypatch):
 
 
 def test_member_is_solved_once_per_check(monkeypatch):
-    # a conflict reuses the chain the member was checked on
-    realised = []
+    # every member chain is realised and solved by the Evaluator, which
+    # counts it; a conflict reuses that solve, no member is proposed twice
+    # and one design space serves the whole query
+    realised, solved, spaces = [], [], []
+    space_init = AssignmentSpace.__init__
 
-    def counted(fam, r):
-        realised.append(r)
+    def counted_realise(fam, r):
+        realised.append(r.key(fam))
         return realise(fam, r)
 
-    monkeypatch.setattr(cegis, "realise", counted)
-    monkeypatch.setattr(enumeration, "realise", counted)
-    fam, spec = bench_family(8, 10, 5)
-    cases = [(fam, SynthesisQuery("partition", spec=spec))] + [
-        (fam, q) for fam, q in random_queries(random.Random(61), 80)
-        if q.kind == "partition" and q.budget is None]
+    def counted_solve(mc, goal, *args):
+        solved.append(mc)
+        return reach_probability(mc, goal, *args)
+
+    def recording_init(self, *args, **kwargs):
+        space_init(self, *args, **kwargs)
+        spaces.append(self)
+
+    assert not hasattr(cegis, "realise")
+    monkeypatch.setattr(enumeration, "realise", counted_realise)
+    for module in (enumeration, cegis):
+        monkeypatch.setattr(module, "reach_probability", counted_solve)
+    monkeypatch.setattr(AssignmentSpace, "__init__", recording_init)
+    bench, bench_spec = bench_family(8, 10, 5)
+    cases = [(bench, SynthesisQuery(kind, spec=bench_spec))
+             for kind in ("feasible", "partition")]
+    for fam, spec in ((bench, bench_spec), seeded_family(290),
+                      seeded_family(71)):
+        cases += [(fam, SynthesisQuery(kind, goal=spec.goal))
+                  for kind in ("max", "min")]
+    cases += random_queries(random.Random(61), 120)
+    kinds = set()
     for fam, q in cases:
-        realised.clear()
+        for calls in (realised, solved, spaces):
+            calls.clear()
         out = cegis_solve(fam, q)
-        assert len(realised) == out.stats.checks > 0
+        assert len(realised) == len(solved) == out.stats.checks, q
+        assert len(set(realised)) == len(realised), q
+        assert len(spaces) == 1, q
+        kinds.add(q.kind)
+    assert kinds == {"feasible", "partition", "max", "min"}
 
 
 def test_no_extraction_where_init_fixes_every_hole(monkeypatch):

@@ -294,6 +294,12 @@ def json_family(init=0, fixed=1, table_b=1, costs=(0, 0)):
             {"from": 1, "branches": [{"p": 1.0, "fixed": 1}]}]})
 
 
+def edited(family, edit):
+    data = json.loads(family)
+    edit(data)
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("family, flags, message", [
     (json_family(fixed=1.5), (), "successor 1.5 outside S"),
     (json_family(table_b=0.5), (), "successor 0.5 outside S"),
@@ -301,8 +307,15 @@ def json_family(init=0, fixed=1, table_b=1, costs=(0, 0)):
     (json_family(init=5), (), "initial state 5 outside S"),
     (json_family(costs=("x", "y")), ("--budget", "1", "--cost", "optionsum"),
      "costs must be natural numbers"),
+    (edited(json_family(), lambda d: d["transitions"].append(
+        {"from": 1, "branches": [{"p": 1.0, "fixed": 0}]})), (),
+     "state 1 has two transition entries"),
+    (edited(json_family(), lambda d: d["transitions"][0]["branches"][0][
+        "table"].update(zzz=7)), (), "keys that name no option combination"),
+    (edited(json_family(), lambda d: d["transitions"][1]["branches"][0]
+            .update(p=True)), (), "branch probability True outside (0, 1]"),
 ], ids=["fixed-float", "table-float", "init-float", "init-out-of-range",
-        "string-costs"])
+        "string-costs", "second-from", "unknown-table-key", "boolean-p"])
 def test_malformed_json_family_values_exit_2(capsys, tmp_path, family, flags,
                                              message):
     path = tmp_path / "fam.json"
@@ -312,6 +325,38 @@ def test_malformed_json_family_values_exit_2(capsys, tmp_path, family, flags,
                          *flags)
     assert code == 2 and not out
     assert err.startswith("error: ") and message in err
+
+
+def deep_sketch(update):
+    with open(toy_path()) as fh:
+        return fh.read().replace("s = 4 -> 1: s'=s;",
+                                 "s = 4 -> 1: s'=%s;" % update)
+
+
+@pytest.mark.parametrize("input_text, argv, message", [
+    (deep_sketch("s" + "+0" * 1500), ("check", "--assign", "k2=2,k3=4"),
+     "sketch expression nests too deeply"),
+    (deep_sketch("(" * 120 + "4" + ")" * 120),
+     ("check", "--assign", "k2=2,k3=4"), "sketch nests too deeply"),
+    (edited(json_family(), lambda d: d.update(constraints=[
+        "(not " * 3000 + "(= h a)" + ")" * 3000])),
+     ("synth", "partition"), "constraint nests too deeply"),
+    (None, ("synth", "partition"), "goal expression nests too deeply"),
+], ids=["long-update", "nested-brackets", "nested-not", "long-goal"])
+def test_deep_input_exits_2(capsys, tmp_path, input_text, argv, message):
+    # recursion that follows the input's nesting is refused, not a crash
+    goal = "s=1"
+    if input_text is None:
+        path, goal = toy_path(), "s=4" + "&s=4" * 1200
+    else:
+        path = tmp_path / ("fam.json" if input_text.startswith("{")
+                           else "deep.sk")
+        path.write_text(input_text)
+    code, out, err = run(capsys, *argv, "--input", str(path),
+                         "--spec", "P>=0.1 [F %s]" % goal)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("engine", ["enum", "cegis"])

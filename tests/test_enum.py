@@ -2,11 +2,12 @@ import math
 
 import pytest
 
+from chainsynth import ENGINES
 from chainsynth.constraints import And, Atom, Not
 from chainsynth.engines import enumeration
 from chainsynth.engines.base import EngineError, SynthesisQuery
 from chainsynth.engines.enumeration import ENUM_BOUND, enum_solve
-from chainsynth.family import Family, Fixed, Hole
+from chainsynth.family import Family, Fixed, Hole, HoleRef
 from chainsynth.model import COMPARISON_TOL, Specification
 
 from conftest import R1, R2, R3, R4
@@ -78,6 +79,24 @@ def test_max_min(example_family):
     out = enum_solve(example_family, SynthesisQuery("min", goal=GOAL4))
     assert out.value == pytest.approx(0.0)
     assert out.witness.assignment in (R1, R3)
+
+
+def test_every_engine_takes_a_gain_of_5e_10():
+    # two members worth 0.5 and 0.5 + 5e-10: one is strictly better than
+    # the other for max and min alike, in every engine
+    gain = 5e-10
+    fam = Family(5, 0, (Hole("h", ("a", "b")),), (
+        ((1.0, HoleRef.single("h", {"a": 1, "b": 2})),),
+        ((0.5, Fixed(3)), (0.5, Fixed(4))),
+        ((0.5 + gain, Fixed(3)), (0.5 - gain, Fixed(4))),
+        ((1.0, Fixed(3)),),
+        ((1.0, Fixed(4)),)))
+    for kind, value in (("max", 0.5 + gain), ("min", 0.5)):
+        q = SynthesisQuery(kind, goal=frozenset([3]))
+        assert enum_solve(fam, q).value == pytest.approx(value, abs=1e-15)
+        for name, solve in ENGINES.items():
+            assert solve(fam, q).value == enum_solve(fam, q).value, \
+                (kind, name)
 
 
 def test_budgeted_max(example_family):

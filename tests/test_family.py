@@ -6,7 +6,7 @@ import pytest
 from chainsynth import jsonio
 from chainsynth.constraints import Atom, Not, Or, parse_sexpr
 from chainsynth.family import (Family, FamilyError, Fixed, Hole, HoleRef,
-                               Realisation, Subfamily, cost,
+                               Realisation, Subfamily, cost, count_members,
                                enumerate_realisations, quotient_mdp, realise,
                                scheduler_consistency)
 from chainsynth.model import Distribution, MemorylessScheduler
@@ -82,6 +82,11 @@ def test_family_validation():
     with pytest.raises(FamilyError):  # table must be total
         Family(1, 0, (Hole("h", ("a", "b")),),
                (((1.0, HoleRef(("h",), {("a",): 0})),),))
+    with pytest.raises(FamilyError, match="no option combination"):
+        Family(1, 0, (Hole("h", ("a",)),),  # a key no option names
+               (((1.0, HoleRef(("h",), {("a",): 0, ("zz",): 7})),),))
+    with pytest.raises(FamilyError, match=r"outside \(0, 1\]"):
+        Family(1, 0, (), (((True, Fixed(0)),),))  # a probability, not a bool
     with pytest.raises(FamilyError):  # unknown hole in a target
         Family(1, 0, (), (((1.0, HoleRef(("h",), {("a",): 0})),),))
     with pytest.raises(FamilyError):
@@ -152,9 +157,9 @@ def test_multi_hole_target_resolution():
 
 def test_subfamily_ops(example_family):
     sub = Subfamily.full(example_family)
-    assert sub.size() == 4
+    assert count_members(example_family, sub) == 4
     pinned = sub.replace(1, ("4",))
-    assert pinned.size() == 2
+    assert count_members(example_family, pinned) == 2
     assert pinned.remaining == (("2", "3"), ("4",))
     assert [r.key(example_family) for r in
             enumerate_realisations(example_family, pinned)] == \

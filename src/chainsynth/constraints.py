@@ -9,6 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# the deepest a constraint may nest (an atom alone is 1): far below the
+# recursion limit, so that `atoms` and `eval` can always follow it
+MAX_NESTING = 200
+
+
 class ConstraintError(ValueError):
     pass
 
@@ -96,7 +101,9 @@ def _take(tokens, pos, n):
     return tokens[pos:pos + n]
 
 
-def _parse(tokens, pos):
+def _parse(tokens, pos, depth=1):
+    if depth > MAX_NESTING:
+        raise ConstraintError("constraint nests too deeply")
     tok, head = _take(tokens, pos, 2)
     if tok != "(":
         raise ConstraintError("expected '(' in constraint, got %r" % tok)
@@ -106,16 +113,16 @@ def _parse(tokens, pos):
         pos += 2
         node = Atom(hole, option)
     elif head == "not":
-        arg, pos = _parse(tokens, pos)
+        arg, pos = _parse(tokens, pos, depth + 1)
         node = Not(arg)
     elif head == "=>":
-        lhs, pos = _parse(tokens, pos)
-        rhs, pos = _parse(tokens, pos)
+        lhs, pos = _parse(tokens, pos, depth + 1)
+        rhs, pos = _parse(tokens, pos, depth + 1)
         node = Implies(lhs, rhs)
     elif head in ("and", "or"):
         args = []
         while pos < len(tokens) and tokens[pos] == "(":
-            arg, pos = _parse(tokens, pos)
+            arg, pos = _parse(tokens, pos, depth + 1)
             args.append(arg)
         node = And(tuple(args)) if head == "and" else Or(tuple(args))
     else:
@@ -127,10 +134,7 @@ def _parse(tokens, pos):
 
 def parse_sexpr(text: str):
     tokens = _tokenize(text)
-    try:
-        node, pos = _parse(tokens, 0)
-    except RecursionError:
-        raise ConstraintError("constraint nests too deeply") from None
+    node, pos = _parse(tokens, 0)
     if pos != len(tokens):
         raise ConstraintError("trailing tokens in constraint: %r" % tokens[pos:])
     return node

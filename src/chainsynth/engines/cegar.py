@@ -60,13 +60,6 @@ def _min_possible_cost(fam, sub, q):
     return total
 
 
-def _split_hole_name(fam, sub, pinned):
-    for h, before, after in zip(fam.holes, sub.remaining, pinned.remaining):
-        if before != after:
-            return h.name
-    return None
-
-
 def _lex_sorted(fam, realisations):
     order = {h.name: {o: i for i, o in enumerate(h.options)} for h in fam.holes}
     return sorted(realisations,
@@ -136,8 +129,8 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
             if not verdict.consistent:
                 parts = split(sub, verdict, fam)
                 record.update(verdict="inconsistent", inconsistent={
-                    h: sorted(v) for h, v in verdict.inconsistent.items()})
-                search.note_split(record, sub, parts[0])
+                    h: sorted(v) for h, v in verdict.inconsistent.items()},
+                    split=True)
             else:
                 r = verdict.realisation
                 if fam.satisfies_constraints(r.assignment) \
@@ -239,9 +232,6 @@ class _Threshold(_Search):
             return None, None
         return sched, None
 
-    def note_split(self, record, sub, pinned):
-        record["split_hole"] = _split_hole_name(self.fam, sub, pinned)
-
     def outcome(self):
         fam, q = self.fam, self.q
         if q.kind == "partition":
@@ -309,9 +299,6 @@ class _Optimum(_Search):
             record["verdict"] = "pruned"
             return None, None
         return sched, bound
-
-    def note_split(self, record, sub, pinned):
-        record["split"] = True
 
     def outcome(self):
         if self.incumbent is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
@@ -31,21 +32,23 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
     """Greedy critical-set construction.
 
     The critical set is {init} if its sub-MC alone decides the property.
-    Otherwise reachable non-goal states are ranked once by the contribution
-    score Pr(init reaches s) * Pr(s reaches goal), the first factor of every
-    state coming from one factorisation (`ChainMatrix.first_passage`), and
-    the critical set is {init} plus the shortest prefix of that ranking
-    whose sub-MC decides.  The operator fixes what deciding means: an
-    upper-bound spec (<=, <) must be violated and is refuted once the
-    sub-value violates it; a lower-bound spec (>=, >) must be satisfied and
-    is established once the sub-value clears it.  A sub-MC's value only
-    grows with its critical set, so whether a prefix decides is monotone in
-    its length, and bisection finds the shortest one with at most
-    ceil(log2(m + 1)) valuations for m ranked states, after the one of
-    {init}.  Each valuation (`ChainMatrix.sub_value`) values the prefix's
-    sub-MC on the candidate's arrays, compiled once per conflict, by the
-    qualitative pass and the solve that `check(sub_mc(...))` runs, so the
-    two agree exactly; that check certifies the chosen set alone.
+    Otherwise states are ranked in breadth-first discovery order from the
+    initial state, goal states not expanded, keeping the non-goal states
+    that can reach the goal, and the critical set is {init} plus the
+    shortest prefix of that ranking whose sub-MC decides.  A skipped state
+    (reachable only through the goal, or unable to reach it) never changes
+    a sub-MC's value, so the full ranking decides exactly when the chain
+    does.  The operator fixes what deciding means: an upper-bound spec
+    (<=, <) must be violated and is refuted once the sub-value violates it;
+    a lower-bound spec (>=, >) must be satisfied and is established once
+    the sub-value clears it.  A sub-MC's value only grows with its critical
+    set, so whether a prefix decides is monotone in its length, and
+    bisection finds the shortest one with at most ceil(log2(m + 1))
+    valuations for m ranked states, after the one of {init}.  Each
+    valuation (`ChainMatrix.sub_value`) values the prefix's sub-MC on the
+    candidate's arrays, compiled once per conflict, by the qualitative pass
+    and the solve that `check(sub_mc(...))` runs, so the two agree exactly;
+    that check certifies the chosen set alone.
 
     `to_goal`, the chain's goal vector, is solved here if not given.  After
     each failed bisection step `prunes`, if given, is asked whether a
@@ -69,19 +72,16 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
 
     critical = [mc.init]
     if not decides(critical):
-        from_init, reached = chain.first_passage()
-        scores = {s: float(from_init[s]) * float(to_goal[s])
-                  for s in reached if s != mc.init and s not in spec.goal}
-        # equal scores come out of the factorisation equal only up to
-        # rounding: a score within a relative 1e-12 of the first of its run
-        # ties with it, and ties are broken by index
-        tied, lead = {}, None
-        for s in sorted(scores, key=scores.get, reverse=True):
-            if lead is None or scores[lead] - scores[s] > 1e-12 * scores[lead]:
-                lead = s
-            tied[s] = scores[lead]
-        order = sorted(scores, key=lambda s: (-tied[s], s))
-
+        order, seen = [], {mc.init}
+        frontier = deque([mc.init])
+        while frontier:
+            for t in chain.succ[frontier.popleft()]:
+                if t not in seen:
+                    seen.add(t)
+                    if t not in spec.goal:
+                        frontier.append(t)
+                        if to_goal[t] > 0.0:
+                            order.append(t)
         lo, hi = 1, len(order) + 1  # every prefix shorter than lo fails
         while lo < hi:  # hi decides, or is past the full reachable set
             mid = (lo + hi) // 2

@@ -7,7 +7,6 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from typing import Iterable, Mapping
 
@@ -20,7 +19,6 @@ COMPARISON_TOL = 1e-6  # default tolerance for threshold comparisons
 VI_CONVERGENCE = 1e-10  # certified gap at which interval iteration stops
 VI_MAX_SWEEPS = 10 ** 6
 DENSE_SOLVE_LIMIT = 128  # unknowns up to which dense beats sparse algebra
-GREEN_BLOCK = 1 << 22  # entries of a Green's function (I - Q)^-1 held at once
 
 OPS = ("<", "<=", ">=", ">")
 
@@ -351,30 +349,6 @@ def _linear_solve(rows, cols, vals, exits, b):
     return x
 
 
-def _green(rows, cols, vals, exits, i):
-    """Row i and the diagonal of G = (I - P)^-1, the expected visits to each
-    state, from one factorisation of I - P (dense LU, or sparse above
-    DENSE_SOLVE_LIMIT) solved for GREEN_BLOCK entries of G at a time."""
-    A = _identity_minus(rows, cols, vals, exits)
-    n = len(exits)
-    row, diag = np.empty(n), np.empty(n)
-    step = max(1, GREEN_BLOCK // n)
-    try:
-        solve = (partial(np.linalg.solve, A) if isinstance(A, np.ndarray)
-                 else spla.splu(A.tocsc()).solve)
-        for lo in range(0, n, step):
-            block = np.arange(lo, min(n, lo + step))
-            unit = np.zeros((n, len(block)))
-            unit[block, block - lo] = 1.0
-            G = solve(unit)  # the columns `block` of G
-            row[block], diag[block] = G[i], G[block, block - lo]
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        raise ModelError("linear solve failed: %s" % exc)
-    if not (np.all(np.isfinite(row)) and np.all(np.isfinite(diag))):
-        raise ModelError("linear solve failed: singular matrix")
-    return row, diag
-
-
 def _interval_iteration(rows, cols, vals, b):
     """Iterate x = P x + b from 0 and from 1 until the certified gap between
     the two bounds is below VI_CONVERGENCE."""
@@ -424,87 +398,17 @@ def reach_probability(mc: MarkovChain, goal, method: str = "auto") -> np.ndarray
         np.arange(len(unknown))), method)
 
 
-def _bottom_sccs(init, succ):
-    """The states reachable from `init`, split into transient ones and
-    bottom SCCs: Tarjan's algorithm without recursion over the successor
-    lists `succ`, an SCC being bottom when no transition leaves it."""
-    index = {init: 0}
-    low = {init: 0}
-    stack = [init]
-    work = [(init, iter(succ[init]))]
-    transient, bottoms = [], []
-    while work:
-        v, it = work[-1]
-        for w in it:
-            if w not in index:
-                index[w] = low[w] = len(index)
-                stack.append(w)
-                work.append((w, iter(succ[w])))
-                break
-            if w in low:  # still on the stack
-                low[v] = min(low[v], index[w])
-        else:
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                scc = []
-                while not scc or scc[-1] != v:
-                    scc.append(stack.pop())
-                    del low[scc[-1]]
-                members = set(scc)
-                if all(t in members for s in scc for t in succ[s]):
-                    bottoms.append(scc)
-                else:
-                    transient.extend(scc)
-    return transient, bottoms
-
-
 class ChainMatrix:
-    """A chain compiled once for repeated analyses: one CSR row per state
-    and each state's successor list; the predecessor lists are the
-    chain's own."""
+    """A chain compiled once for the valuations of one conflict's critical
+    prefixes: one CSR row per state and each state's successor list, which
+    also gives the breadth-first ranking of the prefixes; the predecessor
+    lists are the chain's own."""
 
     def __init__(self, mc: MarkovChain):
         self.mc = mc
         self.indptr, self.indices, self.data = _csr_rows(mc.transitions)
         self.succ = [d.support() for d in mc.transitions]
         self.preds = mc.preds
-
-    def first_passage(self):
-        """Probability of ever visiting each state from the initial state (1
-        at the initial state itself, 0 where it cannot reach), and the
-        states reachable from it, both found by one graph search.
-
-        One factorisation serves every state.  Over the transient states,
-        G = (I - Q)^-1 counts expected visits, so a transient s is visited
-        with probability G(init,s) / G(s,s).  A bottom SCC is visited whole
-        once it is entered, which happens with probability
-        sum_t G(init,t) P(t,SCC).  If the initial state lies in a bottom SCC,
-        it visits that SCC only.
-        """
-        mc = self.mc
-        h = np.zeros(mc.n_states)
-        transient, bottoms = _bottom_sccs(mc.init, self.succ)
-        reached = transient + [s for scc in bottoms for s in scc]
-        for scc in bottoms:
-            if mc.init in scc:
-                h[scc] = 1.0
-                return h, reached
-        states = np.array(transient, dtype=np.intp)
-        rows, cols, vals, exits, _ = _system(self.indptr, self.indices,
-                                             self.data, states, states, h)
-        row, diag = _green(rows, cols, vals, exits, transient.index(mc.init))
-        h[transient] = np.clip(row / diag, 0.0, 1.0)
-        # the probability of entering each bottom state: sum_t G(init,t) P(t,b)
-        src, entry = _entries(self.indptr, states)
-        flow = self.data[entry] * row[src]
-        entered = np.bincount(self.indices[entry], weights=flow,
-                              minlength=mc.n_states)
-        for scc in bottoms:
-            h[scc] = min(1.0, entered[scc].sum())
-        return h, reached
 
     def sub_value(self, critical, goal) -> float:
         """The value at the initial state of `check(sub_mc(mc, critical),

@@ -509,10 +509,10 @@ def pretty_print(prog: SketchProgram) -> str:
 # elaboration
 
 
-def _conjuncts(expr):
-    """The operands of `expr`'s top-level `&` chain."""
-    if isinstance(expr, Bin) and expr.op == "&":
-        return _conjuncts(expr.lhs) + _conjuncts(expr.rhs)
+def _operands(expr, op):
+    """The operands of `expr`'s top-level `op` chain."""
+    if isinstance(expr, Bin) and expr.op == op:
+        return _operands(expr.lhs, op) + _operands(expr.rhs, op)
     return (expr,)
 
 
@@ -621,7 +621,7 @@ def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Fami
         guard_holes = holes_read([cmd.guard])
         rules.append(_Rule(
             cmd.line, cmd.guard, guard_holes,
-            tuple(c for c in _conjuncts(cmd.guard) if not holes_read([c]))
+            tuple(c for c in _operands(cmd.guard, "&") if not holes_read([c]))
             if guard_holes else (),
             tuple(probs),
             tuple(tuple((position[var], e) for var, e in upd)
@@ -732,8 +732,11 @@ def _valname(var_names, vals):
                           for n, x in zip(var_names, vals)) + ")"
 
 
-def _resolve_constraint(expr, option_names):
-    """Turn a formula over option names into one over (hole = option) atoms."""
+def _resolve_constraint(expr, option_names, depth=1):
+    """Turn a formula over option names into one over (hole = option) atoms,
+    nested at most as deep as a JSON constraint may be."""
+    if depth > cn.MAX_NESTING:
+        raise SketchError("constraint nests too deeply")
     if isinstance(expr, Var):
         if expr.name not in option_names:
             raise SketchError("constraint references unknown option %r"
@@ -741,17 +744,15 @@ def _resolve_constraint(expr, option_names):
         hole, label = option_names[expr.name]
         return cn.Atom(hole, label)
     if isinstance(expr, Un) and expr.op == "!":
-        return cn.Not(_resolve_constraint(expr.arg, option_names))
-    if isinstance(expr, Bin):
-        if expr.op == "&":
-            return cn.And((_resolve_constraint(expr.lhs, option_names),
-                           _resolve_constraint(expr.rhs, option_names)))
-        if expr.op == "|":
-            return cn.Or((_resolve_constraint(expr.lhs, option_names),
-                          _resolve_constraint(expr.rhs, option_names)))
-        if expr.op == "=>":
-            return cn.Implies(_resolve_constraint(expr.lhs, option_names),
-                              _resolve_constraint(expr.rhs, option_names))
+        return cn.Not(_resolve_constraint(expr.arg, option_names, depth + 1))
+    if isinstance(expr, Bin) and expr.op in ("&", "|"):
+        # a chain of one operator is one node: its length adds no nesting
+        return (cn.And if expr.op == "&" else cn.Or)(tuple(
+            _resolve_constraint(e, option_names, depth + 1)
+            for e in _operands(expr, expr.op)))
+    if isinstance(expr, Bin) and expr.op == "=>":
+        return cn.Implies(*(_resolve_constraint(e, option_names, depth + 1)
+                            for e in (expr.lhs, expr.rhs)))
     raise SketchError("constraints must be propositional over option names")
 
 

@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+from collections import deque
 
 import pytest
 
-from chainsynth import model
+from chainsynth import jsonio, model
 from chainsynth.cli import main
 from chainsynth.constraints import Atom, Implies, Not
 from chainsynth.engines import cegis, enumeration
@@ -20,7 +21,7 @@ from chainsynth.model import (Distribution, MarkovChain, Specification, check,
 from chainsynth.randfam import (bench_family, pruning_family, random_chain,
                                 random_critical, random_family, random_goal)
 
-from conftest import R1, R2, R3, R4, in_scope, toy_path
+from conftest import R1, R2, R3, R4, in_scope
 
 GOAL4 = frozenset([4])
 GOAL2 = frozenset([2])
@@ -479,23 +480,27 @@ def test_no_extraction_where_init_fixes_every_hole(monkeypatch):
         assert cegis_solve(fam, q).value == enum_solve(fam, q).value
 
 
-# --- critical sets from one factorisation ----------------------------------
+# --- critical sets grown breadth-first ---------------------------------------
 
 def reference_extract(mc, spec, tol=1e-6):
-    """The critical-set search as it was before the factorisation: one
-    reach_probability per state for the ranking, then one sub-MC check per
-    prefix length until a prefix decides."""
+    """The critical-set search as a linear scan: the states in breadth-first
+    order from the initial state, not through the goal, that can reach the
+    goal, then one sub-MC check per prefix length until a prefix decides."""
     to_goal = reach_probability(mc, spec.goal)
     want = spec.op in (">=", ">")
     if compare(float(to_goal[mc.init]), spec.op, spec.threshold, tol) != want:
         raise EngineError("the candidate does not have the wanted verdict")
-    scores = {}
-    for s in sorted(mc.reachable()):
-        if s == mc.init or s in spec.goal:
+    order, visited, queue = [], {mc.init}, deque([mc.init])
+    while queue:
+        s = queue.popleft()
+        if s in spec.goal:
             continue
-        from_init = float(reach_probability(mc, frozenset([s]))[mc.init])
-        scores[s] = from_init * float(to_goal[s])
-    order = sorted(scores, key=lambda s: (-scores[s], s))
+        if s != mc.init and to_goal[s] > 0.0:
+            order.append(s)
+        for t, _ in mc.transitions[s].entries:
+            if t not in visited:
+                visited.add(t)
+                queue.append(t)
     critical = {mc.init}
     for nxt in [None] + order:
         if nxt is not None:
@@ -510,53 +515,29 @@ def chain(rows, init=0):
                        tuple(Distribution.from_pairs(r) for r in rows))
 
 
-def assert_first_passage(mc, abs_tol=1e-9):
-    h = model.ChainMatrix(mc).first_passage()[0]
-    reachable = mc.reachable()
-    for s in range(mc.n_states):
-        expect = reach_probability(mc, {s})[mc.init] if s in reachable else 0.0
-        assert h[s] == pytest.approx(expect, abs=abs_tol), s
-
-
-def test_first_passage_matches_reach_probability_random():
-    rng = random.Random(41)
-    for _ in range(250):
-        assert_first_passage(random_chain(rng, max_states=30))
-
-
-def test_first_passage_init_in_bottom_scc():
-    # 0 <-> 1 is closed; 2 and 3 are unreachable
-    mc = chain([[(1, 1.0)], [(0, 0.5), (1, 0.5)], [(3, 1.0)], [(2, 1.0)]])
-    h = model.ChainMatrix(mc).first_passage()[0]
-    assert h.tolist() == [1.0, 1.0, 0.0, 0.0]
-    assert_first_passage(mc)
-
-
-def test_first_passage_bottom_scc_with_goal_and_non_goal_states():
-    # from 0 the closed cycle 2 -> 3 -> 4 -> 2 is entered with probability
-    # 3/7 and the sink 5 with 4/7; the goal 3 lies on the cycle
-    rows = [[(1, 0.6), (5, 0.4)], [(0, 0.5), (2, 0.5)], [(3, 1.0)],
-            [(4, 1.0)], [(2, 0.9), (3, 0.1)], [(5, 1.0)]]
-    mc = chain(rows)
-    h = model.ChainMatrix(mc).first_passage()[0]
-    enter = 3 / 7
-    assert h[2] == h[3] == h[4] == pytest.approx(enter, abs=1e-12)
-    assert_first_passage(mc)
+def test_states_behind_the_goal_are_not_critical():
+    # 2 is reachable only through the goal 3: 0 and 1 already give 0.75
+    mc = chain([[(1, 0.5), (3, 0.5)], [(3, 0.5), (4, 0.5)], [(3, 1.0)],
+                [(2, 1.0)], [(4, 1.0)]])
+    spec = Specification(frozenset([3]), ">=", 0.7)
+    assert extract_counterexample(mc, spec) == frozenset([0, 1])
+    assert reference_extract(mc, spec) == frozenset([0, 1])
+    # the goal 3 lies on the closed cycle 2 -> 3 -> 4 -> 2, entered from 0
+    # with probability 3/7: 4 is reached only through the goal
+    mc = chain([[(1, 0.6), (5, 0.4)], [(0, 0.5), (2, 0.5)], [(3, 1.0)],
+                [(4, 1.0)], [(2, 0.9), (3, 0.1)], [(5, 1.0)]])
     for op, threshold in (("<=", 0.2), (">=", 0.3)):
         spec = Specification(frozenset([3]), op, threshold)
-        assert extract_counterexample(mc, spec) == reference_extract(mc, spec)
+        critical = extract_counterexample(mc, spec)
+        assert critical == reference_extract(mc, spec) and 4 not in critical
 
 
-def test_first_passage_with_exits_of_1e12():
+def test_extraction_with_exits_of_1e12():
     eps = 1e-12
     # 0 loops but for 1e-12 to 1 and 1e-12 to 2; 1 loops but for 1e-12 to 3
     rows = [[(0, 1 - 2 * eps), (1, eps), (2, eps)],
             [(1, 1 - eps), (3, eps)], [(2, 1.0)], [(3, 1.0)]]
     mc = chain(rows)
-    h = model.ChainMatrix(mc).first_passage()[0]
-    assert h[1] == pytest.approx(0.5, abs=1e-9)
-    assert h[3] == pytest.approx(0.5, abs=1e-9)
-    assert_first_passage(mc)
     spec = Specification(frozenset([3]), "<=", 0.25)
     assert extract_counterexample(mc, spec) == reference_extract(mc, spec)
     assert extract_counterexample(mc, spec) == frozenset([0, 1])
@@ -616,7 +597,7 @@ def test_extraction_bisects_within_the_check_bound(monkeypatch):
         assert (len(checked), len(built)) == (1, 1)
 
 
-def test_extraction_on_the_sparse_path(monkeypatch):
+def test_extraction_on_the_sparse_path():
     # a walk longer than DENSE_SOLVE_LIMIT: each state steps right with
     # 0.899, back with 0.1 and into the sink with 0.001; the last is the goal
     n = model.DENSE_SOLVE_LIMIT + 30
@@ -627,14 +608,8 @@ def test_extraction_on_the_sparse_path(monkeypatch):
     value = float(reach_probability(mc, {goal})[0])
     specs = [Specification(frozenset([goal]), "<=", value * 0.6),
              Specification(frozenset([goal]), ">=", value * 0.6)]
-    monkeypatch.setattr(model, "GREEN_BLOCK", 5 * n)  # several column blocks
-    sparse = model.ChainMatrix(mc).first_passage()[0]
-    assert_first_passage(mc)
     assert [extract_counterexample(mc, spec) for spec in specs] == \
         [reference_extract(mc, spec) for spec in specs]
-    monkeypatch.setattr(model, "DENSE_SOLVE_LIMIT", n + 1)
-    dense = model.ChainMatrix(mc).first_passage()[0]
-    assert dense == pytest.approx(sparse, abs=1e-12)
 
 
 # --- sub-MC values on the candidate's arrays ---------------------------------
@@ -725,10 +700,20 @@ def test_unclassified_member_is_engine_error(monkeypatch, example_family):
         cegis_solve(example_family, q)
 
 
-def test_disagreeing_sub_mc_check_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(cegis, "check", lambda mc, spec, tol: (False, 0.0))
-    code = main(["synth", "partition", "--input", toy_path(),
-                 "--spec", "P>=0.1 [F s=4]", "--engine", "cegis"])
+def test_disagreeing_sub_mc_check_exits_2(monkeypatch, capsys, tmp_path,
+                                          example_family):
+    # on the running example, goal 2, cegis certifies a critical set
+    path = tmp_path / "fam.json"
+    path.write_text(jsonio.dumps(example_family))
+    checked = []
+
+    def disagreeing(mc, spec, tol):
+        checked.append(1)
+        return False, 0.0
+
+    monkeypatch.setattr(cegis, "check", disagreeing)
+    code = main(["synth", "partition", "--input", str(path),
+                 "--spec", "P>=0.5 [F s=2]", "--engine", "cegis"])
     out, err = capsys.readouterr()
-    assert code == 2 and not out
+    assert checked and code == 2 and not out
     assert err.startswith("error: ") and "does not decide" in err

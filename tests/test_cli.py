@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -357,6 +358,65 @@ def test_deep_input_exits_2(capsys, tmp_path, input_text, argv, message):
     assert code == 2 and not out
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+def nested_not(nots):
+    """The JSON family with the constraint (not (not ... (= h a))), `nots`
+    times (not ...)."""
+    return edited(json_family(), lambda d: d.update(
+        constraints=["(not " * nots + "(= h a)" + ")" * nots]))
+
+
+@pytest.mark.parametrize("engine", ["enum", "cegar", "cegis"])
+@pytest.mark.parametrize("nots", [984, 986])
+def test_constraint_nested_near_the_recursion_limit_exits_2(
+        capsys, tmp_path, engine, nots):
+    # past MAX_NESTING the parser refuses, before any recursion runs deep.
+    # main runs in a new thread, whose stack starts about as shallow as the
+    # command line's: under pytest's deep stack these depths fail to parse
+    # whether or not they are bounded
+    path = tmp_path / "fam.json"
+    path.write_text(nested_not(nots))
+    argv = ["synth", "partition", "--input", str(path),
+            "--spec", "P>=0.5 [F s=1]", "--engine", engine]
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and codes, "main raised or did not return"
+    code, (out, err) = codes[0], capsys.readouterr()
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "constraint nests too deeply" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("engine", ["enum", "cegar", "cegis"])
+def test_constraint_nested_to_the_bound_answers(capsys, tmp_path, engine):
+    from chainsynth.constraints import MAX_NESTING
+    path = tmp_path / "fam.json"
+    for nots, exit_code in ((MAX_NESTING - 1, 0), (MAX_NESTING, 2)):
+        path.write_text(nested_not(nots))
+        code, out, _ = run(capsys, "synth", "partition", "--input",
+                           str(path), "--spec", "P>=0.5 [F s=1]",
+                           "--engine", engine)
+        assert code == exit_code and bool(out) == (exit_code == 0)
+
+
+@pytest.mark.parametrize("engine", ["enum", "cegar", "cegis"])
+def test_long_constraint_chain_in_sketch_answers(capsys, tmp_path, engine):
+    # a chain of one operator is one constraint node, however long
+    with open(toy_path()) as fh:
+        text = fh.read().replace(
+            "hole @k2@ either { 2, 3 }",
+            "hole @k2@ either { two is 2, three is 3 }").replace(
+            "hole @k3@ either { 2, 4 }",
+            "hole @k3@ either { 2, 4 }\nconstraint "
+            + " | ".join(["three"] * 400))
+    path = tmp_path / "chain.sk"
+    path.write_text(text)
+    code, out, _ = run(capsys, "synth", "partition", "--input", str(path),
+                       "--spec", "P>=0.1 [F s=4]", "--engine", engine)
+    assert code == 0 and "|T|=1, |F|=1" in out and "k2=two" not in out
 
 
 @pytest.mark.parametrize("engine", ["enum", "cegis"])

@@ -2,6 +2,8 @@ import functools
 
 import pytest
 
+from chainsynth import jsonio
+from chainsynth.constraints import MAX_NESTING
 from chainsynth.family import (Family, Fixed, Hole, HoleRef, Realisation,
                                enumerate_realisations, realise)
 from chainsynth.sketch import (Bin, HoleE, Num, SketchError, Var, elaborate,
@@ -238,6 +240,15 @@ def test_constraint_operators(constraint, members):
 def test_constraint_refusals(constraint, message):
     with pytest.raises(SketchError, match=message):
         elaborate(parse(CONSTRAINED % constraint))
+
+
+def test_constraint_nesting_bound_holds_in_sketches():
+    # a sketch constraint nests no deeper than a JSON one may, so its
+    # family's JSON dump loads again
+    fam = elaborate(parse(CONSTRAINED % ("!" * (MAX_NESTING - 1) + "a1")))
+    assert jsonio.loads(jsonio.dumps(fam)).constraints == fam.constraints
+    with pytest.raises(SketchError, match="^constraint nests too deeply$"):
+        elaborate(parse(CONSTRAINED % ("!" * MAX_NESTING + "a1")))
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,7 +1,10 @@
 """Explicit-state Markov chains and MDPs with a reachability model checker.
 
 All types are immutable after construction; every operation is a pure
-function of its inputs.
+function of its inputs.  Linear systems of up to DENSE_SOLVE_LIMIT unknowns
+are solved with numpy alone; scipy, whose sparse LU solves the larger ones,
+is imported by the first such solve, so a process that makes none never
+loads it.
 """
 
 from __future__ import annotations
@@ -11,14 +14,14 @@ from itertools import accumulate
 from typing import Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 PROB_SUM_TOL = 1e-9
 COMPARISON_TOL = 1e-6  # default tolerance for threshold comparisons
 VI_CONVERGENCE = 1e-10  # certified gap at which interval iteration stops
 VI_MAX_SWEEPS = 10 ** 6
-DENSE_SOLVE_LIMIT = 128  # unknowns up to which dense beats sparse algebra
+# unknowns up to which dense beats sparse algebra; a larger system is solved
+# by scipy's sparse LU, and the first such solve imports scipy
+DENSE_SOLVE_LIMIT = 128
 
 OPS = ("<", "<=", ">=", ">")
 
@@ -318,30 +321,30 @@ def _system(indptr, indices, data, rows, states, known):
     return src[inner], col[inner], p[inner], exits, b
 
 
-def _identity_minus(rows, cols, vals, exits):
-    """I - P, dense up to DENSE_SOLVE_LIMIT unknowns and CSR above.  Its
-    diagonal is each state's exit mass, not 1 - P(s,s): with a self-loop of
-    1 - 2e-12 the subtraction would lose five digits of a 2e-12 exit."""
+def _linear_solve(rows, cols, vals, exits, b):
+    """Solve (I - P) x = b exactly: with numpy up to DENSE_SOLVE_LIMIT
+    unknowns, above it by scipy's sparse LU, the only code that imports
+    scipy.  The diagonal of I - P is each state's exit mass, not 1 - P(s,s):
+    with a self-loop of 1 - 2e-12 the subtraction would lose five digits of
+    a 2e-12 exit.  Exits too small to register leave I - P singular in
+    floating point; that raises ModelError."""
     n = len(exits)
     off = rows != cols
-    if n <= DENSE_SOLVE_LIMIT:
-        A = np.zeros((n, n))
-        A[rows[off], cols[off]] = -vals[off]
-        A[np.arange(n), np.arange(n)] = exits
-        return A
     diag = np.arange(n)
-    return sp.csr_matrix((np.concatenate([-vals[off], exits]),
-                          (np.concatenate([rows[off], diag]),
-                           np.concatenate([cols[off], diag]))), shape=(n, n))
-
-
-def _linear_solve(rows, cols, vals, exits, b):
-    """Solve (I - P) x = b exactly.  Exits too small to register leave
-    I - P singular in floating point; that raises ModelError."""
-    A = _identity_minus(rows, cols, vals, exits)
     try:
-        x = (np.linalg.solve(A, b) if isinstance(A, np.ndarray)
-             else spla.splu(A.tocsc()).solve(b))
+        if n <= DENSE_SOLVE_LIMIT:
+            A = np.zeros((n, n))
+            A[rows[off], cols[off]] = -vals[off]
+            A[diag, diag] = exits
+            x = np.linalg.solve(A, b)
+        else:
+            import scipy.sparse as sp
+            from scipy.sparse.linalg import splu
+            A = sp.csr_matrix((np.concatenate([-vals[off], exits]),
+                               (np.concatenate([rows[off], diag]),
+                                np.concatenate([cols[off], diag]))),
+                              shape=(n, n))
+            x = splu(A.tocsc()).solve(b)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         raise ModelError("linear solve failed: %s" % exc)
     if not np.all(np.isfinite(x)):
@@ -353,10 +356,10 @@ def _interval_iteration(rows, cols, vals, b):
     """Iterate x = P x + b from 0 and from 1 until the certified gap between
     the two bounds is below VI_CONVERGENCE."""
     n = len(b)
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     lo, hi = np.zeros(n), np.ones(n)
     for _ in range(VI_MAX_SWEEPS):
-        lo, hi = P.dot(lo) + b, P.dot(hi) + b
+        lo = np.bincount(rows, weights=vals * lo[cols], minlength=n) + b
+        hi = np.bincount(rows, weights=vals * hi[cols], minlength=n) + b
         if np.max(hi - lo) < VI_CONVERGENCE:
             return (lo + hi) / 2.0
     raise ModelError("interval iteration left a gap of %g after %d sweeps"

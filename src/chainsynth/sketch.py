@@ -516,9 +516,9 @@ def _operands(expr, op):
     return (expr,)
 
 
-def _stray(expr, known):
-    """The first leaf, in text order, that `expr` reads outside `known`."""
-    return min((x.to_text() for x in expr.reads() - known), default=None)
+def _stray(leaves, known):
+    """The first leaf of `leaves`, in text order, outside `known`."""
+    return min((x.to_text() for x in leaves - known), default=None)
 
 
 def _reduce_table(names, table):
@@ -575,7 +575,7 @@ def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Fami
     known = {Var(n) for n in var_names}
     for h in prog.holes:
         for o in h.options:
-            if x := _stray(o.expr, known):
+            if x := _stray(o.expr.reads(), known):
                 raise SketchError("hole %s option reads %s, which is not a "
                                   "variable" % (h.name, x), h.line, 0)
     known |= {HoleE(n) for n in holes}
@@ -583,8 +583,8 @@ def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Fami
     def in_order(names):
         return tuple(sorted(set(names), key=order.get))
 
-    def holes_read(exprs):
-        return in_order(x.name for e in exprs for x in e.reads()
+    def holes_read(*leaf_sets):
+        return in_order(x.name for leaves in leaf_sets for x in leaves
                         if isinstance(x, HoleE))
 
     @functools.cache
@@ -598,8 +598,14 @@ def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Fami
 
     rules = []
     for cmd in prog.commands:
-        for e in (cmd.guard, *(e for _, upd in cmd.branches for _, e in upd)):
-            if x := _stray(e, known):
+        # each expression's leaves are collected once: the guard's as the
+        # union of its top-level conjuncts', which also sort out `pre`
+        conjuncts = _operands(cmd.guard, "&")
+        conjunct_reads = [c.reads() for c in conjuncts]
+        update_reads = [[e.reads() for _, e in upd] for _, upd in cmd.branches]
+        for leaves in (frozenset().union(*conjunct_reads),
+                       *(r for reads in update_reads for r in reads)):
+            if x := _stray(leaves, known):
                 raise SketchError("unknown %s %s" % (
                     "hole" if x[0] == "@" else "identifier", x), cmd.line, 0)
         probs = []
@@ -618,15 +624,15 @@ def elaborate(prog: SketchProgram, max_states: int = DEFAULT_MAX_STATES) -> Fami
         if abs(sum(probs) - 1.0) > 1e-9:
             raise SketchError("branch probabilities sum to %r" % sum(probs),
                               cmd.line, 0)
-        guard_holes = holes_read([cmd.guard])
+        guard_holes = holes_read(*conjunct_reads)
         rules.append(_Rule(
             cmd.line, cmd.guard, guard_holes,
-            tuple(c for c in _operands(cmd.guard, "&") if not holes_read([c]))
-            if guard_holes else (),
+            tuple(c for c, r in zip(conjuncts, conjunct_reads)
+                  if not holes_read(r)) if guard_holes else (),
             tuple(probs),
             tuple(tuple((position[var], e) for var, e in upd)
                   for _, upd in cmd.branches),
-            tuple(holes_read([e for _, e in upd]) for _, upd in cmd.branches)))
+            tuple(holes_read(*reads) for reads in update_reads)))
 
     unbound = {}  # the binding of a hole-free expression
     init_valuation = tuple(v.init for v in prog.variables)
@@ -769,7 +775,7 @@ def goal_states(fam: Family, expr_text: str) -> frozenset:
     else:
         variables = fam.variables
         valuations = fam.valuations
-    if x := _stray(expr, {Var(n) for n in variables}):
+    if x := _stray(expr.reads(), {Var(n) for n in variables}):
         raise SketchError("goal expression reads %s, which is not a variable"
                           % x)
     return frozenset(s for s, vals in enumerate(valuations)

@@ -1,5 +1,9 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -15,7 +19,8 @@ from chainsynth.model import (COMPARISON_TOL, Distribution, MarkovChain, Mdp,
                               prob01_states, reach_probability, sub_mc)
 from chainsynth.randfam import random_chain, random_critical, random_goal
 
-from conftest import R1, R2, R3, R4, singular_cycle_family, tiny_exit_family
+from conftest import (R1, R2, R3, R4, ROOT, SKETCHES, singular_cycle_family,
+                      tiny_exit_family)
 
 
 def chain_of(fam, assignment):
@@ -522,6 +527,55 @@ def test_sparse_solve_on_a_long_walk():
     value, sched = mdp_extremal(mdp, frozenset([n - 1]), "max")
     assert value == pytest.approx(walk_value[n // 2], abs=1e-9)
     assert all(sched[i] == 1 for i in range(1, n - 1))
+
+
+# run in a fresh interpreter: the test process may hold scipy already
+COLD_PATH = """
+import json, sys
+from chainsynth import ENGINES, SynthesisQuery, model, sketch
+from chainsynth.cli import parse_spec
+
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+for name, goal, threshold in (("toy", "s=4", 0.1), ("sensors", "s=2", 0.5)):
+    with open("%s/%s.sk" % (sys.argv[1], name)) as fh:
+        fam = sketch.elaborate(sketch.parse(fh.read()))
+    spec = parse_spec("P>=%s [F %s]" % (threshold, goal), fam)
+    for solve in ENGINES.values():
+        solve(fam, SynthesisQuery("partition", spec=spec))
+        for kind in ("max", "min"):
+            solve(fam, SynthesisQuery(kind, goal=spec.goal))
+after_engines = loaded()
+# the walk of test_extraction_on_the_sparse_path: n - 1 unknowns
+n = model.DENSE_SOLVE_LIMIT + 30
+sink, goal = n, n - 1
+mc = model.MarkovChain(n + 1, 0, tuple(
+    [model.Distribution.from_pairs([(s + 1, 0.899), (max(s - 1, 0), 0.1),
+                                    (sink, 0.001)]) for s in range(n - 1)]
+    + [model.Distribution.dirac(goal), model.Distribution.dirac(sink)]))
+limit, model.DENSE_SOLVE_LIMIT = model.DENSE_SOLVE_LIMIT, n
+dense = float(model.reach_probability(mc, {goal})[0])
+after_dense = loaded()
+model.DENSE_SOLVE_LIMIT = limit
+sparse = float(model.reach_probability(mc, {goal})[0])
+print(json.dumps([after_engines, after_dense, dense, sparse, loaded()]))
+"""
+
+
+def test_scipy_loads_only_for_a_sparse_solve():
+    # every engine and query kind on the example sketches, and a dense
+    # solve of more than DENSE_SOLVE_LIMIT unknowns, leave scipy unloaded;
+    # the first sparse solve loads it and agrees with the dense one
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", COLD_PATH, SKETCHES],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_engines, after_dense, dense, sparse, after_sparse = json.loads(
+        proc.stdout)
+    assert after_engines == [] and after_dense == []
+    assert 0.0 < dense < 1.0
+    assert sparse == pytest.approx(dense, rel=1e-9)
+    assert "scipy.sparse.linalg" in after_sparse
 
 
 def test_max_on_a_long_walk_with_a_down_step():

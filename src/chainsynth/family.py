@@ -15,6 +15,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .model import (Distribution, MarkovChain, Mdp, MemorylessScheduler,
@@ -105,13 +106,22 @@ class Realisation:
         return self.assignment[hole]
 
     def key(self, fam: "Family"):
-        return tuple(self.assignment[h.name] for h in fam.holes)
+        return fam.key_of(self.assignment)
 
     def as_dict(self):
         return dict(self.assignment)
 
 
 StateRows = namedtuple("StateRows", "holes dists")
+
+
+def _key_getter(names: tuple):
+    """A function from an assignment to the tuple of its options for
+    `names`, in order."""
+    if len(names) == 1:
+        name, = names
+        return lambda a: (a[name],)
+    return itemgetter(*names) if names else lambda a: ()
 
 
 @dataclass(frozen=True)
@@ -173,7 +183,10 @@ class Family:
     def rows(self) -> tuple:
         """Per state, a `StateRows`: the holes its targets read, in
         declaration order, and a dict from each combination of their options
-        to the distribution it selects; built on first use."""
+        to the distribution it selects; built on first use.  Merged branches
+        to one successor add their probabilities in branch order.  A
+        quotient takes these rows as they are; a member is read off the
+        `template` compiled from them."""
         options = {h.name: h.options for h in self.holes}
         combos = {}  # states that read the same holes share the dict keys
         rows = []
@@ -189,6 +202,29 @@ class Family:
                      else tgt.resolve(choice), p) for p, tgt in row)
             rows.append(StateRows(local, dists))
         return tuple(rows)
+
+    @cached_property
+    def template(self) -> tuple:
+        """The member form compiled from `rows` on first use: a list holding
+        the distribution of every state whose row reads no hole, None for
+        the others, and per state that reads holes (state, key getter,
+        dists), the getter taking an assignment to the key of its option
+        combination in the row's dists; states that read the same holes
+        share one getter."""
+        base, reads, getters = [], [], {}
+        for s, row in enumerate(self.rows):
+            base.append(None if row.holes else row.dists[()])
+            if row.holes:
+                if row.holes not in getters:
+                    getters[row.holes] = _key_getter(row.holes)
+                reads.append((s, getters[row.holes], row.dists))
+        return base, tuple(reads)
+
+    @cached_property
+    def key_of(self):
+        """Assignment -> its option tuple in hole declaration order, the
+        member key of `Realisation.key`."""
+        return _key_getter(tuple(h.name for h in self.holes))
 
     @cached_property
     def linked(self) -> tuple:
@@ -245,16 +281,26 @@ class Subfamily:
 
 
 def realise(fam: Family, r: Realisation) -> MarkovChain:
-    """Concrete MC induced by a total, constraint-satisfying assignment."""
-    for h in fam.holes:
-        if h.name not in r.assignment:
-            raise FamilyError("assignment misses hole %s" % h.name)
-        h.option_index(r[h.name])
-    if not fam.satisfies_constraints(r.assignment):
-        raise FamilyError("assignment violates family constraints")
+    """Concrete MC induced by a total, constraint-satisfying assignment of
+    the family's holes and no other: a copy of the family's `template`
+    with the distribution each hole-reading state's options select."""
     a = r.assignment
-    return MarkovChain(fam.n_states, fam.init, tuple(
-        row.dists[tuple(a[h] for h in row.holes)] for row in fam.rows))
+    for h in fam.holes:
+        if h.name not in a:
+            raise FamilyError("assignment misses hole %s" % h.name)
+        if a[h.name] not in h.options:
+            raise FamilyError("hole %s has no option %r" % (h.name, a[h.name]))
+    if len(a) != len(fam.holes):
+        names = {h.name for h in fam.holes}
+        raise FamilyError("assignment names unknown hole %r"
+                          % next(h for h in a if h not in names))
+    if not fam.satisfies_constraints(a):
+        raise FamilyError("assignment violates family constraints")
+    base, reads = fam.template
+    dists = base.copy()
+    for s, key, table in reads:
+        dists[s] = table[key(a)]
+    return MarkovChain(fam.n_states, fam.init, tuple(dists))
 
 
 def enumerate_realisations(fam: Family, sub: Subfamily = None):
@@ -316,7 +362,7 @@ def cost(fam: Family, r: Realisation, model: str = None) -> int:
     if model == "structural":
         mc = realise(fam, r)
         reachable = mc.reachable()
-        edges = sum(len(mc.transitions[s].entries) for s in reachable)
+        edges = sum(len(mc.transitions[s].states) for s in reachable)
         return len(reachable) + edges
     raise FamilyError("unknown cost model %r" % model)
 

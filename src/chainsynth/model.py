@@ -9,7 +9,7 @@ loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Mapping
 
@@ -30,24 +30,50 @@ class ModelError(ValueError):
     """Malformed chain, MDP, scheduler or specification."""
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__  # writes a field of a frozen instance
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Distribution:
-    """Sparse probability distribution over state indices."""
+    """Sparse probability distribution over state indices, built from its
+    (state, probability) entries.  It stores the successor states and their
+    probabilities as two parallel tuples, and the least and greatest
+    successor, which a model range-checks in place of every entry; a state
+    must be an integer, a probability a number in (0, 1], not a bool, and
+    the probabilities must sum to 1.  `entries` is a view of the pairs."""
 
-    entries: tuple  # tuple[(state, probability), ...]
+    states: tuple  # tuple[int, ...], no state twice
+    probs: tuple  # tuple[float, ...], parallel to states
+    lo: int = field(compare=False, repr=False)
+    hi: int = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        seen = set()
+    def __init__(self, entries):
+        pairs = {}
         total = 0.0
-        for s, p in self.entries:
-            if s in seen:
+        for s, p in entries:
+            # the exact-type tests only skip the slower ones for plain values
+            if type(s) is not int and (isinstance(s, bool) or
+                                       not isinstance(s, np.integer)):
+                raise ModelError("state %r in distribution is not an integer"
+                                 % (s,))
+            if s in pairs:
                 raise ModelError("duplicate state %d in distribution" % s)
-            seen.add(s)
-            if not (0.0 < p <= 1.0):
-                raise ModelError("probability %r out of (0, 1]" % p)
+            if type(p) is not float and isinstance(p, (bool, np.bool_)) \
+                    or not 0.0 < p <= 1.0:
+                raise ModelError("probability %r out of (0, 1]" % (p,))
+            pairs[s] = p
             total += p
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ModelError("distribution sums to %r, not 1" % total)
+        _set(self, "states", tuple(pairs))
+        _set(self, "probs", tuple(pairs.values()))
+        _set(self, "lo", min(pairs))
+        _set(self, "hi", max(pairs))
+
+    @property
+    def entries(self) -> tuple:
+        """The (state, probability) pairs, in order."""
+        return tuple(zip(self.states, self.probs))
 
     @staticmethod
     def from_pairs(pairs: Iterable) -> "Distribution":
@@ -62,13 +88,21 @@ class Distribution:
         return Distribution(((state, 1.0),))
 
     def support(self):
-        return [s for s, _ in self.entries]
+        return list(self.states)
+
+
+def _out_of_range(s, dist, n):
+    """Refuse state `s`'s distribution, which has a successor outside
+    [0, n), naming its first such successor."""
+    t = next(t for t in dist.states if not 0 <= t < n)
+    raise ModelError("state %d has successor %d outside S" % (s, t))
 
 
 @dataclass(frozen=True)
 class MarkovChain:
     """Finite MC with a contiguous state index set and one distribution per
-    state.  The walk that checks the successors also lists each state's
+    state.  Each distribution is range-checked by its least and greatest
+    successor; the walk over their successor tuples lists each state's
     predecessors, in state order, as `preds`; it is not a compared field."""
 
     n_states: int
@@ -81,11 +115,12 @@ class MarkovChain:
                              % (self.n_states, len(self.transitions)))
         if not (0 <= self.init < self.n_states):
             raise ModelError("initial state %d out of range" % self.init)
-        preds = [[] for _ in range(self.n_states)]
+        n = self.n_states
+        preds = [[] for _ in range(n)]
         for s, dist in enumerate(self.transitions):
-            for t, _ in dist.entries:
-                if not (0 <= t < self.n_states):
-                    raise ModelError("state %d has successor %d outside S" % (s, t))
+            if dist.lo < 0 or dist.hi >= n:
+                _out_of_range(s, dist, n)
+            for t in dist.states:
                 preds[t].append(s)
         object.__setattr__(self, "preds", preds)
 
@@ -95,7 +130,7 @@ class MarkovChain:
         stack = [self.init]
         while stack:
             s = stack.pop()
-            for t, _ in self.transitions[s].entries:
+            for t in self.transitions[s].states:
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
@@ -147,10 +182,9 @@ class Mdp:
             for _, dist in acts:
                 edge = (len(dists), s)
                 dists.append(dist)
-                for t, _ in dist.entries:
-                    if not (0 <= t < n):
-                        raise ModelError("state %d has successor %d outside S"
-                                         % (s, t))
+                if dist.lo < 0 or dist.hi >= n:
+                    _out_of_range(s, dist, n)
+                for t in dist.states:
                     row_preds[t].append(edge)
             first.append(len(dists))
         indptr, indices, data = _csr_rows(dists)
@@ -287,10 +321,10 @@ def _goal_states(goal, n_states) -> frozenset:
 
 def _csr_rows(dists):
     """Flat CSR arrays (indptr, indices, data), one row per distribution."""
-    indptr = np.fromiter(accumulate((len(d.entries) for d in dists),
+    indptr = np.fromiter(accumulate((len(d.states) for d in dists),
                                     initial=0), np.intp, len(dists) + 1)
-    targets, probs = zip(*[e for d in dists for e in d.entries])
-    return indptr, np.array(targets, dtype=np.intp), np.array(probs)
+    return (indptr, np.array([t for d in dists for t in d.states], np.intp),
+            np.array([p for d in dists for p in d.probs], float))
 
 
 def _entries(indptr, rows):
@@ -373,6 +407,8 @@ def _values(n_states, prob0, prob1, rows_of, method="auto"):
     rows) of CSR arrays.  Method "vi" solves by interval iteration."""
     x = np.zeros(n_states)
     x[list(prob1)] = 1.0
+    if len(prob0) + len(prob1) == n_states:
+        return x
     unknown = np.array(sorted(set(range(n_states)).difference(prob0, prob1)),
                        dtype=np.intp)
     if len(unknown):

@@ -10,7 +10,7 @@ from chainsynth.family import (Family, FamilyError, Fixed, Hole, HoleRef,
                                enumerate_realisations, quotient_mdp, realise,
                                scheduler_consistency)
 from chainsynth.model import Distribution, MemorylessScheduler
-from chainsynth.randfam import random_family
+from chainsynth.randfam import pruning_family, random_family
 
 from conftest import R1, R2, R3, R4
 
@@ -49,6 +49,25 @@ def two_hole_family():
         constraints=(Or((Atom("a", "x"), Not(Atom("b", "v")))),),
         cost_model="optionsum",
         variables=("s",), valuations=((0,), (1,)))
+
+
+def mixed_reads_family():
+    """States that read two holes through one multi-hole target, one hole,
+    no hole, and two holes through two targets whose branches can merge,
+    under a multi-hole constraint."""
+    ac = {(a, c): t for (a, c), t in zip(
+        itertools.product("xyz", "pq"), (1, 2, 3, 1, 2, 3))}
+    return Family(
+        4, 0,
+        (Hole("a", ("x", "y", "z")), Hole("b", ("u", "v")),
+         Hole("c", ("p", "q"))),
+        (((0.5, HoleRef(("a", "c"), ac)), (0.5, Fixed(2))),
+         ((0.3, HoleRef.single("b", {"u": 0, "v": 3})), (0.7, Fixed(1))),
+         ((1.0, Fixed(3)),),
+         ((0.1, HoleRef.single("b", {"u": 2, "v": 3})),
+          (0.2, HoleRef.single("a", {"x": 2, "y": 3, "z": 0})),
+          (0.7, Fixed(3)))),
+        constraints=(Or((Atom("a", "x"), Not(Atom("c", "q")))),))
 
 
 def test_hole_validation():
@@ -124,6 +143,9 @@ def test_realise_validates(example_family):
         realise(example_family, Realisation({"k2": "2"}))
     with pytest.raises(FamilyError):
         realise(example_family, Realisation({"k2": "2", "k3": "9"}))
+    with pytest.raises(FamilyError, match="unknown hole 'bogus'"):
+        realise(pruning_family(4)[0],
+                Realisation({"route": "c0", "bogus": "x"}))
 
 
 def test_realise_keeps_index_space(example_family):
@@ -200,6 +222,7 @@ def _matches_resolution(fam, rng):
     for r in enumerate_realisations(fam):
         assert realise(fam, r).transitions == tuple(
             resolved(row, r.assignment) for row in fam.transitions)
+        assert r.key(fam) == tuple(r[h.name] for h in fam.holes)
     order = [h.name for h in fam.holes]
     for sub in _subfamilies(fam, rng):
         remaining = dict(zip(order, sub.remaining))
@@ -222,7 +245,8 @@ def test_compiled_rows_match_per_call_resolution(sensors_family):
     rng = random.Random(97)
     fams = [random_family(rng, max_states=12, max_realisations=64)
             for _ in range(30)]
-    for fam in fams + [two_hole_family(), sensors_family]:
+    for fam in fams + [two_hole_family(), mixed_reads_family(),
+                       sensors_family]:
         _matches_resolution(fam, rng)
 
 

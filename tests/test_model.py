@@ -38,6 +38,31 @@ def test_distribution_validates():
         Distribution(((0, 0.0), (1, 1.0)))
 
 
+@pytest.mark.parametrize("entries, message", [
+    (((0.5, 1.0),), "state 0.5 in distribution is not an integer"),
+    (((True, 1.0),), "state True in distribution is not an integer"),
+    ((("0", 1.0),), "state '0' in distribution is not an integer"),
+    (((0, True),), "probability True out of (0, 1]"),
+    (((0, np.True_),), "probability %r out of (0, 1]" % (np.True_,)),
+    (((0, 0.5), (0, 0.5)), "duplicate state 0 in distribution"),
+    ((), "distribution sums to 0.0, not 1"),
+])
+def test_distribution_refuses_malformed_entries(entries, message):
+    with pytest.raises(ModelError) as exc:
+        Distribution(entries)
+    assert str(exc.value) == message
+
+
+def test_distribution_stores_states_and_probabilities():
+    d = Distribution(((3, 0.25), (np.int64(1), 0.75)))  # numpy states too
+    assert (d.states, d.probs, d.lo, d.hi) == ((3, 1), (0.25, 0.75), 1, 3)
+    assert d.entries == ((3, 0.25), (1, 0.75)) and d.support() == [3, 1]
+    assert d == Distribution(d.entries) and hash(d) == hash(Distribution(
+        d.entries))
+    assert MarkovChain(4, 0, (d, D0, D0, D0)).preds == [[1, 2, 3], [0], [],
+                                                        [0]]
+
+
 def test_distribution_merges_duplicate_targets():
     d = Distribution.from_pairs([(3, 0.25), (3, 0.25), (1, 0.5)])
     assert dict(d.entries) == {3: 0.5, 1: 0.5}
@@ -127,6 +152,28 @@ def test_specification_validation():
         Specification(frozenset([0]), "~", 0.5)
     with pytest.raises(ModelError):
         Specification(frozenset(), ">=", 0.5)
+
+
+def test_decided_chain_values_are_a_fresh_vector():
+    """A chain whose qualitative pass decides every state solves no linear
+    system; its value vector is still a new float64 array, 1 exactly on
+    the prob-1 states."""
+    rng = random.Random(5)
+    decided = 0
+    for _ in range(200):
+        mc = random_chain(rng, max_states=8)
+        goal = random_goal(rng, mc.n_states)
+        prob0, prob1 = prob01_states(mc, goal)
+        if len(prob0) + len(prob1) < mc.n_states:
+            continue
+        decided += 1
+        x, y = reach_probability(mc, goal), reach_probability(mc, goal)
+        assert x.dtype == np.float64 and x.shape == (mc.n_states,)
+        assert set(np.flatnonzero(x == 1.0)) == prob1
+        assert set(np.flatnonzero(x == 0.0)) == prob0
+        x[:] = 0.5
+        assert not np.shares_memory(x, y) and set(np.flatnonzero(y)) == prob1
+    assert decided > 20
 
 
 # --- reachability on the running example ------------------------------------

@@ -102,28 +102,20 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
     return critical
 
 
-def _option_scope(fam: Family, critical, r: Realisation, kept=None) -> dict:
+def _option_scope(fam: Family, critical, r: Realisation) -> dict:
     """Per conflict hole (one that a critical state's transitions read), the
     options that select the same distribution as the candidate's choice in
-    every critical state, whatever the state's other holes choose.  A sub-MC
-    depends only on its critical states' distributions, so every
-    realisation in the product shares it.  Those options are the
-    intersection of each critical state's own, which `kept` may carry from
-    call to call on one family."""
-    kept = {} if kept is None else kept
+    every critical state, whatever the state's other holes choose: the
+    intersection of the choice's classes there (`Family.rows`).  A
+    sub-MC depends only on its critical states' distributions, so every
+    realisation in the product shares it."""
     scope = {}
     for c in critical:
         row = fam.rows[c]
         for pos, h in enumerate(row.holes):
             chosen = r[h]
-            if (c, h, chosen) not in kept:
-                kept[c, h, chosen] = frozenset(
-                    option for option in fam.hole(h).options
-                    if all(dist == row.dists[combo[:pos] + (option,)
-                                             + combo[pos + 1:]]
-                           for combo, dist in row.dists.items()
-                           if combo[pos] == chosen))
-            options = kept[c, h, chosen]
+            options = row.classes[pos][chosen] if row.classes \
+                else frozenset((chosen,))
             scope[h] = scope[h] & options if h in scope else options
     return scope
 
@@ -226,8 +218,8 @@ def cegis_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
     query checks its spec.  Max/min start from the spec every member meets;
     each member that meets it becomes the witness, the spec tightens
     strictly past the witness's value (`_beyond`), and the witness is then
-    handled as a member the new spec refutes.  A member is proposed once,
-    so each check solves a new member."""
+    handled as a member the new spec refutes.  A member is proposed once;
+    one whose chain was solved before reuses that solve."""
     stats = Stats()
     members = Evaluator(fam, q, stats)
     spec, tol = q.spec, q.tolerance
@@ -239,7 +231,6 @@ def cegis_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
     # a partition lists members over budget in F: they stay in the space
     space = AssignmentSpace(fam, budget=None if partition else q.budget,
                             cost_model=q.cost_model)
-    kept = {}  # `_option_scope`'s per-state options, for the whole search
     best = None  # (witness, value)
     try:
         while (r := space.next_candidate()) is not None:
@@ -264,13 +255,13 @@ def cegis_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
             # where a critical set could classify more than the candidate: a
             # set only shrinks its scope as it grows, and {init} is in every
             # one
-            prunes = lambda c: space.would_prune(_option_scope(fam, c, r, kept))
+            prunes = lambda c: space.would_prune(_option_scope(fam, c, r))
             critical = extract_counterexample(mc, spec, tol, to_goal, prunes) \
                 if upper != sat and prunes([fam.init]) else None
             if critical is None:
                 space.block_assignment(r, sat)
             else:
-                scope = _option_scope(fam, critical, r, kept)
+                scope = _option_scope(fam, critical, r)
                 space.learn_scope(scope, sat)
                 record.update(critical=sorted(critical),
                               conflict_holes=sorted(scope),

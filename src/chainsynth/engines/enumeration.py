@@ -3,7 +3,7 @@ other engines; its `Evaluator` values members for every engine."""
 
 from __future__ import annotations
 
-from ..family import (Family, Realisation, count_members,
+from ..family import (Family, Realisation, check_assignment, count_members,
                       enumerate_realisations, initial_subfamily, realise)
 from ..model import compare, reach_probability
 from ..model import check  # noqa: F401 -- perfbench's tracer wraps this name
@@ -15,27 +15,30 @@ ENUM_BOUND = 10 ** 6
 
 class Evaluator:
     """The one place a member is valued: it realises the member and solves
-    its chain for the query's goal.  Each chain solved counts one
-    `stats.checks`; `value` remembers the result by member key."""
+    its chain for the query's goal.  Members with one `Family.chain_key`
+    induce one chain, which is realised and solved once per query; each
+    chain solved counts one `stats.checks`."""
 
     def __init__(self, fam: Family, q: SynthesisQuery, stats: Stats):
         self.fam, self.stats = fam, stats
         self.goal = q.goal if q.spec is None else q.spec.goal
-        self.values = {}
+        self.chains = {}  # chain key -> (chain, goal vector)
 
     def solve(self, r: Realisation):
-        """`r`'s chain and its goal vector, solved afresh."""
-        self.stats.checks += 1
-        mc = realise(self.fam, r)
-        return mc, reach_probability(mc, self.goal)
+        """`r`'s chain and its goal vector, refused as `realise` refuses
+        an assignment that is not a member."""
+        check_assignment(self.fam, r.assignment)
+        key = self.fam.chain_key(r.assignment)
+        if key not in self.chains:
+            self.stats.checks += 1
+            mc = realise(self.fam, r)
+            self.chains[key] = mc, reach_probability(mc, self.goal)
+        return self.chains[key]
 
     def value(self, r: Realisation) -> float:
         """Probability that `r` reaches the query's goal."""
-        key = r.key(self.fam)
-        if key not in self.values:
-            mc, to_goal = self.solve(r)
-            self.values[key] = float(to_goal[mc.init])
-        return self.values[key]
+        mc, to_goal = self.solve(r)
+        return float(to_goal[mc.init])
 
 
 def _values(fam: Family, q: SynthesisQuery, stats: Stats):

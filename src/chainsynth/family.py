@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Mapping, Optional
 
 from .model import (Distribution, MarkovChain, Mdp, MemorylessScheduler,
@@ -112,7 +112,27 @@ class Realisation:
         return dict(self.assignment)
 
 
-StateRows = namedtuple("StateRows", "holes dists")
+StateRows = namedtuple("StateRows", "holes dists classes")
+
+
+def _classes(holes: tuple, dists: dict) -> tuple:
+    """Parallel to `holes`, a dict from each option of the hole to its
+    class: the frozenset of the options that select the same distribution
+    as it whatever the other holes choose.  `dists` holds one object per
+    distinct distribution, so an option's signature is the identities of
+    the distributions it selects over the other holes' combinations, in
+    product order."""
+    tables = []
+    for pos in range(len(holes)):
+        signatures = {}
+        for combo, dist in dists.items():
+            signatures.setdefault(combo[pos], []).append(id(dist))
+        groups = {}
+        for o, signature in signatures.items():
+            groups.setdefault(tuple(signature), []).append(o)
+        tables.append({o: cls for cls in map(frozenset, groups.values())
+                       for o in cls})
+    return tuple(tables)
 
 
 def _key_getter(names: tuple):
@@ -182,25 +202,43 @@ class Family:
     @cached_property
     def rows(self) -> tuple:
         """Per state, a `StateRows`: the holes its targets read, in
-        declaration order, and a dict from each combination of their options
-        to the distribution it selects; built on first use.  Merged branches
-        to one successor add their probabilities in branch order.  A
-        quotient takes these rows as they are; a member is read off the
-        `template` compiled from them."""
+        declaration order, a dict from each combination of their options to
+        the distribution it selects, and per hole its options' classes
+        (`_classes`), None where the distributions all differ and each
+        option is its own class; built on first use.  Merged branches to
+        one successor add their probabilities in branch order, and equal
+        distributions of one state are one object.  A quotient takes these
+        rows as they are; a member is read off the `template` compiled from
+        them."""
         options = {h.name: h.options for h in self.holes}
         combos = {}  # states that read the same holes share the dict keys
         rows = []
         for row in self.transitions:
             used = {h for _, tgt in row for h in tgt.holes()}
             local = tuple(h for h in options if h in used)
-            dists = {}
-            for combo in combos.setdefault(local, list(itertools.product(
-                    *(options[h] for h in local)))):
-                choice = dict(zip(local, combo))
-                dists[combo] = Distribution.from_pairs(
-                    (tgt.state if isinstance(tgt, Fixed)
-                     else tgt.resolve(choice), p) for p, tgt in row)
-            rows.append(StateRows(local, dists))
+            if local not in combos:
+                combos[local] = list(itertools.product(
+                    *(options[h] for h in local)))
+            keys = combos[local]
+            targets = []  # per branch, its successor under each combination
+            for _, tgt in row:
+                if isinstance(tgt, Fixed):
+                    targets.append(itertools.repeat(tgt.state))
+                elif tgt.hole_names == local:
+                    targets.append(map(tgt.table.__getitem__, keys))
+                else:
+                    at = [local.index(h) for h in tgt.hole_names]
+                    targets.append([tgt.table[tuple(combo[i] for i in at)]
+                                    for combo in keys])
+            probs = [p for p, _ in row]
+            dists, interned = {}, {}  # interned: entries -> distribution
+            for combo, successors in zip(keys, zip(*targets)):
+                entries = Distribution.merged(zip(successors, probs))
+                if entries not in interned:
+                    interned[entries] = Distribution(entries)
+                dists[combo] = interned[entries]
+            rows.append(StateRows(local, dists, None if len(interned) ==
+                                  len(dists) else _classes(local, dists)))
         return tuple(rows)
 
     @cached_property
@@ -225,6 +263,33 @@ class Family:
         """Assignment -> its option tuple in hole declaration order, the
         member key of `Realisation.key`."""
         return _key_getter(tuple(h.name for h in self.holes))
+
+    @cached_property
+    def chain_key(self):
+        """Assignment -> its member key with each option replaced by the
+        first option of its family-wide class: the options that share its
+        class in every state that reads the hole.  Substituting one hole at
+        a time leaves every state's distribution as it was, so members with
+        one chain key induce one chain.  Where no state puts two options in
+        one class this is `key_of`."""
+        reads = {h.name: [] for h in self.holes}  # None: a class each
+        for row in self.rows:
+            for pos, h in enumerate(row.holes):
+                reads[h].append(row.classes and row.classes[pos])
+        firsts = []
+        for h in self.holes:
+            tables = reads[h.name]
+            if None in tables:  # some state tells every option apart
+                firsts.append(dict(zip(h.options, h.options)))
+                continue
+            first = {}  # class identities in every table -> first option
+            firsts.append({o: first.setdefault(
+                tuple(id(table[o]) for table in tables), o)
+                for o in h.options})
+        key_of = self.key_of
+        if all(o is x for first in firsts for o, x in first.items()):
+            return key_of
+        return lambda a: tuple(map(getitem, firsts, key_of(a)))
 
     @cached_property
     def linked(self) -> tuple:
@@ -280,11 +345,10 @@ class Subfamily:
 # operations
 
 
-def realise(fam: Family, r: Realisation) -> MarkovChain:
-    """Concrete MC induced by a total, constraint-satisfying assignment of
-    the family's holes and no other: a copy of the family's `template`
-    with the distribution each hole-reading state's options select."""
-    a = r.assignment
+def check_assignment(fam: Family, a: Mapping):
+    """Refuse, with FamilyError, an assignment that is not a member: one
+    that misses a hole, names one the family lacks, picks an option the
+    hole does not have or violates the constraints."""
     for h in fam.holes:
         if h.name not in a:
             raise FamilyError("assignment misses hole %s" % h.name)
@@ -296,6 +360,15 @@ def realise(fam: Family, r: Realisation) -> MarkovChain:
                           % next(h for h in a if h not in names))
     if not fam.satisfies_constraints(a):
         raise FamilyError("assignment violates family constraints")
+
+
+def realise(fam: Family, r: Realisation) -> MarkovChain:
+    """Concrete MC induced by a member, a total, constraint-satisfying
+    assignment of the family's holes and no other (`check_assignment`): a
+    copy of the family's `template` with the distribution each
+    hole-reading state's options select."""
+    a = r.assignment
+    check_assignment(fam, a)
     base, reads = fam.template
     dists = base.copy()
     for s, key, table in reads:

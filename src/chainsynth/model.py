@@ -10,6 +10,7 @@ loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Mapping
 
@@ -76,15 +77,23 @@ class Distribution:
         return tuple(zip(self.states, self.probs))
 
     @staticmethod
-    def from_pairs(pairs: Iterable) -> "Distribution":
-        """Build a distribution, merging duplicate successor states."""
+    def merged(pairs: Iterable) -> tuple:
+        """The sorted entries of `pairs` with the probabilities of a
+        successor named twice added in order: what `from_pairs` builds."""
         merged: dict = {}
         for s, p in pairs:
             merged[s] = merged[s] + p if s in merged else float(p)
-        return Distribution(tuple(sorted(merged.items())))
+        return tuple(sorted(merged.items()))
 
     @staticmethod
+    def from_pairs(pairs: Iterable) -> "Distribution":
+        """Build a distribution, merging duplicate successor states."""
+        return Distribution(Distribution.merged(pairs))
+
+    @staticmethod
+    @lru_cache(maxsize=None, typed=True)
     def dirac(state: int) -> "Distribution":
+        """The distribution certain to move to `state`, one per state."""
         return Distribution(((state, 1.0),))
 
     def support(self):

@@ -259,6 +259,17 @@ def test_sub_mc_keeps_index_space(example_family):
     assert frag.transitions[1].entries == ((1, 1.0),)
 
 
+def test_sub_mc_reuses_one_absorbing_row_per_state(example_family):
+    mc = chain_of(example_family, R1)
+    first, again = sub_mc(mc, {0}), sub_mc(mc, {0, 1})
+    assert first.transitions[2] is again.transitions[2] \
+        is Distribution.dirac(2)
+    assert again.transitions[1] is mc.transitions[1]
+    # the rows are shared per state index, so a bool is still no state
+    with pytest.raises(ModelError):
+        Distribution.dirac(True)
+
+
 def test_sub_mc_requires_init(example_family):
     with pytest.raises(ModelError):
         sub_mc(chain_of(example_family, R1), {1, 2})

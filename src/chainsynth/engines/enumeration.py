@@ -24,10 +24,12 @@ class Evaluator:
         self.goal = q.goal if q.spec is None else q.spec.goal
         self.chains = {}  # chain key -> (chain, goal vector)
 
-    def solve(self, r: Realisation):
+    def solve(self, r: Realisation, enumerated: bool = False):
         """`r`'s chain and its goal vector, refused as `realise` refuses
-        an assignment that is not a member."""
-        check_assignment(self.fam, r.assignment)
+        an assignment that is not a member, unless `enumerated` says that
+        `enumerate_realisations` yielded it, and so it is one."""
+        if not enumerated:
+            check_assignment(self.fam, r.assignment)
         key = self.fam.chain_key(r.assignment)
         if key not in self.chains:
             self.stats.checks += 1
@@ -35,9 +37,9 @@ class Evaluator:
             self.chains[key] = mc, reach_probability(mc, self.goal)
         return self.chains[key]
 
-    def value(self, r: Realisation) -> float:
-        """Probability that `r` reaches the query's goal."""
-        mc, to_goal = self.solve(r)
+    def value(self, r: Realisation, enumerated: bool = False) -> float:
+        """Probability that `r` reaches the query's goal (see `solve`)."""
+        mc, to_goal = self.solve(r, enumerated)
         return float(to_goal[mc.init])
 
 
@@ -49,7 +51,7 @@ def _values(fam: Family, q: SynthesisQuery, stats: Stats):
     for r in enumerate_realisations(fam):
         stats.candidates += 1
         stats.iterations += 1
-        value = members.value(r)
+        value = members.value(r, enumerated=True)
         ok = q.spec is None or \
             compare(value, q.spec.op, q.spec.threshold, q.tolerance)
         yield r, value, ok and within_budget(fam, q, r)

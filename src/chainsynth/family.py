@@ -5,7 +5,8 @@ each target either points at a fixed state or resolves through one or more
 holes via a successor table, compiled once into per-state rows.  A
 realisation (total hole assignment) selects one row per state: a Markov chain
 over the same index space, unreachable states kept; a quotient MDP takes
-every row a subfamily allows.
+every row a subfamily allows, as a row mask over the family's full
+quotient, compiled once.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from functools import cached_property
 from operator import getitem, itemgetter
 from typing import Mapping, Optional
 
-from .model import (Distribution, MarkovChain, Mdp, MemorylessScheduler,
-                    PROB_SUM_TOL)
+import numpy as np
+
+from .model import (Distribution, MarkovChain, MdpView, MemorylessScheduler,
+                    ModelError, PROB_SUM_TOL, choice_matrix)
 
 COST_MODELS = ("structural", "optionsum")
 
@@ -113,6 +116,7 @@ class Realisation:
 
 
 StateRows = namedtuple("StateRows", "holes dists classes")
+Quotient = namedtuple("Quotient", "matrix codes options unread")
 
 
 def _classes(holes: tuple, dists: dict) -> tuple:
@@ -207,9 +211,8 @@ class Family:
         (`_classes`), None where the distributions all differ and each
         option is its own class; built on first use.  Merged branches to
         one successor add their probabilities in branch order, and equal
-        distributions of one state are one object.  A quotient takes these
-        rows as they are; a member is read off the `template` compiled from
-        them."""
+        distributions of one state are one object.  The full `quotient`
+        and the member `template` are compiled from them."""
         options = {h.name: h.options for h in self.holes}
         combos = {}  # states that read the same holes share the dict keys
         rows = []
@@ -240,6 +243,35 @@ class Family:
             rows.append(StateRows(local, dists, None if len(interned) ==
                                   len(dists) else _classes(local, dists)))
         return tuple(rows)
+
+    @cached_property
+    def quotient(self) -> Quotient:
+        """The full quotient compiled from `rows` on first use: its
+        row-grouped choice matrix (`model.choice_matrix`; each state's
+        rows are its `rows` dists, in product order), and per row the code
+        of each hole's option, for the row masks of `quotient_mdp`.  Hole
+        h's options are coded from `options[h]`, a dict from each option to
+        its code, and one more code stands for "h not read" in the rows of
+        states that do not read h; `unread` marks those codes.  The code
+        table is built once per tuple of holes read, and each state takes
+        that of its tuple."""
+        matrix = choice_matrix([row.dists for row in self.rows])
+        sizes = [len(h.options) + 1 for h in self.holes]
+        offsets = list(itertools.accumulate(sizes, initial=0))
+        options = [dict(zip(h.options, range(at, at + len(h.options))))
+                   for h, at in zip(self.holes, offsets)]
+        unread = np.zeros(offsets[-1], dtype=bool)
+        unread[[at - 1 for at in offsets[1:]]] = True
+        dtype = np.min_scalar_type(offsets[-1])
+        blocks = {}  # holes tuple -> the codes of a state that reads it
+        for row in self.rows:
+            if row.holes not in blocks:
+                blocks[row.holes] = np.array(list(itertools.product(*(
+                    range(a, b - 1) if h.name in row.holes else (b - 1,)
+                    for h, a, b in zip(self.holes, offsets, offsets[1:])))),
+                    dtype=dtype)
+        codes = np.concatenate([blocks[row.holes] for row in self.rows])
+        return Quotient(matrix, codes, options, unread)
 
     @cached_property
     def template(self) -> tuple:
@@ -440,26 +472,42 @@ def cost(fam: Family, r: Realisation, model: str = None) -> int:
     raise FamilyError("unknown cost model %r" % model)
 
 
-def quotient_mdp(fam: Family, sub: Subfamily = None) -> Mdp:
+def quotient_mdp(fam: Family, sub: Subfamily = None) -> MdpView:
     """Quotient MDP forgetting which realisation a state belongs to.
 
     It lives on the family's own states and initial state.  Per state one
-    action exists for every combination, in product order, of the remaining
-    options of exactly the holes its row reads (`Family.rows`); the action
-    is labelled with that option tuple, which keys its distribution in the
-    row's `dists`.
+    action exists for every combination, in product order of the holes'
+    declared options, of the remaining options of exactly the holes its row
+    reads (`Family.rows`); the action is labelled with that option tuple,
+    which keys its distribution in the row's `dists`.  It is a view of the
+    family's full quotient (`Family.quotient`), compiled once: the mask of
+    the rows whose every option remains, found from the option codes
+    without a walk over the distributions.  A subfamily that misses a hole,
+    or names an option the hole lacks or an option twice, is refused.
     """
+    quotient = fam.quotient
     if sub is None:
         sub = Subfamily.full(fam)
-    remaining = {h.name: opts for h, opts in zip(fam.holes, sub.remaining)}
-    combos = {}  # states that read the same holes share their combinations
-    actions = []
-    for row in fam.rows:
-        if row.holes not in combos:
-            combos[row.holes] = list(itertools.product(
-                *(remaining[h] for h in row.holes)))
-        actions.append(tuple((c, row.dists[c]) for c in combos[row.holes]))
-    return Mdp(fam.n_states, fam.init, tuple(actions))
+    if len(sub.remaining) != len(fam.holes):
+        raise FamilyError("subfamily restricts %d holes, the family has %d"
+                          % (len(sub.remaining), len(fam.holes)))
+    kept = []
+    for h, opts, codes in zip(fam.holes, sub.remaining, quotient.options):
+        for o in opts:
+            if o not in codes:
+                raise FamilyError("hole %s has no option %r" % (h.name, o))
+        if len(set(opts)) != len(opts):
+            raise FamilyError("subfamily names an option of hole %s twice"
+                              % h.name)
+        kept += map(codes.__getitem__, opts)
+    allowed = quotient.unread.copy()
+    allowed[kept] = True
+    rows = allowed[quotient.codes].all(axis=1)
+    matrix = quotient.matrix
+    bare = ~np.logical_or.reduceat(rows, matrix["first"][:-1])
+    if bare.any():
+        raise ModelError("state %d has no actions" % np.argmax(bare))
+    return MdpView(fam.n_states, fam.init, matrix, rows)
 
 
 @dataclass(frozen=True)

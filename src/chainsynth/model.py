@@ -10,8 +10,8 @@ loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -154,19 +154,78 @@ class MarkovChain:
         return "\n".join(lines)
 
 
+def choice_matrix(tables) -> dict:
+    """The row-grouped choice matrix of an MDP whose state s offers the
+    actions of `tables[s]`, a dict from each label to its distribution, in
+    row order: one CSR row (`indptr`, `indices`, `leave`) per action, the
+    rows of state s at first[s]:first[s + 1].  `leave` is each entry's
+    probability unless it is its row's self-loop, which no analysis reads:
+    the diagonal of I - P is each row's exit mass."""
+    first = np.fromiter(accumulate(map(len, tables), initial=0), np.intp,
+                        len(tables) + 1)
+    indptr, indices, data = _csr_rows(
+        [d for table in tables for d in table.values()])
+    # per entry, the state whose row it lies in
+    owner = np.repeat(np.arange(len(tables)), np.diff(indptr[first]))
+    leave = np.where(indices == owner, 0.0, data)
+    return dict(tables=tables, first=first, indptr=indptr, indices=indices,
+                leave=leave)
+
+
+class _Choices:
+    """The row-grouped choice matrix an MDP analysis reads (its arrays, as
+    `choice_matrix` compiles them, are the MDP's own attributes), and the
+    mask `rows` of the rows the MDP keeps; every row a search, a policy or
+    a backup may take is set in `rows`.  What else the analysis reads is
+    derived on first use, for this MDP only."""
+
+    @cached_property
+    def labels(self) -> list:
+        """Per row, its action's label."""
+        return [a for table in self.tables for a in table]
+
+    @cached_property
+    def state(self):
+        """Per row, the state that owns it."""
+        return np.repeat(np.arange(len(self.tables)), np.diff(self.first))
+
+    @cached_property
+    def row_preds(self) -> list:
+        """Per state t, the list of the kept rows that have t as a
+        successor, in row order."""
+        src = np.repeat(np.arange(len(self.state)), np.diff(self.indptr))
+        kept = self.rows[src]
+        tgt, src = self.indices[kept], src[kept]
+        # a row names a successor once, so a stable sort by successor keeps
+        # each state's predecessor rows in row order
+        preds = src[np.argsort(tgt, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(tgt, minlength=len(self.tables))).tolist()
+        return [preds[a:b] for a, b in zip([0] + ends, ends)]
+
+    def all_succ(self, mask):
+        """Per row: every successor lies in `mask`."""
+        return np.logical_and.reduceat(mask[self.indices], self.indptr[:-1])
+
+    def some_row(self, rows):
+        """Per state: some of its kept rows is set in `rows`."""
+        return np.logical_or.reduceat(rows & self.rows, self.first[:-1])
+
+    def first_row(self, rows):
+        """Per state: the first of its kept rows set in `rows` (the number
+        of rows if none)."""
+        n_rows = len(self.state)
+        return np.minimum.reduceat(np.where(rows & self.rows,
+                                            np.arange(n_rows), n_rows),
+                                   self.first[:-1])
+
+
 @dataclass(frozen=True)
-class Mdp:
+class Mdp(_Choices):
     """Finite MDP; every state carries a nonempty list of labeled distributions.
 
-    The walk that checks the actions also compiles the MDP into a
-    row-grouped choice matrix, none of it a compared field: one CSR row
-    (`indptr`, `indices`, `data`) per action, labelled `labels[r]`, the rows
-    of state s at first[s]:first[s + 1], `state[r]` owning row r.  For the
-    graph searches, `row_preds[t]` lists in row order the pairs
-    (r, state[r]) of the rows r that have t as a successor.  For policy
-    iteration, `leave` is each entry's probability unless it is its row's
-    self-loop, and `exits` each row's sum of them, 1 where that is 0 and
-    `movable` false."""
+    The walk that checks the actions also compiles the MDP into its
+    row-grouped choice matrix (`choice_matrix`), none of it a compared
+    field, and keeps every row: `rows` is all set."""
 
     n_states: int
     init: int
@@ -179,54 +238,36 @@ class Mdp:
                              % (n, len(self.actions)))
         if not (0 <= self.init < n):
             raise ModelError("initial state %d out of range" % self.init)
-        labels, dists, first = [], [], [0]
-        row_preds = [[] for _ in range(n)]
+        tables = []
         for s, acts in enumerate(self.actions):
             if not acts:
                 raise ModelError("state %d has no actions" % s)
-            own = [a for a, _ in acts]
-            if len(set(own)) != len(own):
+            table = dict(acts)
+            if len(table) != len(acts):
                 raise ModelError("state %d has duplicate action labels" % s)
-            labels += own
-            for _, dist in acts:
-                edge = (len(dists), s)
-                dists.append(dist)
+            for dist in table.values():
                 if dist.lo < 0 or dist.hi >= n:
                     _out_of_range(s, dist, n)
-                for t in dist.states:
-                    row_preds[t].append(edge)
-            first.append(len(dists))
-        indptr, indices, data = _csr_rows(dists)
-        first = np.array(first, dtype=np.intp)
-        state = np.repeat(np.arange(n), np.diff(first))
-        leave = np.where(indices == np.repeat(state, np.diff(indptr)), 0.0,
-                         data)
-        exits = np.add.reduceat(leave, indptr[:-1])
-        movable = exits > 0.0
-        exits[~movable] = 1.0
-        vars(self).update(labels=labels, indptr=indptr, indices=indices,
-                          data=data, first=first, state=state,
-                          row_preds=row_preds, leave=leave, exits=exits,
-                          movable=movable)
+            tables.append(table)
+        matrix = choice_matrix(tables)
+        vars(self).update(matrix, rows=np.ones(matrix["first"][-1], bool))
 
-    def all_succ(self, mask):
-        """Per row: every successor lies in `mask`."""
-        return np.logical_and.reduceat(mask[self.indices], self.indptr[:-1])
 
-    def some_row(self, rows):
-        """Per state: some of its rows is set in `rows`."""
-        return np.logical_or.reduceat(rows, self.first[:-1])
+class MdpView(_Choices):
+    """The MDP that keeps the rows set in the mask `rows` of a compiled
+    choice matrix (`choice_matrix`), sharing its arrays: a subfamily's
+    quotient (`family.quotient_mdp`).  Its `actions`, as `Mdp` lists them,
+    are built on first use only."""
 
-    def first_row(self, rows):
-        """Per state: the first of its rows set in `rows` (len(rows) if none)."""
-        return np.minimum.reduceat(
-            np.where(rows, np.arange(len(rows)), len(rows)), self.first[:-1])
+    def __init__(self, n_states: int, init: int, matrix: dict, rows):
+        vars(self).update(matrix, n_states=n_states, init=init, rows=rows)
 
-    def dist(self, s: int, label) -> Distribution:
-        for a, dist in self.actions[s]:
-            if a == label:
-                return dist
-        raise ModelError("state %d has no action %r" % (s, label))
+    @cached_property
+    def actions(self) -> tuple:
+        kept, first = self.rows.tolist(), self.first.tolist()
+        return tuple(tuple(act for act, keep in zip(table.items(),
+                                                     kept[a:b]) if keep)
+                     for table, a, b in zip(self.tables, first, first[1:]))
 
 
 @dataclass(frozen=True)
@@ -332,8 +373,12 @@ def _csr_rows(dists):
     """Flat CSR arrays (indptr, indices, data), one row per distribution."""
     indptr = np.fromiter(accumulate((len(d.states) for d in dists),
                                     initial=0), np.intp, len(dists) + 1)
-    return (indptr, np.array([t for d in dists for t in d.states], np.intp),
-            np.array([p for d in dists for p in d.probs], float))
+    size = int(indptr[-1])
+    return (indptr,
+            np.fromiter(chain.from_iterable(d.states for d in dists),
+                        np.intp, size),
+            np.fromiter(chain.from_iterable(d.probs for d in dists),
+                        float, size))
 
 
 def _entries(indptr, rows):
@@ -364,6 +409,18 @@ def _system(indptr, indices, data, rows, states, known):
     return src[inner], col[inner], p[inner], exits, b
 
 
+def _solve(A, b):
+    """np.linalg.solve(A, b), a singular or non-finite outcome raised as
+    ModelError."""
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise ModelError("linear solve failed: %s" % exc)
+    if not np.isfinite(x).all():
+        raise ModelError("linear solve failed: singular matrix")
+    return x
+
+
 def _linear_solve(rows, cols, vals, exits, b):
     """Solve (I - P) x = b exactly: with numpy up to DENSE_SOLVE_LIMIT
     unknowns, above it by scipy's sparse LU, the only code that imports
@@ -374,25 +431,52 @@ def _linear_solve(rows, cols, vals, exits, b):
     n = len(exits)
     off = rows != cols
     diag = np.arange(n)
+    if n <= DENSE_SOLVE_LIMIT:
+        A = np.zeros((n, n))
+        A[rows[off], cols[off]] = -vals[off]
+        A[diag, diag] = exits
+        return _solve(A, b)
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+    A = sp.csr_matrix((np.concatenate([-vals[off], exits]),
+                       (np.concatenate([rows[off], diag]),
+                        np.concatenate([cols[off], diag]))), shape=(n, n))
     try:
-        if n <= DENSE_SOLVE_LIMIT:
-            A = np.zeros((n, n))
-            A[rows[off], cols[off]] = -vals[off]
-            A[diag, diag] = exits
-            x = np.linalg.solve(A, b)
-        else:
-            import scipy.sparse as sp
-            from scipy.sparse.linalg import splu
-            A = sp.csr_matrix((np.concatenate([-vals[off], exits]),
-                               (np.concatenate([rows[off], diag]),
-                                np.concatenate([cols[off], diag]))),
-                              shape=(n, n))
-            x = splu(A.tocsc()).solve(b)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        x = splu(A.tocsc()).solve(b)
+    except RuntimeError as exc:
         raise ModelError("linear solve failed: %s" % exc)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ModelError("linear solve failed: singular matrix")
     return x
+
+
+def _dense_system(transitions, unknown, prob1):
+    """I - P and b of `_system` over the sorted `unknown` states, built in
+    one pass over their distributions: each exit mass and each b adds its
+    terms in entry order, as `_system`'s bincounts do, so `_solve` returns
+    `_linear_solve`'s values bit for bit."""
+    k = len(unknown)
+    local = dict(zip(unknown, range(k)))
+    at, vals, b = [], [], []
+    for i, s in enumerate(unknown):
+        dist = transitions[s]
+        row = i * k
+        out = into = 0.0
+        for t, p in zip(dist.states, dist.probs):
+            if t != s:
+                out += p
+                j = local.get(t)
+                if j is not None:
+                    at.append(row + j)
+                    vals.append(-p)
+            if t in prob1:
+                into += p
+        at.append(row + i)
+        vals.append(out)
+        b.append(into)
+    A = np.zeros((k, k))
+    A.flat[at] = vals
+    return A, np.array(b)
 
 
 def _interval_iteration(rows, cols, vals, b):
@@ -409,22 +493,29 @@ def _interval_iteration(rows, cols, vals, b):
                      % (np.max(hi - lo), VI_MAX_SWEEPS))
 
 
-def _values(n_states, prob0, prob1, rows_of, method="auto"):
-    """Reachability values of every state: 0 on `prob0`, 1 on `prob1`, and
-    on the other states, sorted, the solution of x = P x + b, their rows
-    being those that `rows_of(unknown)` returns as (indptr, indices, data,
-    rows) of CSR arrays.  Method "vi" solves by interval iteration."""
+def _values(transitions, prob0, prob1, method="auto"):
+    """Reachability values of every state of the chain with distributions
+    `transitions`: 0 on `prob0`, 1 on the set `prob1`, and on the other
+    states, sorted, the solution of x = P x + b.  Up to DENSE_SOLVE_LIMIT
+    of them the system is built densely in one pass (`_dense_system`);
+    above it, or with method "vi" (interval iteration), from the CSR rows
+    of their distributions."""
+    n_states = len(transitions)
     x = np.zeros(n_states)
     x[list(prob1)] = 1.0
     if len(prob0) + len(prob1) == n_states:
         return x
-    unknown = np.array(sorted(set(range(n_states)).difference(prob0, prob1)),
-                       dtype=np.intp)
-    if len(unknown):
-        rows, cols, vals, exits, b = _system(*rows_of(unknown), unknown, x)
+    unknown = sorted(set(range(n_states)).difference(prob0, prob1))
+    if method != "vi" and len(unknown) <= DENSE_SOLVE_LIMIT:
+        sol = _solve(*_dense_system(transitions, unknown, prob1))
+    else:
+        unknown = np.array(unknown, dtype=np.intp)
+        rows, cols, vals, exits, b = _system(
+            *_csr_rows([transitions[s] for s in unknown]),
+            np.arange(len(unknown)), unknown, x)
         sol = (_interval_iteration(rows, cols, vals, b) if method == "vi"
                else _linear_solve(rows, cols, vals, exits, b))
-        x[unknown] = sol.clip(0.0, 1.0)
+    x[unknown] = sol.clip(0.0, 1.0)
     return x
 
 
@@ -435,26 +526,23 @@ def reach_probability(mc: MarkovChain, goal, method: str = "auto") -> np.ndarray
     linear fixed point x_s = sum_t P(s,t) x_t.  Methods "auto" and "linear"
     solve it directly; "vi" runs interval iteration and raises ModelError if
     its bounds do not meet within VI_MAX_SWEEPS.  Only the rows of the
-    states left unknown are compiled into CSR arrays.
+    states left unknown are read.
     """
     if method not in ("auto", "linear", "vi"):
         raise ModelError("unknown method %r" % method)
     goal = _goal_states(goal, mc.n_states)
     prob0, prob1 = prob01_states(mc, goal)
-    return _values(mc.n_states, prob0, prob1, lambda unknown: (
-        *_csr_rows([mc.transitions[s] for s in unknown]),
-        np.arange(len(unknown))), method)
+    return _values(mc.transitions, prob0, prob1, method)
 
 
 class ChainMatrix:
-    """A chain compiled once for the valuations of one conflict's critical
-    prefixes: one CSR row per state and each state's successor list, which
-    also gives the breadth-first ranking of the prefixes; the predecessor
-    lists are the chain's own."""
+    """A chain prepared once for the valuations of one conflict's critical
+    prefixes: each state's successor list, which also gives the
+    breadth-first ranking of the prefixes, and the chain's own predecessor
+    lists."""
 
     def __init__(self, mc: MarkovChain):
         self.mc = mc
-        self.indptr, self.indices, self.data = _csr_rows(mc.transitions)
         self.succ = [d.support() for d in mc.transitions]
         self.preds = mc.preds
 
@@ -462,14 +550,13 @@ class ChainMatrix:
         """The value at the initial state of `check(sub_mc(mc, critical),
         spec)` for a spec on `goal`, without building the sub-MC: the same
         qualitative pass, with the states outside `critical` absorbing, and
-        the same solve, on this chain's CSR rows of the unknown states."""
+        the same solve of the unknown states, which lie in `critical`."""
         n, init = self.mc.n_states, self.mc.init
         prob0, prob1 = _prob01(n, self.preds, frozenset(goal), critical,
                                self.succ)
         if init in prob0 or init in prob1:
             return float(init in prob1)
-        return float(_values(n, prob0, prob1, lambda unknown: (
-            self.indptr, self.indices, self.data, unknown))[init])
+        return float(_values(self.mc.transitions, prob0, prob1)[init])
 
 
 def check(mc: MarkovChain, spec: Specification, tol: float = COMPARISON_TOL):
@@ -500,23 +587,25 @@ def sub_mc(mc: MarkovChain, critical) -> MarkovChain:
 # MDP analysis
 
 
-def _attract(mdp: Mdp, seeds, rows_ok, policy=None):
-    """States from which some path of `rows_ok` rows reaches `seeds`: a
-    backward search, frontier by frontier, over the predecessor rows, that
-    looks at each (row, state) edge once.  With `policy`, each added state
-    gets its lowest `rows_ok` row into the frontier it joins from; no lower
-    row of it reaches an earlier frontier, or it would have joined then."""
+def _attract(mdp, seeds, rows_ok, policy=None):
+    """States from which some path of kept `rows_ok` rows (True: every kept
+    row) reaches `seeds`: a backward search, frontier by frontier, over the
+    kept predecessor rows, that looks at each (row, state) edge once.  With
+    `policy`, each added state gets its lowest such row into the frontier
+    it joins from; no lower row of it reaches an earlier frontier, or it
+    would have joined then."""
     reached = seeds.tolist()
-    ok = rows_ok.tolist() if isinstance(rows_ok, np.ndarray) \
-        else [rows_ok] * len(mdp.labels)
+    # per row its state where the row may be taken, else -1
+    owner = np.where(rows_ok, mdp.state, -1).tolist()
     row_preds = mdp.row_preds
     frontier = np.flatnonzero(seeds).tolist()
     rows = {}  # each added state's row
     while frontier:
         joined = {}
         for t in frontier:
-            for r, s in row_preds[t]:
-                if ok[r] and not reached[s] and r < joined.get(s, r + 1):
+            for r in row_preds[t]:
+                s = owner[r]
+                if s >= 0 and not reached[s] and r < joined.get(s, r + 1):
                     joined[s] = r
         for s in joined:
             reached[s] = True
@@ -527,44 +616,70 @@ def _attract(mdp: Mdp, seeds, rows_ok, policy=None):
     return np.array(reached)
 
 
-def _prob1e(mdp: Mdp, goal, stay, policy):
+def _prob1e(mdp, goal, stay, policy):
     """States where some scheduler reaches `goal` almost surely; `stay`
     holds the states that can reach it at all.  Each round's attractor
     writes `policy`, so the last one leaves every returned state outside
     `goal` a row that stays in the set and moves towards `goal`."""
     while True:
         nxt = _attract(mdp, goal, mdp.all_succ(stay), policy)
-        if np.array_equal(nxt, stay):
+        if (nxt == stay).all():
             return stay
         stay = nxt
 
 
-def _prob0e(mdp: Mdp, goal):
+def _prob0e(mdp, goal):
     """States where some scheduler avoids `goal` surely."""
     avoid = ~goal
     while True:
         nxt = avoid & mdp.some_row(mdp.all_succ(avoid))
-        if np.array_equal(nxt, avoid):
+        if (nxt == avoid).all():
             return avoid
         avoid = nxt
 
 
-def _evaluate(mdp: Mdp, rows, states, known):
-    """Values of the policy `rows` (one row per state of `states`), which
-    must leave `states` almost surely; `known` fixes the other states."""
-    sys_rows, cols, vals, exits, b = _system(
-        mdp.indptr, mdp.indices, mdp.data, rows, states, known)
-    return np.clip(_linear_solve(sys_rows, cols, vals, exits, b), 0.0, 1.0)
+def _evaluator(mdp, states, known):
+    """The values of a policy's rows for `states` (one row per state), which
+    must leave `states` almost surely, `known` fixing the other states, as
+    a function of those rows.  Every row's entries among `states`, its exit
+    mass and its one-step value b are compiled once into a dense block, the
+    sums adding each row's entries in entry order as `_system` does, so an
+    evaluation gathers its system and solves it, with `_linear_solve`'s
+    values bit for bit.  A block of more numbers than DENSE_SOLVE_LIMIT ** 2
+    is not built: `_system` assembles each system instead."""
+    n_rows, k = len(mdp.state), len(states)
+    if n_rows * k > DENSE_SOLVE_LIMIT ** 2:
+        return lambda rows: _linear_solve(*_system(
+            mdp.indptr, mdp.indices, mdp.leave, rows, states, known)).clip(
+            0.0, 1.0)
+    local = np.full(mdp.n_states, -1, dtype=np.intp)
+    local[states] = np.arange(k)
+    src = np.repeat(np.arange(n_rows), np.diff(mdp.indptr))
+    exits = np.bincount(src, weights=mdp.leave, minlength=n_rows)
+    b = np.bincount(src, weights=mdp.leave * known[mdp.indices],
+                    minlength=n_rows)
+    col = local[mdp.indices]
+    inner = col >= 0
+    block = np.zeros((n_rows, k))
+    # a self-loop lands on the diagonal, which the exit mass overwrites
+    block[src[inner], col[inner]] = -mdp.leave[inner]
+    diag = np.arange(k)
+
+    def evaluate(rows):
+        A = block[rows]
+        A[diag, diag] = exits[rows]
+        return _solve(A, b[rows]).clip(0.0, 1.0)
+    return evaluate
 
 
-def _keep_proper(mdp: Mdp, nxt, policy, unknown, gain):
+def _keep_proper(mdp, nxt, policy, unknown, gain):
     """Undo switches of `nxt` away from the proper policy `policy`, the
     smallest `gain` first, until every unknown state leaves the unknown
     states almost surely.  A strict gain never closes a cycle inside them;
     a gain at rounding level on a tie can."""
     states = np.flatnonzero(unknown)
     while True:
-        chosen = np.zeros(len(mdp.labels), dtype=bool)
+        chosen = np.zeros(len(mdp.state), dtype=bool)
         chosen[nxt[states]] = True
         stuck = unknown & ~_attract(mdp, ~unknown, chosen)
         if not stuck.any():
@@ -574,7 +689,7 @@ def _keep_proper(mdp: Mdp, nxt, policy, unknown, gain):
         nxt[s] = policy[s]
 
 
-def _policy_iteration(mdp: Mdp, known, unknown, mode, policy):
+def _policy_iteration(mdp, known, unknown, mode, policy):
     """Optimal values on the `unknown` states, `known` fixing the others,
     and `policy` (one row per state) improved there until it attains them;
     its rows for the other states are kept.
@@ -592,18 +707,25 @@ def _policy_iteration(mdp: Mdp, known, unknown, mode, policy):
     maximise = mode == "max"
     if maximise:
         _attract(mdp, known == 1.0, unknown[mdp.state], policy)
+    evaluate = _evaluator(mdp, states, known)
+    # each row's exit mass, 1 where it is 0 and the row cannot move
+    exits = np.add.reduceat(mdp.leave, mdp.indptr[:-1])
+    movable = exits > 0.0
+    exits[~movable] = 1.0
     x = known.copy()
     seen = {policy[states].tobytes()}
     while True:
-        x[states] = _evaluate(mdp, policy[states], states, known)
+        x[states] = evaluate(policy[states])
         # the value each row gives its state with the self-loop unrolled
         onward = np.add.reduceat(mdp.leave * x[mdp.indices], mdp.indptr[:-1])
-        unrolled = np.where(mdp.movable, onward / mdp.exits, x[mdp.state])
+        unrolled = np.where(movable, onward / exits, x[mdp.state])
         if maximise:
-            best = np.maximum.reduceat(unrolled, mdp.first[:-1])
+            best = np.maximum.reduceat(np.where(mdp.rows, unrolled, -np.inf),
+                                       mdp.first[:-1])
             gain = best - unrolled[policy]
         else:
-            best = np.minimum.reduceat(unrolled, mdp.first[:-1])
+            best = np.minimum.reduceat(np.where(mdp.rows, unrolled, np.inf),
+                                       mdp.first[:-1])
             gain = unrolled[policy] - best
         switch = unknown & (gain > 0.0)
         if not switch.any():
@@ -619,7 +741,7 @@ def _policy_iteration(mdp: Mdp, known, unknown, mode, policy):
         policy = nxt
 
 
-def mdp_extremal(mdp: Mdp, goal, mode: str):
+def mdp_extremal(mdp, goal, mode: str):
     """Optimal reachability probability at the initial state plus a
     memoryless scheduler that attains the optimal value from every state.
 
@@ -636,7 +758,7 @@ def mdp_extremal(mdp: Mdp, goal, mode: str):
         raise ModelError("mode must be 'min' or 'max'")
     is_goal = np.zeros(mdp.n_states, dtype=bool)
     is_goal[list(goal)] = True
-    policy = mdp.first[:-1].copy()
+    policy = mdp.first_row(mdp.rows)
     if mode == "max":
         reach = _attract(mdp, is_goal, True)
         prob0 = ~reach
@@ -653,15 +775,24 @@ def mdp_extremal(mdp: Mdp, goal, mode: str):
     return float(x[mdp.init]), MemorylessScheduler(choice)
 
 
-def induced_chain(mdp: Mdp, sched: MemorylessScheduler) -> MarkovChain:
+def induced_chain(mdp, sched: MemorylessScheduler) -> MarkovChain:
     """MC obtained by resolving every choice with a memoryless scheduler.
-    A state the scheduler leaves out takes its first action; that is refused
-    where the chain reaches it, so the chain is walked only when the
-    scheduler leaves some state out."""
-    choice = sched.choice
-    mc = MarkovChain(mdp.n_states, mdp.init, tuple(
-        mdp.dist(s, choice[s]) if s in choice else acts[0][1]
-        for s, acts in enumerate(mdp.actions)))
+    A state the scheduler leaves out takes its first kept action; that is
+    refused where the chain reaches it, so the chain is walked only when
+    the scheduler leaves some state out."""
+    choice, labels = sched.choice, mdp.labels
+    kept, first = mdp.rows.tolist(), mdp.first.tolist()
+    dists = []
+    for s, table in enumerate(mdp.tables):
+        if s in choice:
+            label = choice[s]
+            if label not in table or \
+                    not kept[labels.index(label, first[s], first[s + 1])]:
+                raise ModelError("state %d has no action %r" % (s, label))
+        else:
+            label = labels[kept.index(True, first[s], first[s + 1])]
+        dists.append(table[label])
+    mc = MarkovChain(mdp.n_states, mdp.init, tuple(dists))
     missing = set(range(mdp.n_states)).difference(choice)
     if missing:
         missing &= mc.reachable()

@@ -3,16 +3,18 @@ import random
 
 import pytest
 
-from chainsynth import jsonio
+from chainsynth import family, jsonio
 from chainsynth.constraints import Atom, Not, Or, parse_sexpr
 from chainsynth.family import (Family, FamilyError, Fixed, Hole, HoleRef,
                                Realisation, Subfamily, cost, count_members,
                                enumerate_realisations, quotient_mdp, realise,
                                scheduler_consistency)
-from chainsynth.model import Distribution, MemorylessScheduler
-from chainsynth.randfam import pruning_family, random_family
+from chainsynth.model import (Distribution, Mdp, MemorylessScheduler,
+                              mdp_extremal)
+from chainsynth.randfam import pruning_family, random_family, random_goal
 
 from conftest import R1, R2, R3, R4
+from test_chains import _multi_hole_cases
 
 
 def structural_cost_bfs(fam, r):
@@ -206,6 +208,65 @@ def test_quotient_respects_subfamily(example_family):
     mdp = quotient_mdp(example_family, sub)
     assert [len(a) for a in mdp.actions] == [2, 1, 1, 1, 1]
     assert [label for label, _ in mdp.actions[3]] == [("4",)]
+
+
+def test_quotient_refuses_a_malformed_subfamily():
+    fam, _ = pruning_family(4)
+    with pytest.raises(FamilyError, match="no option 'nope'"):
+        quotient_mdp(fam, Subfamily((("c0", "nope"),)))
+    with pytest.raises(FamilyError, match="restricts 0 holes"):
+        quotient_mdp(fam, Subfamily(()))
+    with pytest.raises(FamilyError, match="twice"):
+        quotient_mdp(fam, Subfamily((("c1", "c1"),)))
+
+
+def _fresh_quotient(fam, sub):
+    """The reference a view must equal: an Mdp built from `Family.rows`,
+    each state's actions the remaining combinations in product order."""
+    remaining = {h.name: opts for h, opts in zip(fam.holes, sub.remaining)}
+    return Mdp(fam.n_states, fam.init, tuple(
+        tuple((c, row.dists[c]) for c in itertools.product(
+            *(remaining[h] for h in row.holes)))
+        for row in fam.rows))
+
+
+def test_quotient_view_matches_a_fresh_build():
+    """A subfamily's quotient, a row mask over its family's compiled
+    quotient, lists the actions of a fresh build and gives the same
+    values, bit for bit, and the same schedulers."""
+    rng = random.Random(2417)
+    cases = [fam for fam, _ in _multi_hole_cases()]
+    cases += [random_family(rng, max_states=16, max_realisations=64)
+              for _ in range(30)]
+    for fam in cases:
+        for sub in _subfamilies(fam, rng):
+            view, fresh = quotient_mdp(fam, sub), _fresh_quotient(fam, sub)
+            assert view.actions == fresh.actions
+            for _ in range(2):
+                goal = random_goal(rng, fam.n_states)
+                for mode in ("max", "min"):
+                    got = mdp_extremal(view, goal, mode)
+                    want = mdp_extremal(fresh, goal, mode)
+                    assert got[0].hex() == want[0].hex()
+                    assert got[1].choice == want[1].choice
+
+
+def test_views_share_one_compiled_quotient(monkeypatch):
+    fam, _ = pruning_family(4)
+    compiled = []
+    compile_matrix = family.choice_matrix
+    monkeypatch.setattr(family, "choice_matrix",
+                        lambda tables: compiled.append(tables) or
+                        compile_matrix(tables))
+    full = quotient_mdp(fam)
+    part = quotient_mdp(fam, Subfamily.full(fam).replace(0, ("c1", "c3")))
+    for mdp in (full, part):
+        for mode in ("max", "min"):
+            mdp_extremal(mdp, {3}, mode)
+    assert len(compiled) == 1
+    for name in ("tables", "first", "indptr", "indices", "leave"):
+        assert getattr(full, name) is getattr(part, name)
+    assert [len(acts) for acts in part.actions] == [2, 1, 1, 1]
 
 
 def _subfamilies(fam, rng):

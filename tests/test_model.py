@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -288,6 +289,46 @@ def test_prob01_with_absorbing_outside_states_is_that_of_the_sub_mc():
             prob01_states(sub_mc(mc, critical), goal), (mc.dump(), critical)
 
 
+def test_dense_system_equals_the_sparse_assembly():
+    """The one-pass dense system of a chain's unknown states equals, entry
+    for entry, the dense matrix built from `_system`'s triplets, on chains
+    with self-loops, merged successors and entries out of state order."""
+    rng = random.Random(2419)
+    for _ in range(300):
+        n = rng.randint(2, 30)
+        rows = []
+        for s in range(n):
+            targets = rng.choices(range(n), k=rng.randint(1, 4))
+            if rng.random() < 0.4:
+                targets.append(s)
+            weights = [rng.randint(1, 7) for _ in targets]
+            pairs = [(t, w / sum(weights)) for t, w in zip(targets, weights)]
+            dist = Distribution.from_pairs(pairs)
+            entries = list(dist.entries)
+            rng.shuffle(entries)
+            rows.append(Distribution(entries))
+        mc = MarkovChain(n, 0, tuple(rows))
+        goal = random_goal(rng, n)
+        prob0, prob1 = prob01_states(mc, goal)
+        unknown = sorted(set(range(n)).difference(prob0, prob1))
+        if not unknown:
+            continue
+        known = np.zeros(n)
+        known[list(prob1)] = 1.0
+        at = np.array(unknown)
+        rows_, cols, vals, exits, b = model._system(
+            *model._csr_rows([mc.transitions[s] for s in at]),
+            np.arange(len(at)), at, known)
+        want = np.zeros((len(at), len(at)))
+        off = rows_ != cols
+        want[rows_[off], cols[off]] = -vals[off]
+        want[np.arange(len(at)), np.arange(len(at))] = exits
+        A, got_b = model._dense_system(mc.transitions, unknown, prob1)
+        assert (A == want).all() and (got_b == b).all(), mc.dump()
+        assert (model._solve(A, got_b) ==
+                model._linear_solve(rows_, cols, vals, exits, b)).all()
+
+
 def test_sub_value_of_the_whole_chain_is_reach_probability():
     # with every state critical the sub-MC is the chain itself, and both
     # values come from one qualitative pass and one solve
@@ -355,11 +396,12 @@ def test_schedulers_attain_extremal_values():
 
 
 def test_mdp_compiles_its_choice_matrix_once(monkeypatch, example_family):
+    fam = dataclasses.replace(example_family)  # a copy not compiled yet
     calls = []
     csr_rows = model._csr_rows
     monkeypatch.setattr(model, "_csr_rows",
                         lambda dists: calls.append(dists) or csr_rows(dists))
-    mdp = quotient_mdp(example_family)
+    mdp = quotient_mdp(fam)
     assert len(calls) == 1
     assert mdp_extremal(mdp, {4}, "min")[0] == pytest.approx(0.0)
     assert mdp_extremal(mdp, {4}, "max")[0] == pytest.approx(1.0)
@@ -743,6 +785,38 @@ def test_graph_fixpoints_equal_the_layered_reference():
         assert np.array_equal(got[prob1], want[prob1])
         assert np.array_equal(model._prob0e(mdp, goal),
                               layered_prob0e(mdp, goal))
+
+
+def test_policy_evaluation_equals_the_sparse_assembly():
+    """A policy's values gathered from the dense block equal, bit for bit,
+    those of the system `_system` assembles for it from the probabilities,
+    or both solves fail."""
+    rng = random.Random(2421)
+    for _ in range(300):
+        mdp = random_mdp(rng)
+        n = mdp.n_states
+        states = np.array(sorted(rng.sample(range(n), rng.randint(1, n))))
+        known = np.array([float(s not in states and rng.random() < 0.5)
+                          for s in range(n)])
+        evaluate = model._evaluator(mdp, states, known)
+        first = mdp.first.tolist()
+        rows = np.array([rng.randrange(first[s], first[s + 1])
+                         for s in states])
+        # the sparse assembly from the probabilities, self-loops included
+        indptr, indices, data = model._csr_rows(
+            [dist for acts in mdp.actions for _, dist in acts])
+        try:
+            want = model._linear_solve(*model._system(
+                indptr, indices, data, rows, states, known))
+        except ModelError:
+            with pytest.raises(ModelError):
+                evaluate(rows)
+            continue
+        assert (evaluate(rows) == want.clip(0.0, 1.0)).all()
+        # the sparse path, for blocks too large, reads `leave` the same way
+        assert (model._linear_solve(*model._system(
+            mdp.indptr, mdp.indices, mdp.leave, rows, states, known)) ==
+            want).all()
 
 
 @pytest.mark.parametrize("dense_limit", [model.DENSE_SOLVE_LIMIT, 0])

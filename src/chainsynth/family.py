@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .model import (Distribution, MarkovChain, MdpView, MemorylessScheduler,
-                    ModelError, PROB_SUM_TOL, choice_matrix)
+                    PROB_SUM_TOL, choice_matrix)
 
 COST_MODELS = ("structural", "optionsum")
 
@@ -234,12 +234,18 @@ class Family:
                     targets.append([tgt.table[tuple(combo[i] for i in at)]
                                     for combo in keys])
             probs = [p for p, _ in row]
+            floats = list(map(float, probs))
             dists, interned = {}, {}  # interned: entries -> distribution
             for combo, successors in zip(keys, zip(*targets)):
-                entries = Distribution.merged(zip(successors, probs))
-                if entries not in interned:
-                    interned[entries] = Distribution(entries)
-                dists[combo] = interned[entries]
+                # `merged`'s entries; distinct successors need no merging
+                entries = (tuple(sorted(zip(successors, floats)))
+                           if len(set(successors)) == len(successors) else
+                           Distribution.merged(zip(successors, probs)))
+                dist = interned.get(entries)
+                if dist is None:
+                    # __post_init__ checked every probability and successor
+                    dist = interned[entries] = Distribution._of_sorted(entries)
+                dists[combo] = dist
             rows.append(StateRows(local, dists, None if len(interned) ==
                                   len(dists) else _classes(local, dists)))
         return tuple(rows)
@@ -483,7 +489,8 @@ def quotient_mdp(fam: Family, sub: Subfamily = None) -> MdpView:
     family's full quotient (`Family.quotient`), compiled once: the mask of
     the rows whose every option remains, found from the option codes
     without a walk over the distributions.  A subfamily that misses a hole,
-    or names an option the hole lacks or an option twice, is refused.
+    leaves a hole no option, or names an option the hole lacks or an option
+    twice, is refused.
     """
     quotient = fam.quotient
     if sub is None:
@@ -493,6 +500,8 @@ def quotient_mdp(fam: Family, sub: Subfamily = None) -> MdpView:
                           % (len(sub.remaining), len(fam.holes)))
     kept = []
     for h, opts, codes in zip(fam.holes, sub.remaining, quotient.options):
+        if not opts:
+            raise FamilyError("subfamily leaves hole %s no option" % h.name)
         for o in opts:
             if o not in codes:
                 raise FamilyError("hole %s has no option %r" % (h.name, o))
@@ -502,12 +511,9 @@ def quotient_mdp(fam: Family, sub: Subfamily = None) -> MdpView:
         kept += map(codes.__getitem__, opts)
     allowed = quotient.unread.copy()
     allowed[kept] = True
-    rows = allowed[quotient.codes].all(axis=1)
-    matrix = quotient.matrix
-    bare = ~np.logical_or.reduceat(rows, matrix["first"][:-1])
-    if bare.any():
-        raise ModelError("state %d has no actions" % np.argmax(bare))
-    return MdpView(fam.n_states, fam.init, matrix, rows)
+    # every hole keeps an option, so every state keeps a row
+    return MdpView(fam.n_states, fam.init, quotient.matrix,
+                   allowed[quotient.codes].all(axis=1))
 
 
 @dataclass(frozen=True)

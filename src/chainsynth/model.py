@@ -86,6 +86,19 @@ class Distribution:
         return tuple(sorted(merged.items()))
 
     @staticmethod
+    def _of_sorted(entries) -> "Distribution":
+        """The distribution of `entries`, which must be as `merged` returns
+        them from checked successors and probabilities: built without
+        checking them again, its least and greatest successor at the ends."""
+        dist = object.__new__(Distribution)
+        states, probs = zip(*entries)
+        _set(dist, "states", states)
+        _set(dist, "probs", probs)
+        _set(dist, "lo", states[0])
+        _set(dist, "hi", states[-1])
+        return dist
+
+    @staticmethod
     def from_pairs(pairs: Iterable) -> "Distribution":
         """Build a distribution, merging duplicate successor states."""
         return Distribution(Distribution.merged(pairs))
@@ -157,58 +170,58 @@ class MarkovChain:
 def choice_matrix(tables) -> dict:
     """The row-grouped choice matrix of an MDP whose state s offers the
     actions of `tables[s]`, a dict from each label to its distribution, in
-    row order: one CSR row (`indptr`, `indices`, `leave`) per action, the
-    rows of state s at first[s]:first[s + 1].  `leave` is each entry's
-    probability unless it is its row's self-loop, which no analysis reads:
-    the diagonal of I - P is each row's exit mass."""
+    row order, with every table an analysis reads that does not depend on
+    which rows an MDP keeps, so that the views of one matrix share them.
+
+    One CSR row (`indptr`, `indices`, `leave`) per action, the rows of
+    state s at first[s]:first[s + 1].  `leave` is each entry's probability
+    unless it is its row's self-loop, which no analysis reads: the diagonal
+    of I - P is each row's exit mass.  Per row: its label (`labels`), the
+    state that owns it (`state`), and its exit mass as policy evaluation
+    (`exits`, a bincount) and the Bellman backup (`backup_exits`, a
+    reduceat) sum it, which round differently.  Per entry its row (`src`).
+    `pred_rows` lists the entries' rows sorted stably by successor, each
+    state t's predecessor rows, in row order, at pred_ptr[t]:pred_ptr[t + 1]
+    (a row names a successor once)."""
+    n = len(tables)
     first = np.fromiter(accumulate(map(len, tables), initial=0), np.intp,
-                        len(tables) + 1)
+                        n + 1)
     indptr, indices, data = _csr_rows(
         [d for table in tables for d in table.values()])
-    # per entry, the state whose row it lies in
-    owner = np.repeat(np.arange(len(tables)), np.diff(indptr[first]))
-    leave = np.where(indices == owner, 0.0, data)
+    n_rows = len(indptr) - 1
+    state = np.repeat(np.arange(n), np.diff(first))
+    src = np.repeat(np.arange(n_rows), np.diff(indptr))
+    leave = np.where(indices == state[src], 0.0, data)
+    pred_ptr = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(indices, minlength=n), out=pred_ptr[1:])
     return dict(tables=tables, first=first, indptr=indptr, indices=indices,
-                leave=leave)
+                leave=leave, labels=[a for table in tables for a in table],
+                state=state, src=src,
+                exits=np.bincount(src, weights=leave, minlength=n_rows),
+                backup_exits=np.add.reduceat(leave, indptr[:-1]),
+                pred_rows=src[np.argsort(indices, kind="stable")],
+                pred_ptr=pred_ptr)
 
 
 class _Choices:
     """The row-grouped choice matrix an MDP analysis reads (its arrays, as
     `choice_matrix` compiles them, are the MDP's own attributes), and the
     mask `rows` of the rows the MDP keeps; every row a search, a policy or
-    a backup may take is set in `rows`.  What else the analysis reads is
-    derived on first use, for this MDP only."""
-
-    @cached_property
-    def labels(self) -> list:
-        """Per row, its action's label."""
-        return [a for table in self.tables for a in table]
-
-    @cached_property
-    def state(self):
-        """Per row, the state that owns it."""
-        return np.repeat(np.arange(len(self.tables)), np.diff(self.first))
+    a backup may take is set in `rows`.  Only the kept predecessor lists
+    depend on the mask; they are cut from `pred_rows` on first use, for
+    this MDP only."""
 
     @cached_property
     def row_preds(self) -> list:
         """Per state t, the list of the kept rows that have t as a
         successor, in row order."""
-        src = np.repeat(np.arange(len(self.state)), np.diff(self.indptr))
-        kept = self.rows[src]
-        tgt, src = self.indices[kept], src[kept]
-        # a row names a successor once, so a stable sort by successor keeps
-        # each state's predecessor rows in row order
-        preds = src[np.argsort(tgt, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(tgt, minlength=len(self.tables))).tolist()
-        return [preds[a:b] for a, b in zip([0] + ends, ends)]
-
-    def all_succ(self, mask):
-        """Per row: every successor lies in `mask`."""
-        return np.logical_and.reduceat(mask[self.indices], self.indptr[:-1])
-
-    def some_row(self, rows):
-        """Per state: some of its kept rows is set in `rows`."""
-        return np.logical_or.reduceat(rows & self.rows, self.first[:-1])
+        kept = self.rows[self.pred_rows]
+        preds = self.pred_rows[kept].tolist()
+        # per state, how many kept entries precede its predecessor list
+        before = np.zeros(len(kept) + 1, np.intp)
+        np.cumsum(kept, out=before[1:])
+        at = before[self.pred_ptr].tolist()
+        return [preds[a:b] for a, b in zip(at, at[1:])]
 
     def first_row(self, rows):
         """Per state: the first of its kept rows set in `rows` (the number
@@ -616,26 +629,66 @@ def _attract(mdp, seeds, rows_ok, policy=None):
     return np.array(reached)
 
 
+def _cascade(mdp, stay, keep):
+    """The greatest subset of `stay` in which every state outside `keep`
+    has a kept row whose successors all lie in the subset, and the mask of
+    the kept rows whose successors do.  A worklist pass: it counts each
+    state's rows that stay, drops a state outside `keep` once that count is
+    0, and takes each drop through the kept predecessor rows, so it looks
+    at each (row, state) edge once."""
+    ok = mdp.rows & np.logical_and.reduceat(stay[mdp.indices],
+                                            mdp.indptr[:-1])
+    good = np.add.reduceat(ok, mdp.first[:-1])
+    free = stay & ~keep  # the states it may drop
+    dropped = np.flatnonzero(free & (good == 0)).tolist()
+    if not dropped:
+        return stay, ok
+    free[dropped] = False
+    free, good = free.tolist(), good.tolist()
+    # per row its state while the row stays, else -1
+    owner = np.where(ok, mdp.state, -1).tolist()
+    row_preds = mdp.row_preds
+    left = []  # rows that a drop takes out of the subset
+    for t in dropped:  # the loop also visits the drops it appends
+        for r in row_preds[t]:
+            s = owner[r]
+            if s >= 0:
+                owner[r] = -1
+                left.append(r)
+                good[s] -= 1
+                if not good[s] and free[s]:
+                    free[s] = False
+                    dropped.append(s)
+    stay = stay.copy()
+    stay[dropped] = False
+    ok[left] = False
+    return stay, ok
+
+
 def _prob1e(mdp, goal, stay, policy):
     """States where some scheduler reaches `goal` almost surely; `stay`
-    holds the states that can reach it at all.  Each round's attractor
-    writes `policy`, so the last one leaves every returned state outside
-    `goal` a row that stays in the set and moves towards `goal`."""
+    holds the states that can reach it at all.  Each round drops, in one
+    cascade (`_cascade`), the states outside `goal` left with no row that
+    stays in the set, none of which a later round would keep, and then
+    keeps the states that reach `goal` by the rows that stay.  On a chain
+    of states whose only way out is the next state's, the cascade drops
+    them all in one round, where one attractor per round dropped one.  Each
+    round's attractor writes `policy`, so the last one leaves every
+    returned state outside `goal` a row that stays in the set and moves
+    towards `goal`."""
     while True:
-        nxt = _attract(mdp, goal, mdp.all_succ(stay), policy)
+        stay, rows = _cascade(mdp, stay, goal)
+        nxt = _attract(mdp, goal, rows, policy)
         if (nxt == stay).all():
             return stay
         stay = nxt
 
 
 def _prob0e(mdp, goal):
-    """States where some scheduler avoids `goal` surely."""
-    avoid = ~goal
-    while True:
-        nxt = avoid & mdp.some_row(mdp.all_succ(avoid))
-        if (nxt == avoid).all():
-            return avoid
-        avoid = nxt
+    """States where some scheduler avoids `goal` surely: one cascade from
+    the states outside `goal`.  Also the mask of the kept rows that stay
+    among them."""
+    return _cascade(mdp, ~goal, goal)
 
 
 def _evaluator(mdp, states, known):
@@ -654,8 +707,7 @@ def _evaluator(mdp, states, known):
             0.0, 1.0)
     local = np.full(mdp.n_states, -1, dtype=np.intp)
     local[states] = np.arange(k)
-    src = np.repeat(np.arange(n_rows), np.diff(mdp.indptr))
-    exits = np.bincount(src, weights=mdp.leave, minlength=n_rows)
+    src, exits = mdp.src, mdp.exits
     b = np.bincount(src, weights=mdp.leave * known[mdp.indices],
                     minlength=n_rows)
     col = local[mdp.indices]
@@ -709,9 +761,8 @@ def _policy_iteration(mdp, known, unknown, mode, policy):
         _attract(mdp, known == 1.0, unknown[mdp.state], policy)
     evaluate = _evaluator(mdp, states, known)
     # each row's exit mass, 1 where it is 0 and the row cannot move
-    exits = np.add.reduceat(mdp.leave, mdp.indptr[:-1])
-    movable = exits > 0.0
-    exits[~movable] = 1.0
+    movable = mdp.backup_exits > 0.0
+    exits = np.where(movable, mdp.backup_exits, 1.0)
     x = known.copy()
     seen = {policy[states].tobytes()}
     while True:
@@ -764,9 +815,9 @@ def mdp_extremal(mdp, goal, mode: str):
         prob0 = ~reach
         prob1 = _prob1e(mdp, is_goal, reach, policy)
     else:
-        prob0 = _prob0e(mdp, is_goal)
+        prob0, stays = _prob0e(mdp, is_goal)
         prob1 = ~_attract(mdp, prob0, ~is_goal[mdp.state])
-        policy[prob0] = mdp.first_row(mdp.all_succ(prob0))[prob0]
+        policy[prob0] = mdp.first_row(stays)[prob0]
     x = prob1.astype(float)
     unknown = ~(prob0 | prob1)
     if unknown.any():

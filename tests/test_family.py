@@ -269,6 +269,60 @@ def test_views_share_one_compiled_quotient(monkeypatch):
     assert [len(acts) for acts in part.actions] == [2, 1, 1, 1]
 
 
+def test_views_share_the_per_family_tables():
+    """Every table that does not depend on the mask is compiled once per
+    family and is the same object in each view; a view's kept predecessor
+    rows, cut from them, are those of its `actions`."""
+    rng = random.Random(2518)
+    for fam, _ in _multi_hole_cases():
+        views = [quotient_mdp(fam, sub) for sub in _subfamilies(fam, rng)]
+        for name in ("labels", "state", "src", "exits", "backup_exits",
+                     "pred_rows", "pred_ptr"):
+            assert len({id(getattr(view, name)) for view in views}) == 1
+        for view in views:
+            first = view.first.tolist()
+            preds = [[] for _ in range(fam.n_states)]
+            for s, acts in enumerate(view.actions):
+                for label, dist in acts:
+                    row = view.labels.index(label, first[s], first[s + 1])
+                    for t in dist.states:
+                        preds[t].append(row)
+            assert view.row_preds == preds
+
+
+def test_quotient_refuses_an_empty_option_set():
+    fam, _ = pruning_family(4)
+    with pytest.raises(FamilyError, match="leaves hole route no option"):
+        quotient_mdp(fam, Subfamily(((),)))
+    # also where no state reads the hole
+    unread = Family(1, 0, (Hole("h", ("a", "b")),), (((1.0, Fixed(0)),),))
+    assert len(quotient_mdp(unread).actions[0]) == 1
+    with pytest.raises(FamilyError, match="leaves hole h no option"):
+        quotient_mdp(unread, Subfamily(((),)))
+
+
+def test_rows_hold_the_distributions_merged_gives():
+    """The rows' distributions, built without checking them again, hold
+    `Distribution.merged`'s entries, with float probabilities and their
+    least and greatest successor, also where a family gives an int 1 and
+    where two branches of a combination reach one successor."""
+    fams = [Family(2, 0, (Hole("h", ("a", "b")),),
+                   (((1, HoleRef.single("h", {"a": 1, "b": 0})),),
+                    ((0.5, Fixed(1)), (0.5, HoleRef.single(
+                        "h", {"a": 1, "b": 0}))))),
+            mixed_reads_family(), two_hole_family()]
+    for fam in fams:
+        for row, branches in zip(fam.rows, fam.transitions):
+            for combo, dist in row.dists.items():
+                want = Distribution.from_pairs(
+                    (tgt.state if isinstance(tgt, Fixed) else
+                     tgt.resolve(dict(zip(row.holes, combo))), p)
+                    for p, tgt in branches)
+                assert dist.entries == want.entries
+                assert all(type(p) is float for p in dist.probs)
+                assert (dist.lo, dist.hi) == (want.lo, want.hi)
+
+
 def _subfamilies(fam, rng):
     """The full subfamily and three random restrictions of it."""
     yield Subfamily.full(fam)

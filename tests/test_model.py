@@ -15,9 +15,10 @@ from chainsynth import ENGINES, model
 from chainsynth.engines.base import SynthesisQuery
 from chainsynth.family import Realisation, quotient_mdp, realise
 from chainsynth.model import (COMPARISON_TOL, Distribution, MarkovChain, Mdp,
-                              MemorylessScheduler, ModelError, Specification,
-                              check, compare, induced_chain, mdp_extremal,
-                              prob01_states, reach_probability, sub_mc)
+                              MdpView, MemorylessScheduler, ModelError,
+                              Specification, check, choice_matrix, compare,
+                              induced_chain, mdp_extremal, prob01_states,
+                              reach_probability, sub_mc)
 from chainsynth.randfam import random_chain, random_critical, random_goal
 
 from conftest import (R1, R2, R3, R4, ROOT, SKETCHES, singular_cycle_family,
@@ -698,6 +699,7 @@ def test_max_on_a_long_walk_with_a_down_step():
 # --- MDP graph fixpoints against the layered reference ----------------------
 # The whole-matrix numpy rounds that computed the prob-0/prob-1 sets before
 # the worklist searches: one round adds every state with a row into the set.
+# Each reads only the rows the MDP keeps (`cm.rows`).
 
 
 def _some_succ(cm, mask):
@@ -720,7 +722,7 @@ def _first_row(cm, rows):
 def layered_attract(cm, seeds, rows_ok, policy=None):
     reached = seeds.copy()
     while True:
-        hit = rows_ok & _some_succ(cm, reached)
+        hit = cm.rows & rows_ok & _some_succ(cm, reached)
         new = _some_row(cm, hit) & ~reached
         if not new.any():
             return reached
@@ -740,7 +742,7 @@ def layered_prob1e(cm, goal, stay):
 def layered_prob0e(cm, goal):
     avoid = ~goal
     while True:
-        nxt = avoid & _some_row(cm, _all_succ(cm, avoid))
+        nxt = avoid & _some_row(cm, cm.rows & _all_succ(cm, avoid))
         if np.array_equal(nxt, avoid):
             return avoid
         avoid = nxt
@@ -764,10 +766,28 @@ def random_mdp(rng):
     return Mdp(n, 0, tuple(actions))
 
 
+def random_view(rng):
+    """A view of a `random_mdp`'s choice matrix keeping a random half of
+    its rows, and one row of each state at least."""
+    mdp = random_mdp(rng)
+    rows = np.array([rng.random() < 0.5 for _ in mdp.labels])
+    first = mdp.first.tolist()
+    rows[[rng.randrange(a, b) for a, b in zip(first, first[1:])]] = True
+    return MdpView(mdp.n_states, 0, choice_matrix(mdp.tables), rows)
+
+
 def test_graph_fixpoints_equal_the_layered_reference():
-    rng = random.Random(2024)
+    _fixpoints_equal_the_layered_reference(random_mdp, random.Random(2024))
+
+
+def test_graph_fixpoints_of_views_equal_the_layered_reference():
+    """The same on views that mask rows, which the searches must skip."""
+    _fixpoints_equal_the_layered_reference(random_view, random.Random(2517))
+
+
+def _fixpoints_equal_the_layered_reference(build, rng):
     for _ in range(250):
-        mdp = random_mdp(rng)
+        mdp = build(rng)
         n, n_rows = mdp.n_states, len(mdp.labels)
         goal = np.array([rng.random() < 0.3 for _ in range(n)])
         rows_ok = np.array([rng.random() < 0.7 for _ in range(n_rows)])
@@ -783,8 +803,32 @@ def test_graph_fixpoints_equal_the_layered_reference():
         assert np.array_equal(prob1, layered_prob1e(mdp, goal, reach))
         layered_attract(mdp, goal, _all_succ(mdp, prob1), want)
         assert np.array_equal(got[prob1], want[prob1])
-        assert np.array_equal(model._prob0e(mdp, goal),
-                              layered_prob0e(mdp, goal))
+        prob0, stays = model._prob0e(mdp, goal)
+        assert np.array_equal(prob0, layered_prob0e(mdp, goal))
+        assert np.array_equal(stays, mdp.rows & _all_succ(mdp, prob0))
+
+
+def test_prob1e_drops_a_ladder_in_one_round(monkeypatch):
+    """Each state's only row leads to the goal or to the next state, and
+    the last one risks a sink: one cascade drops the whole ladder, where
+    an attractor per round dropped one state."""
+    k = 50
+    goal, sink = k, k + 1
+    mdp = Mdp(k + 2, 0, tuple(
+        (("on", Distribution(((goal, 0.5), (s + 1 if s < k - 1 else sink,
+                                            0.5)))),)
+        for s in range(k)) + ((("stay", Distribution.dirac(goal)),),
+                              (("stay", Distribution.dirac(sink)),)))
+    is_goal = np.arange(k + 2) == goal
+    reach = model._attract(mdp, is_goal, True)
+    assert reach.sum() == k + 1
+    calls = []
+    attract = model._attract
+    monkeypatch.setattr(model, "_attract",
+                        lambda *args: calls.append(1) or attract(*args))
+    prob1 = model._prob1e(mdp, is_goal, reach, mdp.first[:-1].copy())
+    assert np.array_equal(prob1, is_goal)
+    assert len(calls) <= 2
 
 
 def test_policy_evaluation_equals_the_sparse_assembly():

@@ -19,7 +19,7 @@ from collections import deque
 import numpy as np
 
 from ..family import Family, Realisation, enumerate_realisations
-from ..model import (ChainMatrix, MarkovChain, Specification, check,
+from ..model import (COMPARISON_TOL, MarkovChain, Specification, check,
                      compare, reach_probability, sub_mc)
 from .base import (STRICT_GAIN, EngineError, Stats, SynthesisOutcome,
                    SynthesisQuery, beats, witness_outcome, within_budget)
@@ -27,7 +27,7 @@ from .enumeration import ENUM_BOUND, Evaluator
 
 
 def extract_counterexample(mc: MarkovChain, spec: Specification,
-                           tol: float = 1e-6, to_goal=None,
+                           tol: float = COMPARISON_TOL, to_goal=None,
                            prunes=None) -> frozenset | None:
     """Greedy critical-set construction.
 
@@ -44,11 +44,9 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
     the sub-value clears it.  A sub-MC's value only grows with its critical
     set, so whether a prefix decides is monotone in its length, and
     bisection finds the shortest one with at most ceil(log2(m + 1))
-    valuations for m ranked states, after the one of {init}.  Each
-    valuation (`ChainMatrix.sub_value`) values the prefix's sub-MC on the
-    candidate's arrays, compiled once per conflict, by the qualitative pass
-    and the solve that `check(sub_mc(...))` runs, so the two agree exactly;
-    that check certifies the chosen set alone.
+    checks for m ranked states, after the one of {init}.  Each step checks
+    the prefix's sub-MC (`check(sub_mc(...))`), so the set returned is
+    certified by the check that chose it.
 
     `to_goal`, the chain's goal vector, is solved here if not given.  After
     each failed bisection step `prunes`, if given, is asked whether a
@@ -64,18 +62,15 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
                           if want else
                           "refutation requires a violated upper-bound spec")
 
-    chain = ChainMatrix(mc)
-
     def decides(critical):
-        value = chain.sub_value(critical, spec.goal)
-        return compare(value, spec.op, spec.threshold, tol) == want
+        return check(sub_mc(mc, critical), spec, tol)[0] == want
 
     critical = [mc.init]
     if not decides(critical):
         order, seen = [], {mc.init}
         frontier = deque([mc.init])
         while frontier:
-            for t in chain.succ[frontier.popleft()]:
+            for t in mc.transitions[frontier.popleft()].states:
                 if t not in seen:
                     seen.add(t)
                     if t not in spec.goal:
@@ -95,11 +90,7 @@ def extract_counterexample(mc: MarkovChain, spec: Specification,
             raise EngineError("the full reachable set does not decide the "
                               "property")
         critical = [mc.init, *order[:hi]]
-    critical = frozenset(critical)
-    if check(sub_mc(mc, critical), spec, tol)[0] != want:
-        raise EngineError("the sub-MC check of the critical set does not "
-                          "decide the property")
-    return critical
+    return frozenset(critical)
 
 
 def _option_scope(fam: Family, critical, r: Realisation) -> dict:

@@ -18,8 +18,6 @@ import numpy as np
 
 PROB_SUM_TOL = 1e-9
 COMPARISON_TOL = 1e-6  # default tolerance for threshold comparisons
-VI_CONVERGENCE = 1e-10  # certified gap at which interval iteration stops
-VI_MAX_SWEEPS = 10 ** 6
 # unknowns up to which dense beats sparse algebra; a larger system is solved
 # by scipy's sparse LU, and the first such solve imports scipy
 DENSE_SOLVE_LIMIT = 128
@@ -108,9 +106,6 @@ class Distribution:
     def dirac(state: int) -> "Distribution":
         """The distribution certain to move to `state`, one per state."""
         return Distribution(((state, 1.0),))
-
-    def support(self):
-        return list(self.states)
 
 
 def _out_of_range(s, dist, n):
@@ -346,31 +341,13 @@ def _backward_reach(predecessors, seeds, blocked=frozenset()):
     return seen
 
 
-def _prob01(n_states, preds, goal, critical=None, succ=None):
-    """Exact prob-0 and prob-1 state sets for reaching `goal` in the chain
-    with predecessor lists `preds`.  Given a `critical` set and successor
-    lists `succ`, every state outside it is made absorbing as `sub_mc`
-    does: no path passes through an outside state."""
-    states = set(range(n_states))
-    outside = frozenset() if critical is None else states.difference(critical)
-    reach = _backward_reach(preds, goal, blocked=outside)
-    prob0 = states - reach
-    # value < 1 iff the state can reach prob0 without passing through goal
-    if critical is None:
-        bad = _backward_reach(preds, prob0, blocked=goal)
-    else:
-        # an outside state lies in goal or in prob0, so such a path runs
-        # through critical states and leaves them by a step into prob0
-        bad = _backward_reach(
-            preds, [s for s in critical
-                    if s not in goal and not reach.issuperset(succ[s])],
-            blocked=outside | goal)
-    return prob0, reach - bad
-
-
 def prob01_states(mc: MarkovChain, goal: frozenset):
-    """Exact prob-0 and prob-1 state sets for reaching `goal` in an MC."""
-    return _prob01(mc.n_states, mc.preds, goal)
+    """Exact prob-0 and prob-1 state sets for reaching `goal` in an MC: the
+    states that cannot reach `goal`, and those that reach it but cannot
+    reach a prob-0 state without passing through `goal`."""
+    reach = _backward_reach(mc.preds, goal)
+    prob0 = set(range(mc.n_states)) - reach
+    return prob0, reach - _backward_reach(mc.preds, prob0, blocked=goal)
 
 
 def _goal_states(goal, n_states) -> frozenset:
@@ -492,84 +469,39 @@ def _dense_system(transitions, unknown, prob1):
     return A, np.array(b)
 
 
-def _interval_iteration(rows, cols, vals, b):
-    """Iterate x = P x + b from 0 and from 1 until the certified gap between
-    the two bounds is below VI_CONVERGENCE."""
-    n = len(b)
-    lo, hi = np.zeros(n), np.ones(n)
-    for _ in range(VI_MAX_SWEEPS):
-        lo = np.bincount(rows, weights=vals * lo[cols], minlength=n) + b
-        hi = np.bincount(rows, weights=vals * hi[cols], minlength=n) + b
-        if np.max(hi - lo) < VI_CONVERGENCE:
-            return (lo + hi) / 2.0
-    raise ModelError("interval iteration left a gap of %g after %d sweeps"
-                     % (np.max(hi - lo), VI_MAX_SWEEPS))
-
-
-def _values(transitions, prob0, prob1, method="auto"):
+def _values(transitions, prob0, prob1):
     """Reachability values of every state of the chain with distributions
     `transitions`: 0 on `prob0`, 1 on the set `prob1`, and on the other
     states, sorted, the solution of x = P x + b.  Up to DENSE_SOLVE_LIMIT
     of them the system is built densely in one pass (`_dense_system`);
-    above it, or with method "vi" (interval iteration), from the CSR rows
-    of their distributions."""
+    above it, from the CSR rows of their distributions."""
     n_states = len(transitions)
     x = np.zeros(n_states)
     x[list(prob1)] = 1.0
     if len(prob0) + len(prob1) == n_states:
         return x
     unknown = sorted(set(range(n_states)).difference(prob0, prob1))
-    if method != "vi" and len(unknown) <= DENSE_SOLVE_LIMIT:
+    if len(unknown) <= DENSE_SOLVE_LIMIT:
         sol = _solve(*_dense_system(transitions, unknown, prob1))
     else:
         unknown = np.array(unknown, dtype=np.intp)
-        rows, cols, vals, exits, b = _system(
+        sol = _linear_solve(*_system(
             *_csr_rows([transitions[s] for s in unknown]),
-            np.arange(len(unknown)), unknown, x)
-        sol = (_interval_iteration(rows, cols, vals, b) if method == "vi"
-               else _linear_solve(rows, cols, vals, exits, b))
+            np.arange(len(unknown)), unknown, x))
     x[unknown] = sol.clip(0.0, 1.0)
     return x
 
 
-def reach_probability(mc: MarkovChain, goal, method: str = "auto") -> np.ndarray:
+def reach_probability(mc: MarkovChain, goal) -> np.ndarray:
     """Probability of eventually reaching `goal`, for every state.
 
     Qualitative 0/1 states are fixed graph-theoretically; the rest solve the
-    linear fixed point x_s = sum_t P(s,t) x_t.  Methods "auto" and "linear"
-    solve it directly; "vi" runs interval iteration and raises ModelError if
-    its bounds do not meet within VI_MAX_SWEEPS.  Only the rows of the
+    linear fixed point x_s = sum_t P(s,t) x_t exactly.  Only the rows of the
     states left unknown are read.
     """
-    if method not in ("auto", "linear", "vi"):
-        raise ModelError("unknown method %r" % method)
     goal = _goal_states(goal, mc.n_states)
     prob0, prob1 = prob01_states(mc, goal)
-    return _values(mc.transitions, prob0, prob1, method)
-
-
-class ChainMatrix:
-    """A chain prepared once for the valuations of one conflict's critical
-    prefixes: each state's successor list, which also gives the
-    breadth-first ranking of the prefixes, and the chain's own predecessor
-    lists."""
-
-    def __init__(self, mc: MarkovChain):
-        self.mc = mc
-        self.succ = [d.support() for d in mc.transitions]
-        self.preds = mc.preds
-
-    def sub_value(self, critical, goal) -> float:
-        """The value at the initial state of `check(sub_mc(mc, critical),
-        spec)` for a spec on `goal`, without building the sub-MC: the same
-        qualitative pass, with the states outside `critical` absorbing, and
-        the same solve of the unknown states, which lie in `critical`."""
-        n, init = self.mc.n_states, self.mc.init
-        prob0, prob1 = _prob01(n, self.preds, frozenset(goal), critical,
-                               self.succ)
-        if init in prob0 or init in prob1:
-            return float(init in prob1)
-        return float(_values(self.mc.transitions, prob0, prob1)[init])
+    return _values(mc.transitions, prob0, prob1)
 
 
 def check(mc: MarkovChain, spec: Specification, tol: float = COMPARISON_TOL):
@@ -579,7 +511,7 @@ def check(mc: MarkovChain, spec: Specification, tol: float = COMPARISON_TOL):
 
 
 def sub_mc(mc: MarkovChain, critical) -> MarkovChain:
-    """Sub-MC for a critical state set containing the initial state.
+    """Sub-MC for a critical set: states of S, the initial state among them.
 
     The original index space is kept; every state outside the critical set is
     made absorbing via a self-loop.
@@ -587,13 +519,21 @@ def sub_mc(mc: MarkovChain, critical) -> MarkovChain:
     critical = set(critical)
     if mc.init not in critical:
         raise ModelError("critical set must contain the initial state")
-    transitions = []
-    for s in range(mc.n_states):
-        if s in critical:
-            transitions.append(mc.transitions[s])
-        else:
-            transitions.append(Distribution.dirac(s))
+    transitions = list(_absorbing(mc.n_states))
+    for s in critical:  # a state as `Distribution` takes one
+        if type(s) is not int and (isinstance(s, bool) or
+                                   not isinstance(s, np.integer)) \
+                or not 0 <= s < mc.n_states:
+            raise ModelError("critical state %r outside S" % (s,))
+        transitions[s] = mc.transitions[s]
     return MarkovChain(mc.n_states, mc.init, tuple(transitions))
+
+
+@lru_cache(maxsize=None)
+def _absorbing(n_states: int) -> tuple:
+    """Each state's absorbing row (`Distribution.dirac`), for the states of
+    a chain of `n_states` that a sub-MC leaves outside its critical set."""
+    return tuple(map(Distribution.dirac, range(n_states)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from chainsynth import sketch
+from chainsynth import model, sketch
 from chainsynth.family import Family, Fixed, Hole, HoleRef
+from chainsynth.model import ModelError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SKETCHES = os.path.join(ROOT, "sketches")
@@ -25,6 +27,39 @@ s = 0 -> 1: s'=@k@ + 1;
 s > 0 -> 1: s'=s;
 endmodule
 """
+
+
+VI_CONVERGENCE = 1e-10  # certified gap at which interval iteration stops
+VI_MAX_SWEEPS = 10 ** 6
+
+
+def interval_iteration(mc, goal, max_sweeps=VI_MAX_SWEEPS):
+    """Reachability values of `mc` by interval iteration: the reference
+    that the exact solve of `reach_probability` is compared against.  The
+    prob-0 and prob-1 states are those of `prob01_states`; on the others
+    x = P x + b is iterated from 0 and from 1 until the certified gap
+    between the two bounds is below VI_CONVERGENCE, and a gap left after
+    `max_sweeps` sweeps raises ModelError."""
+    prob0, prob1 = model.prob01_states(mc, frozenset(goal))
+    x = np.zeros(mc.n_states)
+    x[list(prob1)] = 1.0
+    unknown = sorted(set(range(mc.n_states)).difference(prob0, prob1))
+    if not unknown:
+        return x
+    unknown = np.array(unknown, dtype=np.intp)
+    rows, cols, vals, _, b = model._system(
+        *model._csr_rows([mc.transitions[s] for s in unknown]),
+        np.arange(len(unknown)), unknown, x)
+    n = len(b)
+    lo, hi = np.zeros(n), np.ones(n)
+    for _ in range(max_sweeps):
+        lo = np.bincount(rows, weights=vals * lo[cols], minlength=n) + b
+        hi = np.bincount(rows, weights=vals * hi[cols], minlength=n) + b
+        if np.max(hi - lo) < VI_CONVERGENCE:
+            x[unknown] = ((lo + hi) / 2.0).clip(0.0, 1.0)
+            return x
+    raise ModelError("interval iteration left a gap of %g after %d sweeps"
+                     % (np.max(hi - lo), max_sweeps))
 
 
 def toy_path():

@@ -18,7 +18,7 @@ from chainsynth.model import (Specification, check, prob01_states,
 from chainsynth.randfam import (bench_family, pruning_family, random_chain,
                                 random_critical, random_family, random_goal)
 
-from conftest import R1, R2, R3, R4, in_scope
+from conftest import R1, R2, R3, R4, in_scope, interval_iteration
 
 GOAL4 = frozenset([4])
 GOAL2 = frozenset([2])
@@ -187,8 +187,8 @@ def test_criterion_10_numerics(toy_family):
             chains.append(mc)
             goals.append(random_goal(rng, mc.n_states))
         for mc, goal in zip(chains, goals):
-            lin = reach_probability(mc, goal, method="linear")
-            vi = reach_probability(mc, goal, method="vi")
+            lin = reach_probability(mc, goal)
+            vi = interval_iteration(mc, goal)
             assert np.max(np.abs(lin - vi)) < 1e-6
         # with k3 = 2, state 4 is unreachable for r1 and r3: exactly 0.0
         for assignment in (R1, R3):

@@ -19,7 +19,7 @@ from chainsynth.family import (Family, Fixed, Hole, HoleRef, Realisation,
 from chainsynth.model import (Distribution, MarkovChain, Specification, check,
                               compare, reach_probability, sub_mc)
 from chainsynth.randfam import (bench_family, pruning_family, random_chain,
-                                random_critical, random_family, random_goal)
+                                random_family, random_goal)
 
 from conftest import R1, R2, R3, R4, in_scope
 
@@ -567,35 +567,29 @@ def test_extraction_matches_reference_random():
 
 
 def test_extraction_bisects_within_the_check_bound(monkeypatch):
-    # the bisection values prefixes on the candidate's arrays, at most
-    # ceil(log2(m + 1)) + 1 of them, and certifies the chosen set with
-    # exactly one sub-MC check
-    valued, checked, built = [], [], []
-    sub_value = model.ChainMatrix.sub_value
-
-    def counted_value(self, critical, goal):
-        valued.append(1)
-        return sub_value(self, critical, goal)
+    # the bisection checks at most ceil(log2(m + 1)) + 1 prefixes, each on
+    # the one sub-MC built for it
+    checked, built = [], []
 
     def counted_check(mc, spec, tol=model.COMPARISON_TOL):
-        checked.append(1)
+        checked.append(mc)
         return check(mc, spec, tol)
 
     def counted_sub_mc(mc, critical):
-        built.append(1)
-        return sub_mc(mc, critical)
+        built.append(sub_mc(mc, critical))
+        return built[-1]
 
-    monkeypatch.setattr(model.ChainMatrix, "sub_value", counted_value)
     monkeypatch.setattr(cegis, "check", counted_check)
     monkeypatch.setattr(cegis, "sub_mc", counted_sub_mc)
     rng = random.Random(47)
     for mc, spec in random_extractions(rng, 200):
-        for calls in (valued, checked, built):
-            calls.clear()
+        checked.clear()
+        built.clear()
         extract_counterexample(mc, spec)
         m = len(mc.reachable() - spec.goal - {mc.init})
-        assert len(valued) <= math.ceil(math.log2(m + 1)) + 1, (m, len(valued))
-        assert (len(checked), len(built)) == (1, 1)
+        assert 0 < len(checked) <= math.ceil(math.log2(m + 1)) + 1, \
+            (m, len(checked))
+        assert all(a is b for a, b in zip(checked, built, strict=True))
 
 
 def test_extraction_on_the_sparse_path():
@@ -613,41 +607,28 @@ def test_extraction_on_the_sparse_path():
         [reference_extract(mc, spec) for spec in specs]
 
 
-# --- sub-MC values on the candidate's arrays ---------------------------------
+# --- the values of critical prefixes' sub-MCs --------------------------------
 
-def assert_sub_value(mc, critical, goal):
+def sub_value(mc, critical, goal):
+    """The value at the initial state that the bisection reads for the
+    prefix `critical`: the check of its sub-MC."""
     spec = Specification(frozenset(goal), ">=", 0.5)
-    value = model.ChainMatrix(mc).sub_value(critical, goal)
-    assert value == check(sub_mc(mc, critical), spec)[1], \
-        (mc.dump(), sorted(critical), sorted(goal))
-    return value
-
-
-def test_sub_value_equals_sub_mc_check_random():
-    rng = random.Random(53)
-    for _ in range(300):
-        mc = random_chain(rng, max_states=rng.choice((6, 12, 30)))
-        goal = random_goal(rng, mc.n_states)
-        ranked = sorted(mc.reachable() - {mc.init})
-        rng.shuffle(ranked)
-        k = rng.randint(0, len(ranked))
-        assert_sub_value(mc, [mc.init, *ranked[:k]], goal)
-        assert_sub_value(mc, random_critical(rng, mc), goal)
+    return check(sub_mc(mc, critical), spec)[1]
 
 
 def test_sub_value_init_in_goal():
     mc = chain([[(1, 0.5), (2, 0.5)], [(1, 1.0)], [(2, 1.0)]])
-    assert assert_sub_value(mc, [0], {0, 2}) == 1.0
-    assert assert_sub_value(mc, [0, 1, 2], {0}) == 1.0
+    assert sub_value(mc, [0], {0, 2}) == 1.0
+    assert sub_value(mc, [0, 1, 2], {0}) == 1.0
 
 
 def test_sub_value_closed_class_inside_the_critical_set():
     # 1 <-> 3 is a closed class that cannot reach the goal 4; 2 leads there
     mc = chain([[(1, 0.5), (2, 0.5)], [(3, 1.0)], [(4, 1.0)], [(1, 1.0)],
                 [(4, 1.0)]])
-    assert assert_sub_value(mc, [0, 1, 3], {4}) == 0.0
-    assert assert_sub_value(mc, [0, 1, 2, 3], {4}) == 0.5
-    assert assert_sub_value(mc, [0, 1, 3], {2}) == 0.5
+    assert sub_value(mc, [0, 1, 3], {4}) == 0.0
+    assert sub_value(mc, [0, 1, 2, 3], {4}) == 0.5
+    assert sub_value(mc, [0, 1, 3], {2}) == 0.5
 
 
 def test_sub_value_with_exits_of_1e12():
@@ -655,10 +636,10 @@ def test_sub_value_with_exits_of_1e12():
     # 0 loops but for 1e-12 to 1 and 1e-12 to 2; 1 loops but for 1e-12 to 3
     mc = chain([[(0, 1 - 2 * eps), (1, eps), (2, eps)],
                 [(1, 1 - eps), (3, eps)], [(2, 1.0)], [(3, 1.0)]])
-    assert assert_sub_value(mc, [0], {1}) == pytest.approx(0.5, abs=1e-9)
-    assert assert_sub_value(mc, [0], {3}) == 0.0
-    assert assert_sub_value(mc, [0, 1], {3}) == pytest.approx(0.5, abs=1e-9)
-    assert assert_sub_value(mc, [0, 1, 2], {2, 3}) == 1.0
+    assert sub_value(mc, [0], {1}) == pytest.approx(0.5, abs=1e-9)
+    assert sub_value(mc, [0], {3}) == 0.0
+    assert sub_value(mc, [0, 1], {3}) == pytest.approx(0.5, abs=1e-9)
+    assert sub_value(mc, [0, 1, 2], {2, 3}) == 1.0
 
 
 def test_sub_value_on_the_sparse_path():
@@ -669,27 +650,19 @@ def test_sub_value_on_the_sparse_path():
     rows = [[(s + 1, 0.899), (max(s - 1, 0), 0.1), (sink, 0.001)]
             for s in range(n - 1)] + [[(goal, 1.0)], [(sink, 1.0)]]
     mc = chain(rows)
-    for k in (1, model.DENSE_SOLVE_LIMIT, n - 1, n, n + 1):
-        assert_sub_value(mc, range(k), {goal})
-    assert assert_sub_value(mc, range(n + 1), {goal}) > 0.0
+    values = [sub_value(mc, range(k), {goal})
+              for k in (1, model.DENSE_SOLVE_LIMIT, n - 1, n, n + 1)]
+    # a prefix's value only grows with it; with every state it is the chain's
+    assert values == sorted(values) and values[0] == 0.0 < values[-1]
+    assert values[-1] == reach_probability(mc, {goal})[0]
 
 
 def test_undecided_full_set_is_engine_error(monkeypatch, example_family):
     spec = Specification(GOAL2, "<=", 0.4)
     mc = realise(example_family, Realisation(R1))
-    monkeypatch.setattr(model.ChainMatrix, "sub_value",
-                        lambda self, critical, goal: 0.0)
+    monkeypatch.setattr(cegis, "check", lambda mc, spec, tol: (True, 0.0))
     with pytest.raises(EngineError, match="full reachable set does not "
                                           "decide"):
-        extract_counterexample(mc, spec)
-
-
-def test_failed_certificate_is_engine_error(monkeypatch, example_family):
-    spec = Specification(GOAL2, "<=", 0.4)
-    mc = realise(example_family, Realisation(R1))
-    monkeypatch.setattr(cegis, "check", lambda mc, spec, tol: (True, 0.0))
-    with pytest.raises(EngineError, match="sub-MC check of the critical set "
-                                          "does not decide"):
         extract_counterexample(mc, spec)
 
 

@@ -21,8 +21,8 @@ from chainsynth.model import (COMPARISON_TOL, Distribution, MarkovChain, Mdp,
                               reach_probability, sub_mc)
 from chainsynth.randfam import random_chain, random_critical, random_goal
 
-from conftest import (R1, R2, R3, R4, ROOT, SKETCHES, singular_cycle_family,
-                      tiny_exit_family)
+from conftest import (R1, R2, R3, R4, ROOT, SKETCHES, interval_iteration,
+                      singular_cycle_family, tiny_exit_family)
 
 
 def chain_of(fam, assignment):
@@ -58,7 +58,7 @@ def test_distribution_refuses_malformed_entries(entries, message):
 def test_distribution_stores_states_and_probabilities():
     d = Distribution(((3, 0.25), (np.int64(1), 0.75)))  # numpy states too
     assert (d.states, d.probs, d.lo, d.hi) == ((3, 1), (0.25, 0.75), 1, 3)
-    assert d.entries == ((3, 0.25), (1, 0.75)) and d.support() == [3, 1]
+    assert d.entries == ((3, 0.25), (1, 0.75))
     assert d == Distribution(d.entries) and hash(d) == hash(Distribution(
         d.entries))
     assert MarkovChain(4, 0, (d, D0, D0, D0)).preds == [[1, 2, 3], [0], [],
@@ -124,7 +124,6 @@ def test_compiled_models_compare_by_their_fields():
 
     a, b = chain(), chain()
     assert a == b and hash(a) == hash(b) and a.preds == [[0], [0, 1]]
-    assert model.ChainMatrix(a).preds is a.preds
     assert repr(a) == ("MarkovChain(n_states=2, init=0, transitions=(%r, %r))"
                        % a.transitions)
     mdp = Mdp(2, 0, ((("a", D0), ("b", D1)), (("c", D1),)))
@@ -222,8 +221,8 @@ def test_linear_vs_vi_agreement(example_family):
         chains.append(mc)
         goals.append(random_goal(rng, mc.n_states))
     for mc, goal in zip(chains, goals):
-        lin = reach_probability(mc, goal, method="linear")
-        vi = reach_probability(mc, goal, method="vi")
+        lin = reach_probability(mc, goal)
+        vi = interval_iteration(mc, goal)
         assert np.max(np.abs(lin - vi)) < 1e-6
 
 
@@ -231,17 +230,6 @@ def test_reach_rejects_bad_goal():
     mc = MarkovChain(2, 0, (Distribution.dirac(1), Distribution.dirac(1)))
     with pytest.raises(ModelError):
         reach_probability(mc, [5])
-
-
-@pytest.mark.parametrize("mc", [
-    # every state is qualitative, so nothing is solved
-    MarkovChain(2, 0, (Distribution.dirac(1), Distribution.dirac(1))),
-    # state 0 reaches the goal 1 with probability 0.5
-    MarkovChain(3, 0, (Distribution(((1, 0.5), (2, 0.5))),
-                       Distribution.dirac(1), Distribution.dirac(2)))])
-def test_reach_rejects_unknown_method(mc):
-    with pytest.raises(ModelError, match="unknown method"):
-        reach_probability(mc, [1], method="bogus")
 
 
 # --- sub-MC -----------------------------------------------------------------
@@ -277,17 +265,15 @@ def test_sub_mc_requires_init(example_family):
         sub_mc(chain_of(example_family, R1), {1, 2})
 
 
-def test_prob01_with_absorbing_outside_states_is_that_of_the_sub_mc():
-    rng = random.Random(67)
-    for _ in range(300):
-        mc = random_chain(rng, max_states=rng.choice((6, 12, 30)))
-        goal = random_goal(rng, mc.n_states)
-        k = rng.randint(0, mc.n_states - 1)
-        critical = {mc.init, *rng.sample(range(mc.n_states), k)}
-        chain = model.ChainMatrix(mc)
-        assert model._prob01(mc.n_states, chain.preds, goal, critical,
-                             chain.succ) == \
-            prob01_states(sub_mc(mc, critical), goal), (mc.dump(), critical)
+@pytest.mark.parametrize("critical", [
+    {0, 7}, {0, 3}, {0, -1}, {0, -1, "x"}, {0, "x"}, {0, 1.0}, {0, True}])
+def test_sub_mc_refuses_critical_states_outside_S(critical):
+    mc = MarkovChain(3, 0, (Distribution(((1, 0.5), (2, 0.5))),
+                            Distribution.dirac(1), Distribution.dirac(2)))
+    with pytest.raises(ModelError, match="outside S"):
+        sub_mc(mc, critical)
+    # numpy integers are states, as in a distribution
+    assert sub_mc(mc, {0, np.int64(1)}).transitions == mc.transitions
 
 
 def test_dense_system_equals_the_sparse_assembly():
@@ -328,17 +314,6 @@ def test_dense_system_equals_the_sparse_assembly():
         assert (A == want).all() and (got_b == b).all(), mc.dump()
         assert (model._solve(A, got_b) ==
                 model._linear_solve(rows_, cols, vals, exits, b)).all()
-
-
-def test_sub_value_of_the_whole_chain_is_reach_probability():
-    # with every state critical the sub-MC is the chain itself, and both
-    # values come from one qualitative pass and one solve
-    rng = random.Random(71)
-    for _ in range(300):
-        mc = random_chain(rng, max_states=rng.choice((6, 12, 30)))
-        goal = random_goal(rng, mc.n_states)
-        assert model.ChainMatrix(mc).sub_value(range(mc.n_states), goal) == \
-            reach_probability(mc, goal)[mc.init], mc.dump()
 
 
 def test_sub_mc_monotone_random():
@@ -434,16 +409,13 @@ def test_induced_chain_needs_choices_only_where_it_reaches():
 
 # --- extreme probabilities ----------------------------------------------------
 
-def test_tiny_exits_never_yield_a_wrong_value(monkeypatch):
+def test_tiny_exits_never_yield_a_wrong_value():
     # the goal is reached with probability 0.5 through exits of 1e-12 each
     mc = realise(tiny_exit_family(), Realisation({"h": "a"}))
-    for method in ("auto", "linear"):
-        value = reach_probability(mc, [1], method=method)[0]
-        assert value == pytest.approx(0.5, abs=1e-9)
+    assert reach_probability(mc, [1])[0] == pytest.approx(0.5, abs=1e-9)
     # interval iteration cannot close the gap in a few sweeps and must say so
-    monkeypatch.setattr(model, "VI_MAX_SWEEPS", 1000)
-    with pytest.raises(ModelError):
-        reach_probability(mc, [1], method="vi")
+    with pytest.raises(ModelError, match="interval iteration"):
+        interval_iteration(mc, [1], max_sweeps=1000)
 
 
 def test_mdp_extremal_exact_with_tiny_exits():

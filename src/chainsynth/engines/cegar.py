@@ -4,6 +4,8 @@ the hole an inconsistent optimising scheduler disagrees on."""
 
 from __future__ import annotations
 
+from operator import getitem
+
 from ..family import (ConsistencyVerdict, Family, Realisation, Subfamily,
                       count_members, enumerate_realisations,
                       initial_subfamily, quotient_mdp, scheduler_consistency)
@@ -17,8 +19,10 @@ QUOTIENT_COST = 1.5
 
 
 def split(sub: Subfamily, verdict: ConsistencyVerdict, fam: Family):
-    """Split on the most-inconsistent hole: separate its most frequently
-    chosen option from the rest of the remaining options."""
+    """Split on the most-inconsistent hole, the one whose chosen options
+    span two classes or more (`scheduler_consistency`) with the most
+    options chosen: separate its most frequently chosen option from the
+    rest of the remaining options, its class mates included."""
     if verdict.consistent:
         raise EngineError("split called with a consistent verdict")
     names = [h.name for h in fam.holes]
@@ -34,14 +38,28 @@ def split(sub: Subfamily, verdict: ConsistencyVerdict, fam: Family):
 
 def _split_off(sub: Subfamily, r: Realisation, fam: Family):
     """Partition `sub`, which holds two members or more, around the
-    realisation r: halve the lowest hole with >= 2 remaining options, each
-    half in declaration order, the half holding r's choice first."""
-    idx = next(i for i, opts in enumerate(sub.remaining) if len(opts) >= 2)
-    opts = sub.remaining[idx]
-    lower, upper = opts[:len(opts) // 2], opts[len(opts) // 2:]
-    if r[fam.holes[idx].name] in upper:
-        lower, upper = upper, lower
-    return sub.replace(idx, lower), sub.replace(idx, upper)
+    realisation r.  Take the lowest hole whose remaining options span two
+    classes or more (`Family.option_classes`) and halve its list of
+    classes, ordered by first remaining option: options of one class
+    induce one chain, so no box separates them.  Where each hole's
+    remaining options are one class, halve the options of the lowest hole
+    with two or more.  Each half keeps declaration order; the half holding
+    r's choice comes first."""
+    for idx, (opts, first) in enumerate(zip(sub.remaining,
+                                            fam.option_classes)):
+        classes = list(dict.fromkeys(map(first.__getitem__, opts)))
+        if len(classes) >= 2:
+            break
+    else:
+        idx = next(i for i, opts in enumerate(sub.remaining) if len(opts) >= 2)
+        opts = sub.remaining[idx]
+        first, classes = dict(zip(opts, opts)), opts
+    lower = set(classes[:len(classes) // 2])
+    halves = (tuple(o for o in opts if first[o] in lower),
+              tuple(o for o in opts if first[o] not in lower))
+    if r[fam.holes[idx].name] in halves[1]:
+        halves = halves[::-1]
+    return tuple(sub.replace(idx, half) for half in halves)
 
 
 def _members(fam, sub, excluded):
@@ -61,10 +79,11 @@ def _min_possible_cost(fam, sub, q):
 
 
 def _lex_sorted(fam, realisations):
-    order = {h.name: {o: i for i, o in enumerate(h.options)} for h in fam.holes}
-    return sorted(realisations,
-                  key=lambda r: tuple(order[h.name][r[h.name]]
-                                      for h in fam.holes))
+    """`realisations` in lexicographic hole/option declaration order."""
+    order = [{o: i for i, o in enumerate(h.options)} for h in fam.holes]
+    key_of = fam.key_of
+    return sorted(realisations, key=lambda r: tuple(
+        map(getitem, order, key_of(r.assignment))))
 
 
 def _direct(size, quotients, conclusive, blind):

@@ -303,13 +303,15 @@ class Family:
         return _key_getter(tuple(h.name for h in self.holes))
 
     @cached_property
-    def chain_key(self):
-        """Assignment -> its member key with each option replaced by the
-        first option of its family-wide class: the options that share its
-        class in every state that reads the hole.  Substituting one hole at
-        a time leaves every state's distribution as it was, so members with
-        one chain key induce one chain.  Where no state puts two options in
-        one class this is `key_of`."""
+    def option_classes(self) -> tuple:
+        """Parallel to `holes`, a dict from each option of the hole to the
+        first option, in declaration order, of its family-wide class: the
+        options that share its class (`StateRows.classes`) in every state
+        that reads the hole.  Such options select the same distribution in
+        every state whatever the other holes choose, so swapping one for
+        another changes no member's chain.  A hole that no state reads is
+        one class; where some state tells every option apart, each option
+        is its own."""
         reads = {h.name: [] for h in self.holes}  # None: a class each
         for row in self.rows:
             for pos, h in enumerate(row.holes):
@@ -324,7 +326,16 @@ class Family:
             firsts.append({o: first.setdefault(
                 tuple(id(table[o]) for table in tables), o)
                 for o in h.options})
-        key_of = self.key_of
+        return tuple(firsts)
+
+    @cached_property
+    def chain_key(self):
+        """Assignment -> its member key with each option replaced by the
+        first option of its class (`option_classes`).  Substituting one
+        hole at a time leaves every state's distribution as it was, so
+        members with one chain key induce one chain.  Where every option
+        is its own class this is `key_of`."""
+        firsts, key_of = self.option_classes, self.key_of
         if all(o is x for first in firsts for o, x in first.items()):
             return key_of
         return lambda a: tuple(map(getitem, firsts, key_of(a)))
@@ -520,10 +531,12 @@ def quotient_mdp(fam: Family, sub: Subfamily = None) -> MdpView:
 class ConsistencyVerdict:
     """Outcome of analysing a quotient scheduler.
 
-    `realisation` is set when every hole is chosen consistently across the
-    reachable states; otherwise `inconsistent` maps each multi-valued hole to
-    its chosen option set.  `frequencies` counts, per hole and option, the
-    reachable states committing to it (used by the CEGAR split rule).
+    `realisation` is set when the options chosen for each hole across the
+    reachable states are one class (`Family.option_classes`); otherwise
+    `inconsistent` maps each hole whose chosen options span two classes or
+    more to its chosen option set.  `frequencies` counts, per hole and
+    option, the reachable states committing to it (used by the CEGAR split
+    rule).
     """
 
     realisation: Optional[Realisation]
@@ -540,14 +553,22 @@ def scheduler_consistency(fam: Family, sub: Subfamily,
                           reachable) -> ConsistencyVerdict:
     """Classify a scheduler of `quotient_mdp(fam, sub)` as consistent (a
     realisation) or not.  The label a reachable state's action carries
-    names the option of each hole its row reads, in `Family.rows` order."""
+    names the option of each hole its row reads, in `Family.rows` order.
+    Options of one class count as one choice: a consistent verdict's
+    realisation takes the first option chosen for each hole, whose class
+    mates select the same distributions, so its chain agrees with the
+    scheduler's on the reachable states and its value is the bound the
+    scheduler attains.  A hole no reachable state reads takes its first
+    remaining option."""
     freqs = {h.name: {} for h in fam.holes}
     rows, choice = fam.rows, sched.choice
     for s in reachable:
         for hole, option in zip(rows[s].holes, choice[s]):
             counts = freqs[hole]
             counts[option] = counts.get(option, 0) + 1
-    multi = {h: set(c) for h, c in freqs.items() if len(c) > 1}
+    multi = {h.name: set(freqs[h.name])
+             for h, first in zip(fam.holes, fam.option_classes)
+             if len(set(map(first.__getitem__, freqs[h.name]))) > 1}
     if multi:
         return ConsistencyVerdict(None, multi, freqs)
     assignment = {}

@@ -123,13 +123,41 @@ def test_split_two_option_hole(example_family):
 
 
 def test_split_off_halves_the_first_open_hole():
+    # c0..c6 route alike, c7 apart: two classes, one per part
     fam, _ = pruning_family(8)
+    alike, apart = tuple("c%d" % i for i in range(7)), ("c7",)
     full = Subfamily.full(fam)
-    low, high = ("c0", "c1", "c2", "c3"), ("c4", "c5", "c6", "c7")
     first, second = _split_off(full, Realisation({"route": "c3"}), fam)
-    assert (first.remaining, second.remaining) == ((low,), (high,))
+    assert (first.remaining, second.remaining) == ((alike,), (apart,))
+    first, second = _split_off(full, Realisation({"route": "c7"}), fam)
+    assert (first.remaining, second.remaining) == ((apart,), (alike,))
+    # one class left: its options are halved in declaration order
+    first, second = _split_off(full.replace(0, alike),
+                               Realisation({"route": "c5"}), fam)
+    assert (first.remaining, second.remaining) == \
+        ((("c3", "c4", "c5", "c6"),), (("c0", "c1", "c2"),))
+    # the list of classes is halved, not the options: in bench_family mid's
+    # even options form one class and its odd ones the other; tail is one
+    fam, _ = bench_family(4, 5, 2)
+    sub = Subfamily.full(fam).replace(0, ("c3",))
+    first, second = _split_off(sub, Realisation(
+        {"route": "c3", "mid": "m1", "tail": "t1"}), fam)
+    assert (first.remaining[1], second.remaining[1]) == \
+        (("m1", "m3"), ("m0", "m2", "m4"))
+    # every option its own class: halving stays in option order
+    options = tuple("c%d" % i for i in range(8))
+    fam = Family(9, 0, (Hole("route", options),), (
+        ((1.0, HoleRef.single("route", {o: i + 1
+                                        for i, o in enumerate(options)})),),
+    ) + tuple(((1.0, Fixed(s)),) for s in range(1, 9)))
+    assert fam.option_classes == (dict(zip(options, options)),)
+    full = Subfamily.full(fam)
+    first, second = _split_off(full, Realisation({"route": "c3"}), fam)
+    assert (first.remaining, second.remaining) == \
+        ((options[:4],), (options[4:],))
     first, second = _split_off(full, Realisation({"route": "c6"}), fam)
-    assert (first.remaining, second.remaining) == ((high,), (low,))
+    assert (first.remaining, second.remaining) == \
+        ((options[4:],), (options[:4],))
 
 
 def random_boxes(rng, fam, n):
@@ -253,9 +281,9 @@ def test_inconclusive_quotient_solves_both_bounds(monkeypatch,
 
 
 @pytest.mark.parametrize("query, checks, iterations, candidates", [
-    ("bench partition", 14, 13, 6),
-    ("bench feasible", 15, 13, 6),
-    ("pruning partition", 12, 13, 12),
+    ("bench partition", 4, 3, 1),
+    ("bench feasible", 5, 3, 1),
+    ("pruning partition", 4, 3, 2),
 ])
 def test_search_order_is_pinned(query, checks, iterations, candidates):
     # the split rule and the rule that sends members direct fix these

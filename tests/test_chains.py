@@ -18,7 +18,7 @@ from chainsynth.randfam import (bench_family, pruning_family, random_family,
                                 random_goal)
 
 from conftest import SKETCHES
-from test_differential import _queries, multi_hole_family
+from test_differential import _all_agree, _queries, multi_hole_family
 
 
 def repeating_family(rng):
@@ -143,6 +143,18 @@ def test_engines_answer_as_with_a_member_keyed_memo(monkeypatch):
                 assert out.stats.checks <= ref.stats.checks
                 fewer += out.stats.checks < ref.stats.checks
     assert fewer > 0
+
+
+def test_engines_agree_with_enum_where_options_share_classes():
+    # the families where cegar's split and consistency rule read classes:
+    # every engine against enum on `_queries`' six shapes, budgets and eps
+    rng = random.Random(2027)
+    fams = [fam for fam, _ in _exact_cases() if fam.size() <= 100]
+    shared = sum(fam.chain_key is not fam.key_of for fam in fams)
+    assert shared > len(fams) // 2
+    cases = [(i, j, fam, q) for i, fam in enumerate(fams)
+             for j, q in enumerate(_queries(rng, fam))]
+    assert _all_agree(cases) == 6 * len(fams)
 
 
 def _families():

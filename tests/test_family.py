@@ -10,7 +10,7 @@ from chainsynth.family import (Family, FamilyError, Fixed, Hole, HoleRef,
                                enumerate_realisations, quotient_mdp, realise,
                                scheduler_consistency)
 from chainsynth.model import (Distribution, Mdp, MemorylessScheduler,
-                              mdp_extremal)
+                              induced_chain, mdp_extremal, reach_probability)
 from chainsynth.randfam import pruning_family, random_family, random_goal
 
 from conftest import R1, R2, R3, R4
@@ -414,6 +414,40 @@ def test_consistent_scheduler_defaults_unconstrained(example_family):
     assert verdict.consistent
     # no reachable state constrains either hole's table except k2
     assert verdict.realisation.assignment == {"k2": "3", "k3": "2"}
+
+
+def class_mates_family():
+    """Hole h's options a and b route alike in both states that read it,
+    c apart: two classes, {a, b} and {c}."""
+    # states: 0 init, 1 mid, 2 goal, 3 sink
+    return Family(4, 0, (Hole("h", ("a", "b", "c")),), (
+        ((1.0, HoleRef.single("h", {"a": 1, "b": 1, "c": 3})),),
+        ((0.5, HoleRef.single("h", {"a": 2, "b": 2, "c": 3})),
+         (0.5, Fixed(3))),
+        ((1.0, Fixed(2)),),
+        ((1.0, Fixed(3)),)))
+
+
+def test_options_of_one_class_are_one_choice():
+    fam = class_mates_family()
+    assert fam.option_classes == ({"a": "a", "b": "a", "c": "c"},)
+    mdp = quotient_mdp(fam)
+    bound, _ = mdp_extremal(mdp, {2}, "max")
+    # a max scheduler: a at state 0, its class mate b at state 1
+    sched = MemorylessScheduler({0: ("a",), 1: ("b",), 2: (), 3: ()})
+    mc = induced_chain(mdp, sched)
+    assert reach_probability(mc, {2})[mc.init] == bound == 0.5
+    verdict = scheduler_consistency(fam, Subfamily.full(fam), sched,
+                                    mc.reachable())
+    assert verdict.consistent and not verdict.inconsistent
+    assert verdict.frequencies == {"h": {"a": 1, "b": 1}}
+    assert verdict.realisation.assignment == {"h": "a"}
+    mc = realise(fam, verdict.realisation)
+    assert reach_probability(mc, {2})[mc.init] == bound
+    # options of two classes are still two choices
+    sched = MemorylessScheduler({0: ("b",), 1: ("c",), 2: (), 3: ()})
+    verdict = scheduler_consistency(fam, Subfamily.full(fam), sched, {0, 1})
+    assert verdict.inconsistent == {"h": {"b", "c"}}
 
 
 def test_json_roundtrip(example_family):

@@ -111,15 +111,17 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
     them.  Failing that, split along the scheduler that attains them: around
     its realisation (checked once) when it chooses every hole consistently,
     else along the hole it disagrees on most.  Worklist entries carry the
-    members already checked and the parent quotient's bound, which still
-    covers the members of a subfamily being checked directly."""
+    members already checked, the parent quotient's bound, which still
+    covers the members of a subfamily being checked directly, and per mode
+    the scheduler the parent quotient was solved with, from which a part's
+    quotient solve starts (`mdp_extremal`'s `start`)."""
     stats = Stats()
     search = (_Threshold if q.spec is not None else _Optimum)(fam, q, stats)
-    worklist = [(initial_subfamily(fam), frozenset(), None)]
+    worklist = [(initial_subfamily(fam), frozenset(), None, {})]
     quotients = conclusive = 0
     try:
         while worklist and not search.finished(worklist):
-            sub, excluded, inherited = worklist.pop(0)
+            sub, excluded, inherited, starts = worklist.pop(0)
             if search.prunes(sub, inherited):
                 continue
             size = count_members(fam, sub, excluded)
@@ -128,7 +130,7 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
             stats.iterations += 1
             members = _members(fam, sub, excluded)
             if _direct(size, quotients, conclusive, search.blind()):
-                pending = [(sub, excluded, inherited)] + worklist
+                pending = [(sub, excluded, inherited, starts)] + worklist
                 for r in members:
                     search.single(r)
                     if search.finished(pending):
@@ -139,7 +141,8 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
             quotients += 1
             record = {"size": size}
             stats.trace.append(record)
-            sched, bound = search.bounds(mdp, members, record)
+            sched, bound, solved = search.bounds(mdp, members, record,
+                                                 starts)
             if sched is None:  # all-sat, all-violate or pruned
                 conclusive += 1
                 continue
@@ -163,7 +166,7 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
                     record["verdict"] = "consistent-stale"
                 parts = _split_off(sub, r, fam)
                 record["split"] = True
-            worklist.extend((p, excluded, bound) for p in parts)
+            worklist.extend((p, excluded, bound, solved) for p in parts)
         return search.outcome()
     finally:
         stats.stop()
@@ -172,9 +175,11 @@ def cegar_solve(fam: Family, q: SynthesisQuery) -> SynthesisOutcome:
 class _Search:
     """The per-kind steps of the refinement loop.  `member` classifies one
     member and returns True when that ends the search; `bounds` checks a
-    quotient, classifies the subfamily if its bounds are conclusive and
-    otherwise returns the scheduler to analyse with the bound the
-    subfamily's parts inherit."""
+    quotient, each mode's solve starting from `starts[mode]` where the
+    parent's quotient was solved in that mode, classifies the subfamily if
+    its bounds are conclusive and otherwise returns the scheduler to
+    analyse, the bound the subfamily's parts inherit and the schedulers,
+    per mode, that their solves start from."""
 
     def __init__(self, fam, q, stats):
         self.fam, self.q, self.stats = fam, q, stats
@@ -230,26 +235,29 @@ class _Threshold(_Search):
         sat = self._check(r)
         self.stats.trace.append({"size": 1, "verdict": "direct", "sat": sat})
 
-    def bounds(self, mdp, members, record):
+    def bounds(self, mdp, members, record, starts):
         spec, tol = self.q.spec, self.q.tolerance
         worst_mode, best_mode = ("min", "max") if self.lower \
             else ("max", "min")
         record.update(min=None, max=None)
-        worst, sched = mdp_extremal(mdp, spec.goal, worst_mode)
+        worst, sched = mdp_extremal(mdp, spec.goal, worst_mode,
+                                    start=starts.get(worst_mode))
         record[worst_mode] = worst
         if compare(worst, spec.op, spec.threshold, tol):
             record["verdict"] = "all-sat"
             for r in members:  # under a budget, each member's cost decides
                 if self._take(r, within_budget(self.fam, self.q, r)):
                     break
-            return None, None
-        best = record[best_mode] = mdp_extremal(mdp, spec.goal, best_mode)[0]
+            return None, None, None
+        best, best_sched = mdp_extremal(mdp, spec.goal, best_mode,
+                                        start=starts.get(best_mode))
+        record[best_mode] = best
         if not compare(best, spec.op, spec.threshold, tol):
             if self.q.kind == "partition":  # feasible has no use for F
                 self.F.extend(members)
             record["verdict"] = "all-violate"
-            return None, None
-        return sched, None
+            return None, None, None
+        return sched, None, {worst_mode: sched, best_mode: best_sched}
 
     def outcome(self):
         fam, q = self.fam, self.q
@@ -279,7 +287,7 @@ class _Optimum(_Search):
     def finished(self, worklist):
         if self.incumbent is None or self.eps == 0.0:
             return False
-        bounds = [b for _, _, b in worklist if b is not None]
+        bounds = [b for _, _, b, _ in worklist if b is not None]
         if not bounds:
             return False
         # the incumbent is eps-optimal once no bound left beats it by eps
@@ -310,14 +318,15 @@ class _Optimum(_Search):
                 self.incumbent = (r, v)
         return False
 
-    def bounds(self, mdp, members, record):
+    def bounds(self, mdp, members, record, starts):
         mode = "max" if self.maximise else "min"
-        bound, sched = mdp_extremal(mdp, self.q.goal, mode)
+        bound, sched = mdp_extremal(mdp, self.q.goal, mode,
+                                    start=starts.get(mode))
         record.update(bound=bound, mode=mode)
         if self._beaten(bound):
             record["verdict"] = "pruned"
-            return None, None
-        return sched, bound
+            return None, None, None
+        return sched, bound, {mode: sched}
 
     def outcome(self):
         if self.incumbent is None:

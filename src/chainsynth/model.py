@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -298,9 +298,12 @@ class Specification:
 
 @dataclass(frozen=True)
 class MemorylessScheduler:
-    """Maps state index to the label of the chosen action."""
+    """Maps state index to the label of the chosen action.  One that
+    `mdp_extremal` returns also records what it solved (`_Solve`), which a
+    later call may start from; that is not a compared field."""
 
     choice: Mapping
+    solve: object = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, s):
         return self.choice[s]
@@ -624,11 +627,11 @@ def _prob1e(mdp, goal, stay, policy):
         stay = nxt
 
 
-def _prob0e(mdp, goal):
+def _prob0e(mdp, goal, avoid=None):
     """States where some scheduler avoids `goal` surely: one cascade from
-    the states outside `goal`.  Also the mask of the kept rows that stay
-    among them."""
-    return _cascade(mdp, ~goal, goal)
+    `avoid`, a superset of them outside `goal` (default: every state
+    outside it).  Also the mask of the kept rows that stay among them."""
+    return _cascade(mdp, ~goal if avoid is None else avoid, goal)
 
 
 def _evaluator(mdp, states, known):
@@ -664,16 +667,21 @@ def _evaluator(mdp, states, known):
     return evaluate
 
 
+def _way_out(mdp, policy, unknown):
+    """The states outside `unknown` and those from which `policy`'s rows
+    leave it with positive probability, hence almost surely."""
+    chosen = np.zeros(len(mdp.state), dtype=bool)
+    chosen[policy[unknown]] = True
+    return _attract(mdp, ~unknown, chosen)
+
+
 def _keep_proper(mdp, nxt, policy, unknown, gain):
     """Undo switches of `nxt` away from the proper policy `policy`, the
     smallest `gain` first, until every unknown state leaves the unknown
     states almost surely.  A strict gain never closes a cycle inside them;
     a gain at rounding level on a tie can."""
-    states = np.flatnonzero(unknown)
     while True:
-        chosen = np.zeros(len(mdp.state), dtype=bool)
-        chosen[nxt[states]] = True
-        stuck = unknown & ~_attract(mdp, ~unknown, chosen)
+        stuck = ~_way_out(mdp, nxt, unknown)
         if not stuck.any():
             return
         undo = np.flatnonzero(stuck & (nxt != policy))
@@ -681,15 +689,37 @@ def _keep_proper(mdp, nxt, policy, unknown, gain):
         nxt[s] = policy[s]
 
 
+def _first_policy(mdp, known, unknown, mode, policy, start):
+    """Set `policy`'s rows for the `unknown` states to a policy proper on
+    them, the one policy iteration begins from.  From scratch, for max each
+    unknown state takes a row towards a value-1 state; for min every policy
+    is proper once the states that can avoid the goal surely are known.
+    From the `_Solve` `start`, each unknown state takes start's row where
+    this MDP keeps it, and for max each state left with no way out of
+    `unknown` then takes a row towards one that has (`_way_out`)."""
+    maximise = mode == "max"
+    if start is None:
+        if maximise:
+            _attract(mdp, known == 1.0, unknown[mdp.state], policy)
+        return
+    take = unknown & mdp.rows[start.policy]
+    policy[take] = start.policy[take]
+    if maximise:
+        out = _way_out(mdp, policy, unknown)
+        if not out.all():
+            _attract(mdp, out, unknown[mdp.state], policy)
+
+
 def _policy_iteration(mdp, known, unknown, mode, policy):
     """Optimal values on the `unknown` states, `known` fixing the others,
-    and `policy` (one row per state) improved there until it attains them;
-    its rows for the other states are kept.
+    and `policy` (one row per state, proper on `unknown`: `_first_policy`)
+    improved there until it attains them; its rows for the other states
+    are kept.
 
     Every policy evaluated is proper on `unknown`, so each evaluation is one
-    exact linear solve.  For max the first policy moves every unknown state
-    closer to a value-1 state; for min every policy is proper once the
-    states that can avoid the goal surely are known.  A row is switched on
+    exact linear solve.  Any proper first policy leads to the optimum
+    (Puterman, "Markov Decision Processes", 1994), so a part of a split
+    may begin from its parent's optimal policy.  A row is switched on
     any gain over the state's current row, however small: around a cycle
     whose exits are 1e-12 a one-step gain of 4e-13 can be worth 0.2 in
     value.  For max, switches that would keep a state inside `unknown` for
@@ -697,8 +727,6 @@ def _policy_iteration(mdp, known, unknown, mode, policy):
     """
     states = np.flatnonzero(unknown)
     maximise = mode == "max"
-    if maximise:
-        _attract(mdp, known == 1.0, unknown[mdp.state], policy)
     evaluate = _evaluator(mdp, states, known)
     # each row's exit mass, 1 where it is 0 and the row cannot move
     movable = mdp.backup_exits > 0.0
@@ -732,38 +760,102 @@ def _policy_iteration(mdp, known, unknown, mode, policy):
         policy = nxt
 
 
-def mdp_extremal(mdp, goal, mode: str):
+def _settled_from_init(mdp, policy, unknown):
+    """Whether the initial state and every state it reaches by `policy`'s
+    rows, a goal state's row included, lie outside `unknown`: a walk over
+    the rows `induced_chain` would read."""
+    if unknown[mdp.init]:
+        return False
+    open_, rows, labels = unknown.tolist(), policy.tolist(), mdp.labels
+    seen, stack = {mdp.init}, [mdp.init]
+    for s in stack:  # the loop also visits the states it appends
+        for t in mdp.tables[s][labels[rows[s]]].states:
+            if t not in seen:
+                if open_[t]:
+                    return False
+                seen.add(t)
+                stack.append(t)
+    return True
+
+
+class _Solve(NamedTuple):
+    """What an `mdp_extremal` call solved, for a later call to start from:
+    the compiled matrix (its `indptr`), the goal and mode, the mask of the
+    rows the MDP kept, the policy returned (one row per state) and the
+    prob-1 (max) or prob-0 (min) states."""
+
+    indptr: np.ndarray
+    goal: frozenset
+    mode: str
+    rows: np.ndarray
+    policy: np.ndarray
+    settled: np.ndarray
+
+
+def _start_solve(mdp, goal, mode, start) -> _Solve:
+    """The `_Solve` that the scheduler `start` records, refused unless it
+    was solved for `goal` and `mode` on `mdp`'s compiled matrix keeping
+    every row `mdp` keeps."""
+    solve = start.solve
+    if solve is None or solve.indptr is not mdp.indptr:
+        raise ModelError("start was not solved on this MDP's choice matrix")
+    if solve.goal != goal or solve.mode != mode:
+        raise ModelError("start was solved for another goal or mode")
+    if (mdp.rows & ~solve.rows).any():
+        raise ModelError("start's MDP keeps fewer rows than this one")
+    return solve
+
+
+def mdp_extremal(mdp, goal, mode: str, start: MemorylessScheduler = None):
     """Optimal reachability probability at the initial state plus a
-    memoryless scheduler that attains the optimal value from every state.
+    memoryless scheduler that attains the optimal value from the initial
+    state and from every state it reaches from there.
 
     Qualitative prob-0/prob-1 sets are graph fixpoints on the MDP's
     row-grouped choice matrix, and their states get their
     rows on the way: for max a prob-1 state takes a row that stays in prob-1
     and moves towards the goal, for min a prob-0 state its first row that
-    stays in prob-0.  Policy iteration computes the remaining values
-    exactly, one linear solve per policy, and its optimal policy is the
-    scheduler there.
+    stays in prob-0.  Where the initial state and every state those rows
+    reach from it (through goal states too) lie in the two sets, the bound
+    is exactly 0 or 1 and nothing is solved.  Otherwise policy iteration
+    computes the remaining values exactly, one linear solve per policy,
+    and its optimal policy is the scheduler there.
+
+    `start` is a scheduler an earlier call returned for the same goal and
+    mode on an MDP of the same compiled matrix that keeps every row this
+    one keeps, such as the quotient of a parent subfamily.  Its prob-1
+    (max) or prob-0 (min) states, a superset of this MDP's, seed the
+    fixpoint, and policy iteration begins from its rows (`_first_policy`);
+    the values are those of a call without it.  Any other start is
+    refused with ModelError.
     """
     goal = _goal_states(goal, mdp.n_states)
     if mode not in ("min", "max"):
         raise ModelError("mode must be 'min' or 'max'")
+    if start is not None:
+        start = _start_solve(mdp, goal, mode, start)
     is_goal = np.zeros(mdp.n_states, dtype=bool)
     is_goal[list(goal)] = True
     policy = mdp.first_row(mdp.rows)
     if mode == "max":
         reach = _attract(mdp, is_goal, True)
         prob0 = ~reach
-        prob1 = _prob1e(mdp, is_goal, reach, policy)
+        prob1 = settled = _prob1e(mdp, is_goal, reach if start is None
+                                  else reach & start.settled, policy)
     else:
-        prob0, stays = _prob0e(mdp, is_goal)
+        prob0, stays = _prob0e(mdp, is_goal, None if start is None
+                               else start.settled)
+        settled = prob0
         prob1 = ~_attract(mdp, prob0, ~is_goal[mdp.state])
         policy[prob0] = mdp.first_row(stays)[prob0]
     x = prob1.astype(float)
     unknown = ~(prob0 | prob1)
-    if unknown.any():
+    if unknown.any() and not _settled_from_init(mdp, policy, unknown):
+        _first_policy(mdp, x, unknown, mode, policy, start)
         x, policy = _policy_iteration(mdp, x, unknown, mode, policy)
     choice = {s: mdp.labels[r] for s, r in enumerate(policy.tolist())}
-    return float(x[mdp.init]), MemorylessScheduler(choice)
+    return float(x[mdp.init]), MemorylessScheduler(
+        choice, _Solve(mdp.indptr, goal, mode, mdp.rows, policy, settled))
 
 
 def induced_chain(mdp, sched: MemorylessScheduler) -> MarkovChain:

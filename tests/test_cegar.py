@@ -245,22 +245,25 @@ def test_two_member_feasible_stops_at_first_sat(stop_goal, checks, witness):
 
 
 def solved_modes(monkeypatch):
-    """The modes of the bounds cegar solves, in order."""
-    solve, modes = cegar.mdp_extremal, []
+    """The modes of the bounds cegar solves, in order, and per solve its
+    mode, the scheduler it started from and the one it returned."""
+    solve, modes, solves = cegar.mdp_extremal, [], []
 
-    def counted(mdp, goal, mode):
+    def counted(mdp, goal, mode, start=None):
         modes.append(mode)
-        return solve(mdp, goal, mode)
+        value, sched = solve(mdp, goal, mode, start=start)
+        solves.append((mode, start, sched))
+        return value, sched
 
     monkeypatch.setattr(cegar, "mdp_extremal", counted)
-    return modes
+    return modes, solves
 
 
 @pytest.mark.parametrize("op, threshold, worst, other",
                          [(">=", 0.0, "min", "max"), ("<=", 1.0, "max", "min")])
 def test_all_sat_quotient_solves_only_its_worst_bound(
         monkeypatch, example_family, op, threshold, worst, other):
-    modes = solved_modes(monkeypatch)
+    modes, _ = solved_modes(monkeypatch)
     out = cegar_solve(example_family, SynthesisQuery(
         "partition", spec=Specification(GOAL4, op, threshold)))
     assert (len(out.T), modes) == (4, [worst])
@@ -271,13 +274,24 @@ def test_all_sat_quotient_solves_only_its_worst_bound(
 
 def test_inconclusive_quotient_solves_both_bounds(monkeypatch,
                                                   example_family):
-    modes = solved_modes(monkeypatch)
+    modes, solves = solved_modes(monkeypatch)
     out = cegar_solve(example_family, SynthesisQuery(
         "partition", spec=Specification(GOAL4, ">=", 0.1)))
     first = quotient_records(out)[0]
     assert first["verdict"] not in ("all-sat", "all-violate")
     assert (first["min"], first["max"]) == (0.0, 1.0)
     assert modes[:2] == ["min", "max"]
+    assert [start for _, start, _ in solves[:2]] == [None, None]
+    # the parts of bench_family(4, 5, 2)'s root, checked by quotient too,
+    # start each solve from the scheduler the root was solved with
+    solves.clear()
+    fam, spec = bench_family(4, 5, 2)
+    cegar_solve(fam, SynthesisQuery("partition", spec=spec))
+    root = {mode: sched for mode, _, sched in solves[:2]}
+    assert sorted(root) == ["max", "min"]
+    assert [start for _, start, _ in solves[:2]] == [None, None]
+    assert len(solves) > 2
+    assert all(start is root[mode] for mode, start, _ in solves[2:])
 
 
 @pytest.mark.parametrize("query, checks, iterations, candidates", [

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainsynth import ENGINES, model
+from chainsynth import ENGINES, model, sketch
 from chainsynth.engines.base import SynthesisQuery
 from chainsynth.family import Realisation, quotient_mdp, realise
 from chainsynth.model import (COMPARISON_TOL, Distribution, MarkovChain, Mdp,
@@ -365,10 +365,7 @@ def test_schedulers_attain_extremal_values():
         goal = random_goal(rng, base.n_states)
         optima = brute_force(mdp, goal)
         for mode in ("max", "min"):
-            value, sched = mdp_extremal(mdp, goal, mode)
-            assert value == pytest.approx(optima[mode][0], abs=1e-7)
-            attained = reach_probability(induced_chain(mdp, sched), goal)
-            assert attained == pytest.approx(optima[mode], abs=1e-7)
+            assert_attains_optimum(mdp, goal, mode, optima[mode], abs=1e-7)
 
 
 def test_mdp_compiles_its_choice_matrix_once(monkeypatch, example_family):
@@ -522,15 +519,34 @@ def brute_force(mdp, goal):
     return {"max": np.max(values, axis=0), "min": np.min(values, axis=0)}
 
 
+def attains_from_init(mdp, goal, sched, optimum, **tol):
+    """Assert that `sched` attains `optimum` (per state) from the initial
+    state and from every state it reaches from there."""
+    chain = induced_chain(mdp, sched)
+    reached = sorted(chain.reachable())
+    attained = reach_probability(chain, goal)[reached]
+    assert attained == pytest.approx(optimum[reached], **tol)
+
+
+def assert_attains_optimum(mdp, goal, mode, optimum, **tol):
+    """`mdp_extremal`'s bound is `optimum` at the initial state and its
+    scheduler attains the optimum from every state it reaches; every
+    state's optimum is the bound of the same actions with that state as
+    the initial state."""
+    value, sched = mdp_extremal(mdp, goal, mode)
+    assert value == pytest.approx(optimum[mdp.init], **tol)
+    attains_from_init(mdp, goal, sched, optimum, **tol)
+    for s in range(mdp.n_states):
+        at_s = mdp_extremal(Mdp(mdp.n_states, s, mdp.actions), goal, mode)[0]
+        assert at_s == pytest.approx(optimum[s], **tol)
+
+
 @settings(max_examples=300)
 @given(small_mdps(), st.sampled_from(("min", "max")))
 def test_mdp_extremal_matches_brute_force(case, mode):
     mdp, goal = case
-    optimum = brute_force(mdp, goal)[mode]
-    value, sched = mdp_extremal(mdp, goal, mode)
-    assert value == pytest.approx(optimum[mdp.init], abs=1e-6)
-    attained = reach_probability(induced_chain(mdp, sched), goal)
-    assert attained == pytest.approx(optimum, abs=1e-6)
+    assert_attains_optimum(mdp, goal, mode, brute_force(mdp, goal)[mode],
+                           abs=1e-6)
 
 
 
@@ -856,3 +872,207 @@ def test_engines_refuse_or_answer_a_singular_member():
         except ModelError:
             continue
         assert out.value == 1.0, name
+
+
+# --- a settled initial state and a start from a parent's solve ---------------
+
+
+def count_evaluations(monkeypatch):
+    """The policy evaluations `mdp_extremal` makes from now on, counted."""
+    evaluations, evaluator = [], model._evaluator
+
+    def counted(*args):
+        evaluate = evaluator(*args)
+        return lambda rows: evaluations.append(1) or evaluate(rows)
+
+    monkeypatch.setattr(model, "_evaluator", counted)
+    return evaluations
+
+
+# 0 may move to the goal 1 or the sink 2, or to 3, whose value is 0.2 or 0.6;
+# `goal_row` is the goal's one row, a self-loop or a move back to 3
+def settled_init(goal_row):
+    return Mdp(4, 0, (
+        (("fail", Distribution.dirac(2)), ("win", Distribution.dirac(1)),
+         ("side", Distribution.dirac(3))),
+        ((goal_row, Distribution.dirac(1 if goal_row == "stay" else 3)),),
+        (("stay", STAY2),),
+        (("lo", Distribution(((1, 0.2), (2, 0.8)))),
+         ("hi", Distribution(((1, 0.6), (2, 0.4)))))))
+
+
+@pytest.mark.parametrize("mode, value, label",
+                         [("max", 1.0, "win"), ("min", 0.0, "fail")])
+def test_settled_init_makes_no_policy_evaluation(monkeypatch, mode, value,
+                                                 label):
+    # init lies in prob-1 (max) or prob-0 (min), and so does every state its
+    # qualitative row reaches: state 3, which is unknown, is never solved
+    evaluations = count_evaluations(monkeypatch)
+    mdp = settled_init("stay")
+    got, sched = mdp_extremal(mdp, [1], mode)
+    assert (got, sched[0], evaluations) == (value, label, [])
+    assert sched[3] == "lo"  # not reached, so not improved
+    attains_from_init(mdp, [1], sched, np.full(4, value), abs=0.0)
+
+
+def test_goal_row_into_unknown_states_is_solved(monkeypatch):
+    # the goal's row leads back to the unknown state 3, which cegar's
+    # consistency walk reads, so policy iteration still runs and 3 takes
+    # its optimal row
+    evaluations = count_evaluations(monkeypatch)
+    mdp = settled_init("back")
+    value, sched = mdp_extremal(mdp, [1], "max")
+    assert (value, sched[0], sched[1], sched[3]) == (1.0, "win", "back", "hi")
+    assert evaluations
+    attains_from_init(mdp, [1], sched, brute_force(mdp, [1])["max"],
+                      abs=1e-12)
+
+
+def test_cegar_trace_unchanged_where_the_root_max_is_settled(monkeypatch):
+    """On the first `deep-chain` grid, the arrival's max is 1 at the root:
+    cegar returns the trace it returns with every quotient solved from
+    scratch by policy iteration, and makes fewer policy evaluations."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from workloads import deep_chain_texts
+    from chainsynth.engines import cegar
+    fam = sketch.elaborate(sketch.parse(deep_chain_texts(0)[0][1]))
+    query = SynthesisQuery("max", goal=sketch.goal_states(fam, "c=2"))
+    evaluations = count_evaluations(monkeypatch)
+    out = cegar.cegar_solve(fam, query)
+    fast = len(evaluations)
+    solve = cegar.mdp_extremal
+    monkeypatch.setattr(cegar, "mdp_extremal",
+                        lambda mdp, goal, mode, start=None:
+                        solve(mdp, goal, mode))
+    monkeypatch.setattr(model, "_settled_from_init", lambda *args: False)
+    evaluations.clear()
+    cold = cegar.cegar_solve(fam, query)
+    assert out.stats.trace[0]["bound"] == 1.0
+    assert out.stats.trace == cold.stats.trace
+    assert (out.value, out.witness) == (cold.value, cold.witness)
+    assert fast < len(evaluations)
+
+
+@st.composite
+def nested_views(draw):
+    """A `small_mdps` MDP's choice matrix with a parent view keeping some of
+    its rows and a part keeping some of the parent's, each at least one row
+    per state."""
+    mdp, goal = draw(small_mdps())
+    matrix = choice_matrix(mdp.tables)
+    first = mdp.first.tolist()
+    views, kept = [], np.ones(len(mdp.labels), bool)
+    for _ in range(2):
+        rows = kept & np.array(draw(st.lists(st.booleans(),
+                                             min_size=len(kept),
+                                             max_size=len(kept))))
+        for a, b in zip(first, first[1:]):
+            if not rows[a:b].any():
+                rows[draw(st.sampled_from(np.flatnonzero(kept[a:b]) + a))] \
+                    = True
+        views.append(MdpView(mdp.n_states, 0, matrix, rows))
+        kept = rows
+    return views, goal
+
+
+def assert_warm_equals_cold(mdp, goal, mode, start, **tol):
+    """The solve of `mdp` started from `start` has the value of a solve
+    from scratch within 1e-12, and its scheduler attains the optimum from
+    the initial state and every state it reaches."""
+    cold = mdp_extremal(mdp, goal, mode)[0]
+    value, sched = mdp_extremal(mdp, goal, mode, start=start)
+    assert value == pytest.approx(cold, abs=1e-12)
+    attains_from_init(mdp, goal, sched, brute_force(mdp, goal)[mode], **tol)
+
+
+@settings(max_examples=300)
+@given(nested_views(), st.sampled_from(("min", "max")))
+def test_part_started_from_its_parent_solves_as_from_scratch(case, mode):
+    (parent, part), goal = case
+    start = mdp_extremal(parent, goal, mode)[1]
+    assert_warm_equals_cold(part, goal, mode, start, abs=1e-6)
+    # and a part started from its own solve
+    assert_warm_equals_cold(part, goal, mode,
+                            mdp_extremal(part, goal, mode)[1], abs=1e-6)
+
+
+
+def test_part_without_its_parents_row_solves_as_from_scratch():
+    """The parent's optimal row at 0 is gone from the part, which keeps
+    only the other one: the part's solve must not start from it."""
+    lo, hi = (Distribution(((1, p), (2, 1.0 - p))) for p in (0.2, 0.6))
+    mdp = Mdp(3, 0, ((("lo", lo), ("hi", hi)), (("stay", STAY1),),
+                     (("stay", STAY2),)))
+    matrix = choice_matrix(mdp.tables)
+    parent = MdpView(3, 0, matrix, np.ones(4, bool))
+    for mode, gone, kept, value in (("max", "hi", "lo", 0.2),
+                                    ("min", "lo", "hi", 0.6)):
+        start = mdp_extremal(parent, [1], mode)[1]
+        assert start[0] == gone
+        part = MdpView(3, 0, matrix, np.array(mdp.labels) != gone)
+        got, sched = mdp_extremal(part, [1], mode, start=start)
+        assert (got, sched[0]) == (pytest.approx(value, abs=1e-15), kept)
+
+def single_deviations(mdp, goal, mode):
+    """Starts for `mdp`: its own solve with one state's row replaced by
+    each of its other rows, tied or tempting ones among them."""
+    solve = mdp_extremal(mdp, goal, mode)[1].solve
+    first = mdp.first.tolist()
+    for s in range(mdp.n_states):
+        for r in range(first[s], first[s + 1]):
+            if r != solve.policy[s]:
+                policy = solve.policy.copy()
+                policy[s] = r
+                yield MemorylessScheduler({}, solve._replace(policy=policy))
+
+
+CYCLE_TIE = Mdp(5, 0, (
+    (("wait", Distribution(((0, 0.7), (3, 0.3)))),
+     ("go", Distribution(((1, 0.625), (2, 0.25), (4, 0.125))))),
+    (("stay", STAY1),), (("stay", STAY2),),
+    (("back", Distribution.dirac(0)),),
+    (("stay", Distribution.dirac(4)),
+     ("back", Distribution(((0, 0.625), (2, 0.125), (1, 0.25)))))))
+
+
+def test_starts_holding_tempting_rows_solve_as_from_scratch():
+    """ROUNDING_GAINS, NEAR_TIES and the tie of
+    test_rounding_gain_never_closes_a_cycle, each started from a policy
+    that holds one other row, tied or tempting: max stays proper (a start
+    of "wait" at 0 never leaves {0, 3}) and both modes reach the optimum."""
+    cases = [(Mdp(len(rows), 0, tuple(
+        tuple((a, Distribution.from_pairs(pairs)) for a, pairs in
+              enumerate(acts)) for acts in rows)), goal, mode,
+        dict(rel=1e-9, abs=1e-20))
+        for goal, rows in ROUNDING_GAINS.values() for mode in ("min", "max")]
+    cases += [(Mdp(len(actions), 0, actions), goal, case[:3], dict(abs=1e-12))
+              for case, (actions, goal, _, _) in NEAR_TIES.items()]
+    cases.append((CYCLE_TIE, [1], "max", dict(abs=1e-12)))
+    for mdp, goal, mode, tol in cases:
+        starts = list(single_deviations(mdp, goal, mode))
+        assert starts
+        for start in starts:
+            assert_warm_equals_cold(mdp, goal, mode, start, **tol)
+
+
+def test_foreign_starts_are_refused():
+    """A start solved on another matrix, for another goal or mode, on an
+    MDP that keeps fewer rows, or not solved at all, is refused."""
+    matrix = choice_matrix(CYCLE_TIE.tables)
+    parent = MdpView(5, 0, matrix, np.ones(len(CYCLE_TIE.labels), bool))
+    part = MdpView(5, 0, matrix, CYCLE_TIE.labels != np.array("wait"))
+    assert part.rows.sum() == len(CYCLE_TIE.labels) - 1
+    for mode, other in (("min", "max"), ("max", "min")):
+        start = mdp_extremal(parent, {1}, mode)[1]
+        for mdp, goal, mode_, match in (
+                (CYCLE_TIE, {1}, mode, "choice matrix"),
+                (part, {2}, mode, "goal or mode"),
+                (part, {1}, other, "goal or mode"),
+                (parent, {1}, mode, None)):
+            if match is None:  # the parent started from its part's solve
+                start, match = mdp_extremal(part, {1}, mode)[1], "fewer rows"
+            with pytest.raises(ModelError, match=match):
+                mdp_extremal(mdp, goal, mode_, start=start)
+        with pytest.raises(ModelError, match="choice matrix"):
+            mdp_extremal(part, {1}, mode,
+                         start=MemorylessScheduler(dict(start.choice)))
